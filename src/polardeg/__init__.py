@@ -4,20 +4,18 @@ from .errors import (DegenerateInputError, FieldMismatchError, GenericityError,
                      ParseError, PolardegError, ResourceLimitError)
 from .fields import DEFAULT_PRIME, GF, QQ, PrimeField, RationalField
 from .foliations import (LogFoliation, associated_foliation, e_degree,
-                         extended_weights, foliation_from_form, gauss_map,
-                         integrability_defect, logarithmic_form,
-                         restrict_to_generic_subspace,
+                         foliation_from_form, gauss_map, integrability_defect,
+                         logarithmic_form, restrict_to_generic_subspace,
                          singular_scheme_degree_p2)
 from .groebner import (DEGREVLEX, LEX, GroebnerBasis, Ideal, MonomialOrder,
-                       block_order, eliminate, groebner, ideal_dimension,
-                       is_reduced_zero_dim, is_zero_dimensional, normal_form,
-                       quotient_dimension, saturate, standard_monomials)
+                       groebner, ideal_dimension, is_reduced_zero_dim,
+                       is_zero_dimensional, normal_form, quotient_dimension,
+                       standard_monomials)
 from .parse import emit_report, parse_poly, parse_weights
 from .poly import (HomogeneousForm, MultiPoly, euler_contraction,
-                   gcd_multivariate, gradient, poly_str, random_linear_form,
-                   substitute_linear)
+                   gcd_multivariate, gradient, poly_str, substitute_linear)
 from .polar import (DegreeReport, RationalMapRep, TrialOutcome,
-                    WeightedFunction, homaloidal_check, map_degree, polar_map,
+                    WeightedFunction, map_degree, polar_map,
                     polar_degrees_profile, weighted_polar_map)
 from .rand import SeedStream, random_scalar
 from .verify import (SUITES, VerificationOutcome, run_dolgachev_suite,

@@ -205,10 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_polar = sub.add_parser("polar", help="degrees of a weighted polar map")
     _add_input_flags(p_polar)
-    group = p_polar.add_mutually_exclusive_group()
-    group.add_argument("--i", type=int, default=None, help="single level")
-    group.add_argument("--profile", action="store_true",
-                       help="all levels 0..n-1 (default)")
+    p_polar.add_argument("--i", type=int, default=None,
+                         help="single level (default: all levels 0..n-1)")
     _add_common(p_polar)
     p_polar.set_defaults(func=_cmd_polar)
 

@@ -72,9 +72,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / b
-
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -129,17 +126,15 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.modulus)
 
-    def div(self, a, b):
-        return a * pow(b, -1, self.modulus) % self.modulus
-
     def from_int(self, n: int):
         return n % self.modulus
 
     def from_fraction(self, q: Fraction):
         den = q.denominator % self.modulus
         if den == 0:
-            raise ZeroDivisionError(
-                f"denominator {q.denominator} divisible by the modulus {self.modulus}")
+            raise DegenerateInputError(
+                f"bad reduction: denominator {q.denominator} divisible by the "
+                f"modulus {self.modulus}")
         return q.numerator * pow(den, -1, self.modulus) % self.modulus
 
     def __eq__(self, other):

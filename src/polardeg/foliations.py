@@ -18,7 +18,7 @@ from .fields import PrimeField, RationalField
 from .groebner import DEGREVLEX, Ideal, groebner, ideal_dimension
 from .linalg import rank
 from .poly import (HomogeneousForm, MultiPoly, euler_contraction, exact_divide,
-                   gcd_many)
+                   gcd_many, substitute_linear)
 from .polar import (DEFAULT_TRIALS, DegreeReport, RationalMapRep,
                     WeightedFunction, map_degree, weighted_gradient)
 from .rand import SeedStream, random_scalar
@@ -130,19 +130,6 @@ def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
                         coeff_deg - 1)
 
 
-def extended_weights(W: WeightedFunction) -> tuple:
-    """The weight vector with the negative total degree appended.
-
-    This is the weight datum of the foliation one dimension up: the new
-    hyperplane factor carries weight minus the weighted degree sum, which
-    must be nonzero.
-    """
-    total = W.total_degree
-    if total == 0:
-        raise DegenerateInputError("zero total weighted degree has no extension")
-    return tuple(W.weights) + (-total,)
-
-
 def associated_foliation(W: WeightedFunction, max_pairs: int | None = None) -> LogFoliation:
     """The foliation on P^{n+1} attached to a weighted product on P^n.
 
@@ -195,12 +182,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int,
         if rank(cols, field) != k + 1:
             failure = "rank-deficient embedding matrix"
             continue
-        images = [MultiPoly.from_terms(
-            field, k + 1,
-            ((tuple(1 if t == c else 0 for t in range(k + 1)), matrix[r][c])
-             for c in range(k + 1) if matrix[r][c] != field.zero()))
-            for r in range(n + 1)]
-        pulled_coeffs = [p.substitute(images) for p in polys]
+        pulled_coeffs = [substitute_linear(p, matrix) for p in polys]
         restricted = []
         for j in range(k + 1):
             acc = MultiPoly.zero(field, k + 1)

@@ -23,28 +23,16 @@ DEFAULT_MAX_BASIS = 5000
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """degrevlex, lex, or a block order eliminating the first `split` variables."""
+    """degrevlex or lex."""
 
     kind: str
-    split: int = 0
 
     def key(self, exp):
-        if self.kind == "degrevlex":
-            return degrevlex_key(exp)
-        if self.kind == "lex":
-            return lex_key(exp)
-        k = self.split
-        return degrevlex_key(exp[:k]) + degrevlex_key(exp[k:])
+        return degrevlex_key(exp) if self.kind == "degrevlex" else lex_key(exp)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
-
-
-def block_order(split: int) -> MonomialOrder:
-    if split < 1:
-        raise ValueError("block order needs at least one eliminated variable")
-    return MonomialOrder("block", split)
 
 
 @dataclass(frozen=True)
@@ -376,40 +364,6 @@ def ideal_dimension(G: GroebnerBasis) -> int:
         if best == size:
             break
     return best
-
-
-def eliminate(ideal: Ideal, k: int, max_pairs: int | None = None) -> Ideal:
-    """Generators of the intersection with the subring missing the first k variables."""
-    if k == 0:
-        return ideal
-    if k >= ideal.nvars:
-        raise ValueError("cannot eliminate every variable")
-    G = groebner(ideal, block_order(k), max_pairs=max_pairs)
-    gens = []
-    for p, lm in zip(G.basis, G.lead_exps):
-        if any(lm[:k]):
-            continue
-        # a reduced basis element with lead free of the block is entirely free of it
-        gens.append(MultiPoly(ideal.field, ideal.nvars - k,
-                              {exp[k:]: c for exp, c in p.terms.items()}))
-    if not gens:
-        return Ideal((), ideal.field, ideal.nvars - k)
-    return Ideal.of(gens)
-
-
-def saturate(ideal: Ideal, f: MultiPoly, max_pairs: int | None = None) -> Ideal:
-    """I : f^infinity via an inverted auxiliary variable t, t*f = 1."""
-    if f.is_zero():
-        raise DegenerateInputError("cannot saturate by the zero polynomial")
-    if f.field != ideal.field or f.nvars != ideal.nvars:
-        raise FieldMismatchError("saturating polynomial lives in a different ring")
-    nv = ideal.nvars + 1
-    lifted = [MultiPoly(ideal.field, nv, {(0,) + exp: c for exp, c in g.terms.items()})
-              for g in ideal.generators]
-    tf = MultiPoly(ideal.field, nv, {(1,) + exp: c for exp, c in f.terms.items()})
-    one = MultiPoly.one(ideal.field, nv)
-    aux = Ideal.of(lifted + [tf - one])
-    return eliminate(aux, 1, max_pairs=max_pairs)
 
 
 # -- univariate helpers on coefficient lists (for the reducedness test) ------

@@ -21,34 +21,24 @@ from .fields import PrimeField, RationalField
 from .groebner import (DEGREVLEX, Ideal, groebner, is_reduced_zero_dim,
                        is_zero_dimensional, quotient_dimension)
 from .linalg import rank, solve_affine
-from .poly import HomogeneousForm, MultiPoly, gcd_many, gcd_multivariate, exact_divide
+from .poly import (HomogeneousForm, MultiPoly, exact_divide, gcd_many,
+                   gcd_multivariate, gradient)
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
 DEFAULT_RETRIES = 3
 
-_SQUAREFREE_DIRECTIONS = 3
-_SQUAREFREE_SEED = 271828
-
 
 def _is_squarefree(form: HomogeneousForm) -> bool:
-    """gcd with a random directional derivative is constant, three directions."""
-    poly = form.poly
-    field, nv = poly.field, poly.nvars
-    stream = SeedStream(_SQUAREFREE_SEED)
-    bound = field.modulus if isinstance(field, PrimeField) else (1 << 16)
-    for _ in range(_SQUAREFREE_DIRECTIONS):
-        while True:
-            direction = [field.from_int(stream.below(bound)) for _ in range(nv)]
-            if any(c != field.zero() for c in direction):
-                break
-        deriv = MultiPoly.zero(field, nv)
-        for v, c in enumerate(direction):
-            if c != field.zero():
-                deriv = deriv + poly.diff(v).scale(c)
-        if not gcd_multivariate(poly, deriv).is_constant():
-            return False
-    return True
+    """The gcd of F and all its partial derivatives is constant.
+
+    Exact when the characteristic is 0 or exceeds deg F: a repeated factor
+    G^2 divides F, so G divides every partial; an irreducible G dividing F
+    and every partial of F = G*H divides H, because some partial of G is
+    nonzero of lower degree.  Every prime field here has p >= MIN_PRIME,
+    far above the degree of any form the engine can handle.
+    """
+    return gcd_many([form.poly, *gradient(form.poly)]).is_constant()
 
 
 @dataclass(frozen=True)
@@ -163,7 +153,12 @@ class RationalMapRep:
     def to_field(self, field) -> "RationalMapRep":
         if field == self.field:
             return self
-        return RationalMapRep.of([c.poly.to_field(field) for c in self.components])
+        polys = [c.poly.to_field(field) for c in self.components]
+        # a homogeneous form keeps its degree mod p unless it vanishes
+        if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.components)):
+            raise DegenerateInputError(
+                f"bad reduction: a component vanishes modulo {field.modulus}")
+        return RationalMapRep.of(polys)
 
 
 @dataclass(frozen=True)
@@ -343,10 +338,3 @@ def polar_degrees_profile(W: WeightedFunction, trials: int = DEFAULT_TRIALS,
     return tuple(map_degree(m, i, trials=trials, seed=master.child_seed(),
                             field=field, max_pairs=max_pairs)
                  for i in range(n))
-
-
-def homaloidal_check(W: WeightedFunction, trials: int = DEFAULT_TRIALS,
-                     seed: int = 0, field=None) -> bool:
-    """True iff the topological degree of the weighted polar map is stably 1."""
-    report = map_degree(weighted_polar_map(W), 0, trials=trials, seed=seed, field=field)
-    return report.stable and report.value == 1

@@ -13,11 +13,9 @@ normalized so the lexicographically leading scalar coefficient is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateInputError, FieldMismatchError
-from .fields import PrimeField, RationalField
-from .rand import SeedStream, random_scalar
+from .fields import RationalField
 
 Exponent = tuple
 
@@ -90,9 +88,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
-
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero())
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
@@ -387,19 +382,6 @@ def substitute_linear(p: MultiPoly, matrix) -> MultiPoly:
     return p.substitute(images)
 
 
-def random_linear_form(field, nvars: int, stream: SeedStream) -> HomogeneousForm:
-    """Nonzero linear form with independent uniform coefficients over GF(p)."""
-    while True:
-        coeffs = [random_scalar(field, stream) for _ in range(nvars)]
-        if any(coeffs):
-            break
-    poly = MultiPoly.from_terms(
-        field, nvars,
-        ((tuple(1 if j == k else 0 for j in range(nvars)), c)
-         for k, c in enumerate(coeffs) if c))
-    return HomogeneousForm(poly, 1)
-
-
 # -- multivariate gcd --------------------------------------------------------
 
 def _lex_normalize(p: MultiPoly) -> MultiPoly:
@@ -443,14 +425,6 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         quot = quot + MultiPoly(field, p.nvars, {diff: c})
         rem = rem - d.shift(diff, c)
     return quot
-
-
-def divides(d: MultiPoly, p: MultiPoly) -> bool:
-    try:
-        exact_divide(p, d)
-        return True
-    except ArithmeticError:
-        return False
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, m: int) -> MultiPoly:

@@ -34,10 +34,6 @@ class SeedStream:
             if v < m:
                 return v
 
-    def spawn(self) -> "SeedStream":
-        """Child stream with an independent derived seed."""
-        return SeedStream(self.bits(63))
-
     def child_seed(self) -> int:
         return self.bits(63)
 
@@ -52,11 +48,3 @@ def random_scalar(field, stream: SeedStream):
 
 def random_vector(field, n: int, stream: SeedStream) -> list:
     return [random_scalar(field, stream) for _ in range(n)]
-
-
-def random_nonzero_vector(field, n: int, stream: SeedStream) -> list:
-    """Uniform vector that is not identically zero (rejection sampling)."""
-    while True:
-        v = random_vector(field, n, stream)
-        if any(v):
-            return v

@@ -9,8 +9,10 @@ the working prime field; outcomes are reproducible bit for bit from
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DegenerateInputError
 from .fields import DEFAULT_PRIME, GF, QQ
@@ -19,8 +21,8 @@ from .foliations import (LogFoliation, associated_foliation, e_degree,
                          logarithmic_form, singular_scheme_degree_p2)
 from .parse import parse_poly
 from .poly import HomogeneousForm, MultiPoly
-from .polar import (DEFAULT_TRIALS, DegreeReport, WeightedFunction, map_degree,
-                    polar_degrees_profile, weighted_polar_map)
+from .polar import (DEFAULT_TRIALS, WeightedFunction, map_degree, polar_map,
+                    weighted_polar_map)
 
 _MASK = (1 << 63) - 1
 _MIX = 0x9E3779B97F4A7C15
@@ -51,36 +53,36 @@ class VerificationOutcome:
         return f"{verdict} {self.claim}: {self.instance}: {list(self.left)} vs {list(self.right)}{tag}"
 
 
-def _resolve_field(field):
-    return GF(DEFAULT_PRIME) if field is None else field
+def _memo(fn, obj, *args, trials, seed, field, cache, max_pairs):
+    """fn(obj, *args, ...) through the memo dict cache; None memoizes nothing.
 
-
-def _cached_e_degree(fol, k, i, trials, seed, field, cache, max_pairs):
-    if cache is None:
-        return e_degree(fol, k, i, trials=trials, seed=seed, field=field,
+    The key holds fn's name, so map_degree and e_degree entries never meet.
+    Callers pass fn as looked up in this module at call time, so a wrapper
+    swapped onto the module attribute sees every call that is computed.
+    """
+    field = GF(DEFAULT_PRIME) if field is None else field
+    cache = {} if cache is None else cache
+    key = (fn.__name__, tuple(obj.polys()), *args, trials, seed, field.modulus)
+    if key not in cache:
+        cache[key] = fn(obj, *args, trials=trials, seed=seed, field=field,
                         max_pairs=max_pairs)
-    key = (tuple(fol.polys()), k, i, trials, seed, field.modulus)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = e_degree(fol, k, i, trials=trials, seed=seed,
-                                    field=field, max_pairs=max_pairs)
-    return hit
+    return cache[key]
 
 
-def _cached_map_degree(m, i, trials, seed, field, cache, max_pairs):
-    if cache is None:
-        return map_degree(m, i, trials=trials, seed=seed, field=field,
-                          max_pairs=max_pairs)
-    key = (tuple(m.polys()), i, trials, seed, field.modulus)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = map_degree(m, i, trials=trials, seed=seed,
-                                      field=field, max_pairs=max_pairs)
-    return hit
+def _outcome(claim, instance, reports, left, right, holds=operator.eq,
+             label=None) -> VerificationOutcome:
+    """The check passes iff every report is stable with a value and holds(left, right).
+
+    Unless a label is given, it is "ok", or "unstable" when some report is not.
+    """
+    left, right = tuple(left), tuple(right)
+    ok = all(r.stable and r.value is not None for r in reports)
+    return VerificationOutcome(claim, instance, left, right, ok and holds(left, right),
+                               tuple(reports), label or ("ok" if ok else "unstable"))
 
 
-def _stable(*reports: DegreeReport) -> bool:
-    return all(r.stable and r.value is not None for r in reports)
+def _is_sum(left, right) -> bool:
+    return left[0] == sum(right)
 
 
 def verify_gauss_theorem(fol: LogFoliation, k: int, i: int,
@@ -90,20 +92,12 @@ def verify_gauss_theorem(fol: LogFoliation, k: int, i: int,
     """e_i^k = e_0^{k-i} + e_0^{k-i+1}, both sides computed independently."""
     if not (2 <= k <= fol.ambient_dim and 1 <= i <= k - 1):
         raise ValueError(f"inadmissible pair (k, i) = ({k}, {i})")
-    field = _resolve_field(field)
-    lhs = _cached_e_degree(fol, k, i, trials, derive_seed(seed, 1, k, i),
-                           field, cache, max_pairs)
-    r1 = _cached_e_degree(fol, k - i, 0, trials, derive_seed(seed, 2, k - i, 0),
-                          field, cache, max_pairs)
-    r2 = _cached_e_degree(fol, k - i + 1, 0, trials, derive_seed(seed, 2, k - i + 1, 0),
-                          field, cache, max_pairs)
-    ok = _stable(lhs, r1, r2)
-    passed = ok and lhs.value == r1.value + r2.value
-    return VerificationOutcome(
-        "gauss-degree-identity",
-        instance or f"(k,i)=({k},{i})",
-        (lhs.value,), (r1.value, r2.value),
-        passed, (lhs, r1, r2), "ok" if ok else "unstable")
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    lhs = memo(e_degree, fol, k, i, seed=derive_seed(seed, 1, k, i))
+    r1 = memo(e_degree, fol, k - i, 0, seed=derive_seed(seed, 2, k - i, 0))
+    r2 = memo(e_degree, fol, k - i + 1, 0, seed=derive_seed(seed, 2, k - i + 1, 0))
+    return _outcome("gauss-degree-identity", instance or f"(k,i)=({k},{i})",
+                    (lhs, r1, r2), (lhs.value,), (r1.value, r2.value), _is_sum)
 
 
 def verify_gauss_corollary(fol: LogFoliation, k: int, i: int, s: int,
@@ -117,18 +111,11 @@ def verify_gauss_corollary(fol: LogFoliation, k: int, i: int, s: int,
     """
     if not (s >= 1 and s + 2 <= k <= fol.ambient_dim and 2 <= i <= k - 1 and i - s >= 1):
         raise ValueError(f"inadmissible triple (k, i, s) = ({k}, {i}, {s})")
-    field = _resolve_field(field)
-    lhs = _cached_e_degree(fol, k, i, trials, derive_seed(seed, 1, k, i),
-                           field, cache, max_pairs)
-    rhs = _cached_e_degree(fol, k - s, i - s, trials, derive_seed(seed, 1, k - s, i - s),
-                           field, cache, max_pairs)
-    ok = _stable(lhs, rhs)
-    passed = ok and lhs.value == rhs.value
-    return VerificationOutcome(
-        "gauss-degree-shift",
-        instance or f"(k,i,s)=({k},{i},{s})",
-        (lhs.value,), (rhs.value,),
-        passed, (lhs, rhs), "ok" if ok else "unstable")
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    lhs = memo(e_degree, fol, k, i, seed=derive_seed(seed, 1, k, i))
+    rhs = memo(e_degree, fol, k - s, i - s, seed=derive_seed(seed, 1, k - s, i - s))
+    return _outcome("gauss-degree-shift", instance or f"(k,i,s)=({k},{i},{s})",
+                    (lhs, rhs), (lhs.value,), (rhs.value,))
 
 
 def verify_polar_relation(W: WeightedFunction, i: int,
@@ -136,30 +123,14 @@ def verify_polar_relation(W: WeightedFunction, i: int,
                           field=None, cache=None, max_pairs=None,
                           instance: str = "") -> VerificationOutcome:
     """Gauss degree of the attached foliation = deg_i + deg_{i-1} of the polar map."""
-    field = _resolve_field(field)
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
     fol = associated_foliation(W)
-    lhs = _cached_e_degree(fol, fol.ambient_dim, i, trials,
-                           derive_seed(seed, 3, i), field, cache, max_pairs)
+    lhs = memo(e_degree, fol, fol.ambient_dim, i, seed=derive_seed(seed, 3, i))
     m = weighted_polar_map(W)
-    r_i = _cached_map_degree(m, i, trials, derive_seed(seed, 4, i), field,
-                             cache, max_pairs)
-    reports = [lhs, r_i]
-    if i >= 1:
-        r_prev = _cached_map_degree(m, i - 1, trials, derive_seed(seed, 4, i - 1),
-                                    field, cache, max_pairs)
-        reports.append(r_prev)
-        rhs_vals = (r_i.value, r_prev.value)
-        total = None if None in rhs_vals else sum(rhs_vals)
-    else:
-        rhs_vals = (r_i.value, 0)
-        total = r_i.value
-    ok = _stable(*reports)
-    passed = ok and lhs.value == total
-    return VerificationOutcome(
-        "polar-gauss-relation",
-        instance or f"i={i}",
-        (lhs.value,), rhs_vals,
-        passed, tuple(reports), "ok" if ok else "unstable")
+    rhs = [memo(map_degree, m, j, seed=derive_seed(seed, 4, j)) for j in (i, i - 1) if j >= 0]
+    right = [r.value for r in rhs] + [0] * (2 - len(rhs))     # deg_{-1} = 0
+    return _outcome("polar-gauss-relation", instance or f"i={i}",
+                    (lhs, *rhs), (lhs.value,), right, _is_sum)
 
 
 def verify_corollary_deg(W: WeightedFunction, i: int,
@@ -167,20 +138,13 @@ def verify_corollary_deg(W: WeightedFunction, i: int,
                          field=None, cache=None, max_pairs=None,
                          instance: str = "") -> VerificationOutcome:
     """deg_i of the polar map = e_0^{n+1-i} of the attached foliation."""
-    field = _resolve_field(field)
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
     n = W.nvars - 1
     fol = associated_foliation(W)
-    lhs = _cached_map_degree(weighted_polar_map(W), i, trials,
-                             derive_seed(seed, 4, i), field, cache, max_pairs)
-    rhs = _cached_e_degree(fol, n + 1 - i, 0, trials,
-                           derive_seed(seed, 2, n + 1 - i, 0), field, cache, max_pairs)
-    ok = _stable(lhs, rhs)
-    passed = ok and lhs.value == rhs.value
-    return VerificationOutcome(
-        "polar-degree-via-foliation",
-        instance or f"i={i}",
-        (lhs.value,), (rhs.value,),
-        passed, (lhs, rhs), "ok" if ok else "unstable")
+    lhs = memo(map_degree, weighted_polar_map(W), i, seed=derive_seed(seed, 4, i))
+    rhs = memo(e_degree, fol, n + 1 - i, 0, seed=derive_seed(seed, 2, n + 1 - i, 0))
+    return _outcome("polar-degree-via-foliation", instance or f"i={i}",
+                    (lhs, rhs), (lhs.value,), (rhs.value,))
 
 
 def _same_sign(weights) -> bool:
@@ -197,64 +161,39 @@ def verify_invariance(factors, weight_sets, trials: int = DEFAULT_TRIALS,
     rejected unless override is set, and then the outcome is labeled
     hypothesis-unverified.
     """
-    field = _resolve_field(field)
     weight_sets = [tuple(Fraction(w) for w in ws) for ws in weight_sets]
-    label = "ok"
-    if not all(_same_sign(ws) for ws in weight_sets):
-        if not override:
-            raise DegenerateInputError(
-                "mixed-sign weights: invariance hypothesis unverified "
-                "(pass override to force the run)")
-        label = "hypothesis-unverified"
+    mixed = not all(_same_sign(ws) for ws in weight_sets)
+    if mixed and not override:
+        raise DegenerateInputError(
+            "mixed-sign weights: invariance hypothesis unverified "
+            "(pass override to force the run)")
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
 
     def profile(ws):
-        W = WeightedFunction.of(factors, ws)
-        n = W.nvars - 1
-        m = weighted_polar_map(W)
-        return [_cached_map_degree(m, i, trials, derive_seed(seed, 4, i),
-                                   field, cache, max_pairs) for i in range(n)]
+        m = weighted_polar_map(WeightedFunction.of(factors, ws))
+        return [memo(map_degree, m, i, seed=derive_seed(seed, 4, i))
+                for i in range(m.source_dim)]
 
     ones = profile((Fraction(1),) * len(tuple(factors)))
-    reports = list(ones)
-    ref = tuple(r.value for r in ones)
-    others = []
-    for ws in weight_sets:
-        prof = profile(ws)
-        reports.extend(prof)
-        others.append(tuple(r.value for r in prof))
-    ok = _stable(*reports)
-    passed = ok and all(vals == ref for vals in others)
-    if not ok and label == "ok":
-        label = "unstable"
-    return VerificationOutcome(
-        "profile-weight-invariance",
-        instance or "weighted product",
-        ref, tuple(v for vals in others for v in vals),
-        passed, tuple(reports), label)
+    others = [r for ws in weight_sets for r in profile(ws)]
+    return _outcome("profile-weight-invariance", instance or "weighted product",
+                    ones + others, [r.value for r in ones], [r.value for r in others],
+                    lambda ref, rest: rest == ref * len(weight_sets),
+                    "hypothesis-unverified" if mixed else None)
 
 
 def verify_product_bound(F1, F2, i: int, trials: int = DEFAULT_TRIALS,
                          seed: int = 0, field=None, cache=None, max_pairs=None,
                          instance: str = "") -> VerificationOutcome:
     """deg_i of the polar of a coprime product dominates both factors' deg_i."""
-    from .polar import polar_map
-    field = _resolve_field(field)
-    f1 = F1 if isinstance(F1, HomogeneousForm) else HomogeneousForm.of(F1)
-    f2 = F2 if isinstance(F2, HomogeneousForm) else HomogeneousForm.of(F2)
-    prod = polar_map(HomogeneousForm.of(f1.poly * f2.poly))
-    lhs = _cached_map_degree(prod, i, trials, derive_seed(seed, 5, i),
-                             field, cache, max_pairs)
-    r1 = _cached_map_degree(polar_map(f1), i, trials, derive_seed(seed, 6, i),
-                            field, cache, max_pairs)
-    r2 = _cached_map_degree(polar_map(f2), i, trials, derive_seed(seed, 7, i),
-                            field, cache, max_pairs)
-    ok = _stable(lhs, r1, r2)
-    passed = ok and lhs.value >= max(r1.value, r2.value)
-    return VerificationOutcome(
-        "product-degree-bound",
-        instance or f"i={i}",
-        (lhs.value,), (r1.value, r2.value),
-        passed, (lhs, r1, r2), "ok" if ok else "unstable")
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    f1, f2 = (F.poly if isinstance(F, HomogeneousForm) else F for F in (F1, F2))
+    lhs = memo(map_degree, polar_map(f1 * f2), i, seed=derive_seed(seed, 5, i))
+    r1 = memo(map_degree, polar_map(f1), i, seed=derive_seed(seed, 6, i))
+    r2 = memo(map_degree, polar_map(f2), i, seed=derive_seed(seed, 7, i))
+    return _outcome("product-degree-bound", instance or f"i={i}",
+                    (lhs, r1, r2), (lhs.value,), (r1.value, r2.value),
+                    lambda left, right: left[0] >= max(right))
 
 
 # -- corpus ------------------------------------------------------------------
@@ -288,7 +227,7 @@ def corpus_weighted() -> dict:
 
 def corpus_foliations() -> dict:
     """Foliations on P^3 and P^4 used by the Gauss-identity suite."""
-    out = {
+    return {
         "conic-attached": associated_foliation(corpus_weighted()["conic"]),
         "triangle-attached": associated_foliation(corpus_weighted()["triangle"]),
         "four-planes-p3": foliation_from_form(logarithmic_form(WeightedFunction.of(
@@ -298,7 +237,6 @@ def corpus_foliations() -> dict:
             [parse_poly(s, 4, QQ) for s in ("x0", "x1", "x2", "x3")],
             [1, 1, 1, 1])),
     }
-    return out
 
 
 def _pencil_lines(k: int) -> list:
@@ -340,18 +278,13 @@ def resonance_plane_foliation(k: int) -> LogFoliation:
 def run_resonance_example(k: int, seed: int = 0, trials: int = DEFAULT_TRIALS,
                           field=None, cache=None, max_pairs=None) -> VerificationOutcome:
     """Resonant pencil weights give a birational polar map; weight one gives k-1."""
-    field = _resolve_field(field)
-    res = _cached_map_degree(weighted_polar_map(resonance_weighted(k, True)), 0,
-                             trials, derive_seed(seed, 8, k), field, cache, max_pairs)
-    ones = _cached_map_degree(weighted_polar_map(resonance_weighted(k, False)), 0,
-                              trials, derive_seed(seed, 9, k), field, cache, max_pairs)
-    ok = _stable(res, ones)
-    passed = ok and res.value == 1 and ones.value == k - 1
-    return VerificationOutcome(
-        "resonance-example",
-        f"{k} concurrent lines plus one",
-        (res.value, ones.value), (1, k - 1),
-        passed, (res, ones), "ok" if ok else "unstable")
+    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    res = memo(map_degree, weighted_polar_map(resonance_weighted(k, True)), 0,
+               seed=derive_seed(seed, 8, k))
+    ones = memo(map_degree, weighted_polar_map(resonance_weighted(k, False)), 0,
+                seed=derive_seed(seed, 9, k))
+    return _outcome("resonance-example", f"{k} concurrent lines plus one",
+                    (res, ones), (res.value, ones.value), (1, k - 1))
 
 
 def run_resonance_singular_check(k: int, max_pairs=None) -> VerificationOutcome:
@@ -359,18 +292,31 @@ def run_resonance_singular_check(k: int, max_pairs=None) -> VerificationOutcome:
     fol = resonance_plane_foliation(k)
     value = singular_scheme_degree_p2(fol, max_pairs=max_pairs)
     expected = expected_plane_singular_degree(fol.degree)
-    passed = fol.degree == k and value == k * k + k + 1 and value == expected
-    return VerificationOutcome(
-        "resonance-singular-degree",
-        f"degree-{fol.degree} plane foliation from {k}+2 lines",
-        (value,), (k * k + k + 1,),
-        passed)
+    return _outcome("resonance-singular-degree",
+                    f"degree-{fol.degree} plane foliation from {k}+2 lines",
+                    (), (value,), (k * k + k + 1,),
+                    lambda left, right: fol.degree == k and left == right == (expected,))
 
 
-def run_dolgachev_suite(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                        cache=None, max_pairs=None) -> list:
+def _suite(checks):
+    """Suite from a generator checks(seed, opts, **extra) of outcomes.
+
+    opts holds the trials, field, cache and max_pairs keywords of the verify
+    functions; the checks of one run share a cache, fresh unless given.
+    """
+    def run(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None, cache=None,
+            max_pairs=None, **extra) -> list:
+        opts = dict(trials=trials, field=field, max_pairs=max_pairs,
+                    cache={} if cache is None else cache)
+        return list(checks(seed, opts, **extra))
+    # not functools.wraps: the signature shown must be run's, not checks'
+    run.__name__, run.__doc__ = checks.__name__, checks.__doc__
+    return run
+
+
+@_suite
+def run_dolgachev_suite(seed, opts):
     """Topological polar degree across the plane classification and controls."""
-    field = _resolve_field(field)
     curves = corpus_curves()
     expected = {
         "conic": 1,
@@ -382,72 +328,39 @@ def run_dolgachev_suite(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
         # homaloidal, its polar map has topological degree 2
         "transversal-line": 2,
     }
-    from .polar import polar_map
-    outcomes = []
     for idx, (name, value) in enumerate(expected.items()):
-        rep = _cached_map_degree(polar_map(curves[name]), 0, trials,
-                                 derive_seed(seed, 10, idx), field, cache, max_pairs)
-        ok = _stable(rep)
-        passed = ok and rep.value == value
-        claim = ("homaloidal-classification" if value == 1
-                 else "homaloidal-control")
-        outcomes.append(VerificationOutcome(
-            claim, name, (rep.value,), (value,), passed, (rep,),
-            "ok" if ok else "unstable"))
-    return outcomes
+        rep = _memo(map_degree, polar_map(curves[name]), 0,
+                    seed=derive_seed(seed, 10, idx), **opts)
+        claim = "homaloidal-classification" if value == 1 else "homaloidal-control"
+        yield _outcome(claim, name, (rep,), (rep.value,), (value,))
 
 
-def suite_gauss(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                cache=None, max_pairs=None) -> list:
+@_suite
+def suite_gauss(seed, opts):
     """All admissible Gauss identities with k <= 4 on the foliation corpus."""
-    field = _resolve_field(field)
-    if cache is None:
-        cache = {}
-    outcomes = []
     for name, fol in corpus_foliations().items():
         n = fol.ambient_dim
         for k in range(2, min(n, 4) + 1):
             for i in range(1, k):
-                outcomes.append(verify_gauss_theorem(
-                    fol, k, i, trials=trials, seed=seed, field=field,
-                    cache=cache, max_pairs=max_pairs,
-                    instance=f"{name}, (k,i)=({k},{i})"))
-        shifts = [(k, i, s) for (k, i, s) in ((3, 2, 1), (4, 2, 1), (4, 3, 1), (4, 3, 2))
-                  if k <= n]
-        for k, i, s in shifts:
-            outcomes.append(verify_gauss_corollary(
-                fol, k, i, s, trials=trials, seed=seed, field=field,
-                cache=cache, max_pairs=max_pairs,
-                instance=f"{name}, (k,i,s)=({k},{i},{s})"))
-    return outcomes
+                yield verify_gauss_theorem(fol, k, i, seed=seed,
+                                           instance=f"{name}, (k,i)=({k},{i})", **opts)
+        for k, i, s in ((3, 2, 1), (4, 2, 1), (4, 3, 1), (4, 3, 2)):
+            if k <= n:
+                yield verify_gauss_corollary(fol, k, i, s, seed=seed,
+                                             instance=f"{name}, (k,i,s)=({k},{i},{s})",
+                                             **opts)
 
 
-def suite_polar_relation(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                         cache=None, max_pairs=None) -> list:
-    field = _resolve_field(field)
-    if cache is None:
-        cache = {}
-    outcomes = []
+@_suite
+def _weighted_corpus_suite(seed, opts, check):
+    """check(W, i) at every level i of every weighted product in the corpus."""
     for name, W in corpus_weighted().items():
         for i in range(W.nvars - 1):
-            outcomes.append(verify_polar_relation(
-                W, i, trials=trials, seed=seed, field=field, cache=cache,
-                max_pairs=max_pairs, instance=f"{name}, i={i}"))
-    return outcomes
+            yield check(W, i, seed=seed, instance=f"{name}, i={i}", **opts)
 
 
-def suite_corollary_deg(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                        cache=None, max_pairs=None) -> list:
-    field = _resolve_field(field)
-    if cache is None:
-        cache = {}
-    outcomes = []
-    for name, W in corpus_weighted().items():
-        for i in range(W.nvars - 1):
-            outcomes.append(verify_corollary_deg(
-                W, i, trials=trials, seed=seed, field=field, cache=cache,
-                max_pairs=max_pairs, instance=f"{name}, i={i}"))
-    return outcomes
+suite_polar_relation = partial(_weighted_corpus_suite, check=verify_polar_relation)
+suite_corollary_deg = partial(_weighted_corpus_suite, check=verify_corollary_deg)
 
 
 def invariance_instances() -> list:
@@ -471,15 +384,11 @@ def invariance_instances() -> list:
     ]
 
 
-def suite_invariance(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                     cache=None, max_pairs=None) -> list:
-    field = _resolve_field(field)
-    if cache is None:
-        cache = {}
-    return [verify_invariance(factors, weight_sets, trials=trials,
-                              seed=derive_seed(seed, 11, idx), field=field,
-                              cache=cache, max_pairs=max_pairs, instance=name)
-            for idx, (name, factors, weight_sets) in enumerate(invariance_instances())]
+@_suite
+def suite_invariance(seed, opts):
+    for idx, (name, factors, weight_sets) in enumerate(invariance_instances()):
+        yield verify_invariance(factors, weight_sets, seed=derive_seed(seed, 11, idx),
+                                instance=name, **opts)
 
 
 def product_pairs() -> list:
@@ -492,32 +401,21 @@ def product_pairs() -> list:
     ]
 
 
-def suite_product_bound(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                        cache=None, max_pairs=None) -> list:
-    field = _resolve_field(field)
-    if cache is None:
-        cache = {}
-    outcomes = []
+@_suite
+def suite_product_bound(seed, opts):
     for idx, (name, f1, f2) in enumerate(product_pairs()):
         for i in range(f1.nvars - 1):
-            outcomes.append(verify_product_bound(
-                f1, f2, i, trials=trials, seed=derive_seed(seed, 12, idx),
-                field=field, cache=cache, max_pairs=max_pairs,
-                instance=f"{name}, i={i}"))
-    return outcomes
+            yield verify_product_bound(f1, f2, i, seed=derive_seed(seed, 12, idx),
+                                       instance=f"{name}, i={i}", **opts)
 
 
-def suite_resonance(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None,
-                    cache=None, max_pairs=None, ks=(2, 3, 4)) -> list:
-    field = _resolve_field(field)
-    if cache is None:
-        cache = {}
-    outcomes = [run_resonance_example(k, seed=seed, trials=trials, field=field,
-                                      cache=cache, max_pairs=max_pairs)
-                for k in ks]
-    outcomes.extend(run_resonance_singular_check(k, max_pairs=max_pairs)
-                    for k in ks if k <= 3)
-    return outcomes
+@_suite
+def suite_resonance(seed, opts, ks=(2, 3, 4)):
+    for k in ks:
+        yield run_resonance_example(k, seed=seed, **opts)
+    for k in ks:
+        if k <= 3:
+            yield run_resonance_singular_check(k, max_pairs=opts["max_pairs"])
 
 
 SUITES = {

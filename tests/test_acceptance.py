@@ -20,11 +20,7 @@ from polardeg.groebner import (DEGREVLEX, LEX, Ideal, groebner,
 from polardeg.parse import parse_poly
 from polardeg.poly import MultiPoly, euler_contraction, gradient
 from polardeg.polar import WeightedFunction, map_degree, polar_map, weighted_polar_map
-from polardeg.verify import (corpus_foliations, corpus_weighted,
-                             run_dolgachev_suite, suite_corollary_deg,
-                             suite_gauss, suite_invariance,
-                             suite_polar_relation, suite_product_bound,
-                             suite_resonance)
+from polardeg.verify import SUITES, corpus_foliations
 
 PRIMARY_PRIME = 2147483647
 SECOND_PRIME = 1000003
@@ -34,8 +30,7 @@ PRIMES = (PRIMARY_PRIME, SECOND_PRIME)
 def _compute_all(prime):
     field = GF(prime)
     cache = {}
-    results = {}
-    results["dolgachev"] = run_dolgachev_suite(field=field, cache=cache)
+    results = {name: suite(field=field, cache=cache) for name, suite in SUITES.items()}
     profiles = {}
     for d in (2, 3, 4):
         W = WeightedFunction.of([qq(f"x0^{d} + x1^{d} + x2^{d}")], [1])
@@ -43,12 +38,6 @@ def _compute_all(prime):
         profiles[d] = tuple(map_degree(m, i, seed=100 + i, field=field).value
                             for i in (0, 1))
     results["smooth-profiles"] = profiles
-    results["invariance"] = suite_invariance(field=field, cache=cache)
-    results["gauss"] = suite_gauss(field=field, cache=cache)
-    results["polar-relation"] = suite_polar_relation(field=field, cache=cache)
-    results["corollary-deg"] = suite_corollary_deg(field=field, cache=cache)
-    results["resonance"] = suite_resonance(field=field, cache=cache)
-    results["product-bound"] = suite_product_bound(field=field, cache=cache)
     return results
 
 
@@ -103,7 +92,7 @@ def test_criterion_3_invariance(runs):
 
 def test_criterion_4_gauss_identities(runs):
     for p in PRIMES:
-        outcomes = runs[p]["gauss"]
+        outcomes = runs[p]["gauss-theorem"]
         assert len(outcomes) >= 15
         _assert_outcomes(outcomes, f"gauss @ {p}")
     _report(4, True, "e_i^k = e_0^{k-i} + e_0^{k-i+1} on the corpus, with shifts")
@@ -188,8 +177,7 @@ def test_criterion_8_property_suites(Fp):
 
 def _value_signature(results):
     sig = {}
-    for key in ("dolgachev", "invariance", "gauss", "polar-relation",
-                "corollary-deg", "resonance", "product-bound"):
+    for key in SUITES:
         for o in results[key]:
             sig[(o.claim, o.instance)] = (o.left, o.right)
     sig["smooth-profiles"] = results["smooth-profiles"]

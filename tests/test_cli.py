@@ -63,6 +63,24 @@ def test_polar_parse_error_is_reported(capsys):
     assert "column" in err
 
 
+def test_polar_coefficient_denominator_divisible_by_prime_is_an_error(capsys):
+    code, out, _ = run_cli(capsys, "polar", "--poly", "1/1000003*x0^2 + x1^2 + x2^2",
+                           "--prime", "1000003", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error" and "1000003" in doc["message"]
+
+
+def test_polar_refuses_component_vanishing_modulo_the_prime(capsys):
+    argv = ["polar", "--poly", "x0^2 + x1^2 + 1000003*x2^2", "--i", "0"]
+    code, out, err = run_cli(capsys, *argv, "--prime", "1000003")
+    assert code == 1 and out == ""
+    assert "bad reduction" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "deg_0 = 1" in out
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["polar", "--i", "0", "--profile", "--poly", "x0"])

@@ -85,15 +85,6 @@ def test_associated_foliation_rejects_zero_total_degree():
         associated_foliation(wf(["x0", "x1"], [1, -1], nvars=2))
 
 
-def test_extended_weights():
-    from fractions import Fraction
-    from polardeg.foliations import extended_weights
-    W = wf(["x0^2 + x1^2 + x2^2", "x2"], [1, "-2/3"])
-    assert extended_weights(W) == (1, Fraction(-2, 3), Fraction(-4, 3))
-    with pytest.raises(DegenerateInputError):
-        extended_weights(wf(["x0", "x1"], [1, -1], nvars=2))
-
-
 def test_integrability_of_constructed_foliations():
     for fol in (associated_foliation(wf(["x0^2 + x1^2 + x2^2"], [1])),
                 associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])),

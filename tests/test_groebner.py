@@ -1,4 +1,4 @@
-"""Groebner engine: bases, queries, elimination, saturation, reducedness."""
+"""Groebner engine: bases, queries, reducedness."""
 
 import random
 
@@ -7,10 +7,10 @@ import pytest
 from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.groebner import (DEGREVLEX, LEX, Ideal, block_order, eliminate,
-                               groebner, ideal_dimension, is_reduced_zero_dim,
-                               is_zero_dimensional, normal_form,
-                               quotient_dimension, standard_monomials)
+from polardeg.groebner import (DEGREVLEX, LEX, Ideal, groebner, ideal_dimension,
+                               is_reduced_zero_dim, is_zero_dimensional,
+                               normal_form, quotient_dimension,
+                               standard_monomials)
 from polardeg.poly import MultiPoly, gradient
 from polardeg.rand import SeedStream
 
@@ -164,72 +164,6 @@ def test_ideal_dimension_examples():
     assert ideal_dimension(GB(*gradient(qq("x0*x1*x2")))) == 1
 
 
-def test_eliminate_examples():
-    # ring (t, x, y): eliminate t
-    I = Ideal.of([qq("x0*x1 - 1"), qq("x0*x2")])
-    E = eliminate(I, 1)
-    assert [str(g) for g in E.generators] == ["x1"]
-    I2 = Ideal.of([qq("x1 - x0"), qq("x2 - x0^2")])
-    assert [str(g) for g in eliminate(I2, 1).generators] == ["x0^2 - x1"]
-    I3 = Ideal.of([qq("x0 + x1", 2)])
-    assert eliminate(I3, 0) is I3
-
-
-def test_eliminate_zero_result():
-    E = eliminate(Ideal.of([qq("x0*x1 - 1", 2)]), 1)
-    assert E.generators == () and E.nvars == 1
-
-
-def test_saturate_examples():
-    from polardeg.groebner import saturate
-    I = Ideal.of([qq("x0*x1", 2)])
-    S = saturate(I, qq("x0", 2))
-    assert [str(g) for g in S.generators] == ["x1"]
-    # x0^2 lies in the ideal, so saturating by x0 reaches the unit ideal;
-    # saturating by x1 strips the embedded multiple instead
-    J = Ideal.of([qq("x0^2", 2), qq("x0*x1", 2)])
-    assert [str(g) for g in saturate(J, qq("x0", 2)).generators] == ["1"]
-    assert [str(g) for g in saturate(J, qq("x1", 2)).generators] == ["x0"]
-    # saturating by a unit is the identity, up to basis
-    K = Ideal.of([qq("x0^2 - x1", 2)])
-    S1 = saturate(K, qq("1", 2))
-    assert [str(g) for g in S1.generators] == ["x0^2 - x1"]
-
-
-def test_saturate_idempotent():
-    from polardeg.groebner import saturate
-    I = Ideal.of([qq("x0^2*x1 - x0*x2^2"), qq("x0*x1^2")])
-    f = qq("x0")
-    once = saturate(I, f)
-    twice = saturate(once, f)
-    Go, Gt = groebner(Ideal.of(once.generators)), groebner(Ideal.of(twice.generators))
-    for g in once.generators:
-        assert normal_form(g, Gt).is_zero()
-    for g in twice.generators:
-        assert normal_form(g, Go).is_zero()
-
-
-def test_eliminate_realizes_saturation_by_double_inclusion():
-    from polardeg.groebner import saturate
-    I = Ideal.of([qq("x0*x1"), qq("x0*x2^2")])
-    f = qq("x0")
-    S = saturate(I, f)
-    # the saturation contains I
-    GS = groebner(Ideal.of(S.generators) if S.generators else I)
-    for g in I.generators:
-        assert normal_form(g, GS).is_zero()
-    # and every saturation generator times a power of f lands in I
-    GI = groebner(I)
-    for g in S.generators:
-        h = g
-        for _ in range(6):
-            if normal_form(h, GI).is_zero():
-                break
-            h = h * f
-        else:
-            raise AssertionError("saturation generator never re-entered the ideal")
-
-
 def test_is_reduced_zero_dim_examples(Fp):
     assert is_reduced_zero_dim(GB(gfp("x0 - 1"), gfp("x1 - 2"), gfp("x2 - 3")),
                                SeedStream(1))
@@ -262,8 +196,3 @@ def test_pair_cap_is_reported():
             gfp("x0^2*x1^2 - x2^4 + x0*x2^3")]
     with pytest.raises(ResourceLimitError):
         groebner(Ideal.of(gens), max_pairs=2)
-
-
-def test_block_order_eliminates_first_block():
-    order = block_order(1)
-    assert order.key((1, 0, 0)) > order.key((0, 5, 5))

@@ -9,9 +9,8 @@ from conftest import gfp, qq
 from polardeg.errors import DegenerateInputError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import HomogeneousForm
-from polardeg.polar import (RationalMapRep, WeightedFunction, homaloidal_check,
-                            map_degree, polar_degrees_profile, polar_map,
-                            weighted_polar_map)
+from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
+                            polar_degrees_profile, polar_map, weighted_polar_map)
 
 SECOND_PRIME = 1000003
 
@@ -49,8 +48,10 @@ def test_weighted_polar_map_degenerate_single_line():
 
 
 def test_weighted_function_validation():
-    with pytest.raises(DegenerateInputError):
-        WeightedFunction.of([qq("x0^2*x1")], [1])          # not squarefree
+    for field in (QQ, GF(DEFAULT_PRIME)):
+        for text in ("x0^2*x1", "(x0 + x1)^2*(x1^2 + x2^2)"):
+            with pytest.raises(DegenerateInputError, match="squarefree"):
+                WeightedFunction.of([qq(text).to_field(field)], [1])
     with pytest.raises(DegenerateInputError):
         WeightedFunction.of([qq("x0*x1"), qq("x1*x2")], [1, 1])   # share a line
     with pytest.raises(DegenerateInputError):
@@ -128,15 +129,6 @@ def test_profile_rejects_zero_total_degree(Fp):
     assert W.total_degree == 0
     with pytest.raises(DegenerateInputError):
         polar_degrees_profile(W, field=Fp)
-
-
-def test_homaloidal_checks(Fp):
-    assert homaloidal_check(WeightedFunction.of([qq("x2"), qq("x1^2 - x0*x2")], [1, 1]),
-                            field=Fp)
-    assert not homaloidal_check(
-        WeightedFunction.of([qq("x2"), qq("x0^2 + x1^2 + x2^2")], [1, 1]), field=Fp)
-    assert not homaloidal_check(WeightedFunction.of([qq("x0^4 + x1^4 + x2^4")], [1]),
-                                field=Fp)
 
 
 def test_conic_transversal_pinned_regression(Fp):

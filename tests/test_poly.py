@@ -10,7 +10,7 @@ from polardeg.errors import DegenerateInputError, FieldMismatchError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import (HomogeneousForm, MultiPoly, euler_contraction,
                            exact_divide, gcd_multivariate, gradient,
-                           random_linear_form, substitute_linear)
+                           substitute_linear)
 from polardeg.rand import SeedStream, random_scalar
 
 
@@ -227,11 +227,3 @@ def test_random_streams_distinct_seeds_collide_nowhere_close():
 def test_random_scalar_rejects_rationals():
     with pytest.raises(DegenerateInputError):
         random_scalar(QQ, SeedStream(0))
-
-
-def test_random_linear_form_nonzero():
-    F = GF(DEFAULT_PRIME)
-    stream = SeedStream(9)
-    for _ in range(20):
-        form = random_linear_form(F, 3, stream)
-        assert form.degree == 1 and not form.is_zero()

@@ -6,7 +6,7 @@ from conftest import qq
 from polardeg.errors import DegenerateInputError
 from polardeg.foliations import associated_foliation
 from polardeg.polar import WeightedFunction
-from polardeg.verify import (derive_seed, run_dolgachev_suite,
+from polardeg.verify import (SUITES, derive_seed, run_dolgachev_suite,
                              run_resonance_example,
                              run_resonance_singular_check, verify_corollary_deg,
                              verify_gauss_corollary, verify_gauss_theorem,
@@ -99,3 +99,18 @@ def test_resonance_example_small():
 def test_resonance_singular_check():
     out = run_resonance_singular_check(2)
     assert out.passed and out.left == (7,)
+
+
+def test_memo_reuses_every_report_and_keeps_functions_apart():
+    cache = {}
+    first = SUITES["dolgachev"](cache=cache)
+    entries = dict(cache)
+    assert len(entries) == len(first)
+    second = SUITES["dolgachev"](cache=cache)
+    assert cache == entries and second == first
+    # the corollary check memoizes one map_degree and one e_degree report
+    conic = WeightedFunction.of([qq("x0^2 + x1^2 + x2^2")], [1])
+    verify_corollary_deg(conic, 0, cache=cache)
+    fresh = [key for key in cache if key not in entries]
+    assert sorted(key[0] for key in fresh) == ["e_degree", "map_degree"]
+    assert len(set(fresh)) == 2
