@@ -1,6 +1,8 @@
 """Groebner engine: bases, queries, reducedness."""
 
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -11,7 +13,7 @@ from polardeg.groebner import (DEGREVLEX, LEX, Ideal, groebner, ideal_dimension,
                                is_reduced_zero_dim, is_zero_dimensional,
                                normal_form, quotient_dimension,
                                standard_monomials)
-from polardeg.poly import MultiPoly, gradient
+from polardeg.poly import MultiPoly, degrevlex_key, gradient, lex_key
 from polardeg.rand import SeedStream
 
 
@@ -45,8 +47,8 @@ def test_groebner_deterministic():
     assert a.basis == b.basis
 
 
-def _spoly(f, g):
-    (ef, cf), (eg, cg) = f.leading(), g.leading()
+def _spoly(f, g, keyfn=degrevlex_key):
+    (ef, cf), (eg, cg) = f.leading(keyfn), g.leading(keyfn)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     field = f.field
     sf = f.shift(tuple(l - e for l, e in zip(lcm, ef)), field.inv(cf))
@@ -56,17 +58,111 @@ def _spoly(f, g):
 
 def test_buchberger_criterion_on_output():
     rng = random.Random(2)
-    for field in (QQ, GF(DEFAULT_PRIME)):
+    shapes = [(3, 3, 4), (5, 2, 3)]     # (nvars, max_degree, n_terms)
+    for order, (nvars, max_degree, n_terms), field in product(
+            (DEGREVLEX, LEX), shapes, (QQ, GF(DEFAULT_PRIME))):
         for _ in range(6):
-            gens = [random_poly(field, 3, 3, 4, rng) for _ in range(3)]
+            gens = [random_poly(field, nvars, max_degree, n_terms, rng) for _ in range(3)]
             gens = [g for g in gens if not g.is_zero()]
             if not gens:
                 continue
-            G = groebner(Ideal.of(gens))
+            G = groebner(Ideal.of(gens), order)
+            keyfn = degrevlex_key if order == DEGREVLEX else lex_key
             for a in range(len(G.basis)):
                 for b in range(a + 1, len(G.basis)):
-                    s = _spoly(G.basis[a], G.basis[b])
+                    s = _spoly(G.basis[a], G.basis[b], keyfn)
                     assert normal_form(s, G).is_zero()
+
+
+# Reduced bases pinned from the engine before monomials were packed into ints;
+# every later engine must reproduce them element for element.
+GOLDEN_BASES = {
+    "qq-degrevlex-3": (
+        lambda: [qq("x0^2 + x1*x2"), qq("x1^2 - x0*x2"), qq("x0*x1 + x2^2")], DEGREVLEX,
+        ["x1^2 - x0*x2", "x0*x1 + x2^2", "x0^2 + x1*x2"]),
+    "qq-lex-2": (
+        lambda: [qq("x0^2 + x1^2 - 1", 2), qq("x0*x1 - 2", 2)], LEX,
+        ["x1^4 - x1^2 + 4", "1/2*x1^3 + x0 - 1/2*x1"]),
+    "qq-lex-3": (
+        lambda: [qq("x0^2 - x1*x2 + 1"), qq("x1^2 - x0 + x2"), qq("x2^2 - x0*x1")], LEX,
+        ["x2^8 - 3*x2^7 + 3*x2^6 - 2*x2^5 + x2^4 + x2^3 + x2^2 + 1",
+         "-x2^6 + 3*x2^5 - 2*x2^4 + x1 - x2 - 1",
+         "-x2^6 + 2*x2^5 - x2^3 + x0 - x2 - 1"]),
+    "gfp-degrevlex-4": (
+        lambda: [gfp("x0*x1 + x2*x3 - 1", 4), gfp("x0^2 - x1*x3 + 2*x2", 4),
+                 gfp("x1^2 + x2^2 - x3", 4), gfp("x0 + x1 + x2 + x3 - 3", 4)], DEGREVLEX,
+        ["x0 + x1 + x2 + x3 + 2147483644",
+         "x2^2 + 1073741823*x1*x3 + 2*x2*x3 + 1073741824*x3^2 + 2147483645*x2"
+         " + 1073741820*x3 + 1073741827",
+         "x1*x2 + 1073741824*x1*x3 + x2*x3 + 1073741824*x3^2 + 2147483644*x1"
+         " + 2147483645*x2 + 1073741821*x3 + 1073741828",
+         "x1^2 + 1073741824*x1*x3 + 2147483645*x2*x3 + 1073741823*x3^2 + 2*x2"
+         " + 1073741826*x3 + 1073741820",
+         "x2*x3^2 + 1717986918*x3^3 + 214748364*x1*x3 + 644245094*x2*x3"
+         " + 1073741822*x3^2 + 1932735280*x1 + 1503238552*x2 + 429496730*x3 + 1073741827",
+         "x1*x3^2 + 858993459*x3^3 + 1717986916*x1*x3 + 858993460*x2*x3 + 3*x3^2"
+         " + 429496721*x1 + 1288490187*x2 + 1288490178*x3 + 16",
+         "x3^4 + 1932735276*x3^3 + 1717986906*x1*x3 + 1932735341*x2*x3 + 77*x3^2"
+         " + 1503238413*x1 + 214748306*x2 + 214748155*x3 + 1073742113"]),
+    "gfp-lex-5": (
+        lambda: [gfp("x0 - x1*x2 + x4", 5), gfp("x1^2 - x3 + x0", 5),
+                 gfp("x2^2 - x4 + 1", 5), gfp("x3*x4 - 2", 5), gfp("x4^2 - x3 - 1", 5)], LEX,
+        ["x4^3 + 2147483646*x4 + 2147483645",
+         "2147483646*x4^2 + x3 + 1",
+         "x2^2 + 2147483646*x4 + 1",
+         "x1^2 + x1*x2 + 2147483646*x4^2 + 2147483646*x4 + 1",
+         "2147483646*x1*x2 + x0 + x4"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASES))
+def test_golden_reduced_bases(name):
+    gens, order, expected = GOLDEN_BASES[name]
+    assert [str(b) for b in GB(*gens(), order=order).basis] == expected
+
+
+def _ladder_fiber_system():
+    """deg_0 fiber of the polar map of a dense random plane sextic, chart x2 = 1,
+    with x2 reused as the saturation variable u: u * aux - 1."""
+    F = GF(DEFAULT_PRIME)
+    rng = random.Random(6)
+    items = [((a, b, 6 - a - b), rng.randrange(1, DEFAULT_PRIME))
+             for a in range(7) for b in range(7 - a)]
+    comps = gradient(MultiPoly.from_terms(F, 3, items))
+    images = [MultiPoly.variable(F, 3, 0), MultiPoly.variable(F, 3, 1), MultiPoly.one(F, 3)]
+    sub = [c.substitute(images) for c in comps]
+
+    def combo(row):
+        g = MultiPoly.zero(F, 3)
+        for c, s in zip(row, sub):
+            g = g + s.scale(c)
+        return g
+
+    rows = [[rng.randrange(1, DEFAULT_PRIME) for _ in range(3)] for _ in range(3)]
+    return [combo(rows[0]), combo(rows[1]),
+            MultiPoly.variable(F, 3, 2) * combo(rows[2]) - MultiPoly.one(F, 3)]
+
+
+def _digest(G):
+    return hashlib.sha256("\n".join(str(b) for b in G.basis).encode()).hexdigest()
+
+
+def test_golden_six_variable_basis():
+    G = GB(qq("x0*x1 - x2*x3", 6), qq("x1*x2 - x4*x5 + x0", 6), qq("x3^2 - x0*x5", 6),
+           qq("x4*x0 - x1^2 + x5", 6), qq("x0 + x1 + x2 + x3 + x4 + x5 - 1", 6),
+           qq("x2^2 - x3*x4 + 2", 6))
+    assert len(G.basis) == 20
+    assert str(G.basis[-1]).startswith("x5^5 - 11*x5^4 + 11/3*x4^2*x5 - 125/6*x2*x5^2")
+    assert _digest(G) == "d3102ea30901b3fa3398e51c56eaa19838a52b1fa67e426c7b05fd6b8eaa3467"
+
+
+def test_golden_ladder_sized_basis():
+    G = groebner(Ideal.of(_ladder_fiber_system()))
+    assert [len(str(b)) for b in G.basis] == [
+        474, 473, 471, 478, 477, 470, 476, 479, 474, 472, 467, 478, 474, 472, 481]
+    assert _digest(G) == "a3cf810dd32f2c612c60e315da28326a0318a0bffa39f6d11d0af9fa2b02527f"
+    assert quotient_dimension(G) == 25
+    assert is_reduced_zero_dim(G, SeedStream(3))
 
 
 def test_basis_is_reduced_and_monic():
