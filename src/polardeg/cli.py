@@ -39,7 +39,11 @@ def _infer_nvars(texts) -> int:
 
 def _max_pairs():
     raw = os.environ.get("POLARDEG_MAX_PAIRS")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.isdigit() or int(raw) < 1:
+        raise PolardegError(f"POLARDEG_MAX_PAIRS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _add_common(p: argparse.ArgumentParser):

@@ -18,8 +18,9 @@ class ParseError(PolardegError):
         self.col = col
 
 
-class DegenerateInputError(PolardegError):
-    """Input violates a mathematical precondition (zero weight, zero form, ...)."""
+class DegenerateInputError(PolardegError, ValueError):
+    """Input violates a mathematical precondition (zero weight, zero form,
+    a level out of range, ...)."""
 
 
 class ResourceLimitError(PolardegError):

@@ -69,8 +69,11 @@ class LogFoliation:
     def to_field(self, field) -> "LogFoliation":
         if field == self.field:
             return self
-        coeffs = tuple(HomogeneousForm(c.poly.to_field(field), c.degree)
-                       for c in self.coeffs)
+        polys = [c.poly.to_field(field) for c in self.coeffs]
+        if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.coeffs)):
+            raise DegenerateInputError(
+                f"bad reduction: a coefficient vanishes modulo {field.modulus}")
+        coeffs = tuple(HomogeneousForm(p, c.degree) for p, c in zip(polys, self.coeffs))
         if not gcd_many([c.poly for c in coeffs]).is_constant():
             raise DegenerateInputError(
                 "bad reduction: coefficients gained a common factor modulo the prime")
@@ -168,7 +171,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int,
     """
     n = fol.ambient_dim
     if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < {n}, got {k}")
+        raise DegenerateInputError(f"need 1 <= k < {n}, got {k}")
     field = fol.field
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("generic restriction runs over a prime field")
@@ -211,9 +214,9 @@ def e_degree(fol: LogFoliation, k: int, i: int, trials: int = DEFAULT_TRIALS,
     """deg_i of the Gauss map of the foliation restricted to a generic P^k."""
     n = fol.ambient_dim
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+        raise DegenerateInputError(f"need 1 <= k <= {n}, got {k}")
     if not 0 <= i <= k - 1:
-        raise ValueError(f"need 0 <= i <= {k - 1}, got {i}")
+        raise DegenerateInputError(f"need 0 <= i <= {k - 1}, got {i}")
     if field is None:
         field = fol.field
     if isinstance(fol.field, RationalField):

@@ -5,20 +5,38 @@ strategy (smallest lcm first) and the two standard pair-elimination criteria
 (coprime leading monomials, chain criterion).  Configurable caps on the
 number of processed S-pairs and on the basis size turn runaway computations
 into a reported failure instead of a hang.
+
+Inside the engine a monomial is one int, a packed exponent vector (Monagan &
+Pearce, CASC 2007): equal-width fields, most significant first, holding the
+order key and then the exponents e0 .. e{n-1}.  The degrevlex key is (deg,
+e0+...+e{n-2}, ..., e0); under lex the exponents are the key and come once.
+Every field is linear in the exponents, so the order is int comparison and
+a product is int addition.  The top bit of each field is a guard bit that a
+valid monomial leaves clear: two valid fields sum below twice the guard, so
+a product never carries into the next field, and m divides t iff
+(t - m) & guards == 0, since a field with t < m borrows into its guard bit.
+
+Overflow rule: each field is at most the total degree, so widths are sized
+from the input degree.  A monomial that does not fit (an input or lcm of too
+high degree, a product with a guard bit set) restarts the computation with
+fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field as dc_field
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
 from .fields import PrimeField
-from .poly import MultiPoly, degrevlex_key, lex_key
+from .poly import MultiPoly, degrevlex_key
 from .rand import SeedStream
 
 DEFAULT_MAX_PAIRS = 200000
 DEFAULT_MAX_BASIS = 5000
+# widest field value (guard bit excluded) before a monomial is refused
+_MAX_VALUE_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -26,9 +44,6 @@ class MonomialOrder:
     """degrevlex or lex."""
 
     kind: str
-
-    def key(self, exp):
-        return degrevlex_key(exp) if self.kind == "degrevlex" else lex_key(exp)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -53,6 +68,64 @@ class Ideal:
         return cls(gens, f, nv)
 
 
+class _Overflow(Exception):
+    """A packed monomial outgrew its field width."""
+
+
+class _Packing:
+    """Packs the monomials of one ring and order into ints (module docstring)."""
+
+    __slots__ = ("nvars", "order", "vbits", "guards", "units")
+
+    def __init__(self, nvars: int, order: MonomialOrder, vbits: int):
+        self.nvars, self.order, self.vbits = nvars, order, vbits
+        width = vbits + 1
+        graded = order == DEGREVLEX
+        nfields = 2 * nvars if graded else nvars
+        self.guards = sum(1 << (width * f + vbits) for f in range(nfields))
+        self.units = []
+        for v in range(nvars):
+            fields = [int(j == v) for j in range(nvars)]
+            if graded:
+                fields = [int(k >= v) for k in reversed(range(nvars))] + fields
+            m = 0
+            for f in fields:
+                m = m << width | f
+            self.units.append(m)
+
+    def pack(self, exp) -> int:
+        if sum(exp) >> self.vbits:
+            raise _Overflow
+        return sum(e * u for e, u in zip(exp, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        width, mask = self.vbits + 1, (1 << self.vbits) - 1
+        return tuple(m >> (width * (self.nvars - 1 - v)) & mask for v in range(self.nvars))
+
+    def terms(self, p: MultiPoly) -> list:
+        """p's terms as (packed monomial, coefficient), descending."""
+        return sorted(((self.pack(e), c) for e, c in p.terms.items()), reverse=True)
+
+    def poly(self, terms, field) -> MultiPoly:
+        return MultiPoly(field, self.nvars, {self.unpack(m): c for m, c in terms})
+
+
+def _widening(nvars, order, degree, run, packing=None):
+    """run(packing) on fields wide enough for `degree`, doubled on overflow."""
+    vbits = min(max(8, (4 * degree).bit_length(), packing.vbits if packing else 0),
+                _MAX_VALUE_BITS)
+    pk = packing if packing is not None and packing.vbits == vbits else None
+    while True:
+        try:
+            return run(pk or _Packing(nvars, order, vbits))
+        except _Overflow:
+            if vbits == _MAX_VALUE_BITS:
+                raise ResourceLimitError(
+                    f"a monomial reaches total degree 2^{_MAX_VALUE_BITS}, "
+                    "beyond the widest packed exponent field") from None
+            pk, vbits = None, min(2 * vbits, _MAX_VALUE_BITS)
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     order: MonomialOrder
@@ -60,157 +133,101 @@ class GroebnerBasis:
     field: object
     nvars: int
     lead_exps: tuple = dc_field(default=(), compare=False)
+    # the engine form of `basis`: monic (leading monomial, tail terms) pairs
+    packing: object = dc_field(default=None, compare=False, repr=False)
+    elems: tuple = dc_field(default=(), compare=False, repr=False)
 
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.lead_exps)
 
-
-class _Elem:
-    """A monic basis element in engine form."""
-
-    __slots__ = ("lm", "key", "terms", "tail")
-
-    def __init__(self, terms, keyfn):
-        self.terms = terms                # [(exp, coeff)] descending, monic
-        self.lm = terms[0][0]
-        self.key = keyfn(self.lm)
-        self.tail = terms[1:]
-
-
-def _to_terms(p: MultiPoly, keyfn):
-    return sorted(p.terms.items(), key=lambda t: keyfn(t[0]), reverse=True)
-
-
-def _from_terms(terms, field, nvars) -> MultiPoly:
-    return MultiPoly(field, nvars, dict(terms))
+    def packed(self, pk: _Packing) -> list:
+        """The basis in the engine form of packing pk."""
+        if pk is self.packing:
+            return list(self.elems)
+        return [(t[0][0], t[1:]) for t in map(pk.terms, self.basis)]
 
 
 def _monic(terms, field):
-    lc = terms[0][1]
-    if lc == field.one():
-        return terms
-    inv = field.inv(lc)
+    inv = field.inv(terms[0][1])
     mul = field.mul
-    return [(e, mul(c, inv)) for e, c in terms]
+    return terms[0][0], [(m, mul(c, inv)) for m, c in terms[1:]]
 
 
-def _reduce_full(items, basis, keyfn, field):
-    """Full normal form of sum(items) against monic basis elements.
+def _reduce(items, basis, guards, prime):
+    """Fully reduced remainder of sum(items) by monic (lm, tail) pairs.
 
-    Uses a dict accumulator plus a lazy max-heap over monomial keys; every
-    reduction step cancels the current leading monomial, and created
-    monomials are strictly smaller, so one heap pass suffices.
+    Coefficients accumulate unreduced in a dict, with a max-heap of the
+    packed monomials (stored negated); over GF(p) they are reduced once, when
+    their monomial is popped.  Every step cancels the largest remaining
+    monomial and adds only smaller ones, so each monomial is popped once.
+    Returns the remainder's terms in descending order.
     """
     acc: dict = {}
     heap: list = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    prime = field.modulus if isinstance(field, PrimeField) else None
-    fadd, fsub, fmul, fneg = field.add, field.sub, field.mul, field.neg
-    zero = field.zero()
-    for exp, c in items:
-        cur = acc.get(exp)
+    for m, c in items:
+        cur = acc.get(m)
         if cur is None:
-            acc[exp] = c
-            push(heap, (tuple(-k for k in keyfn(exp)), exp))
+            acc[m] = c
+            heap.append(-m)
         else:
-            s = fadd(cur, c)
-            if s == zero:
-                del acc[exp]
-            else:
-                acc[exp] = s
+            acc[m] = cur + c
+    heapify(heap)
+    push, pop = heappush, heappop
     out = []
     while heap:
-        _, exp = pop(heap)
-        c = acc.pop(exp, None)
-        if c is None:
+        m = -pop(heap)
+        c = acc.pop(m)
+        if m & guards:
+            raise _Overflow
+        if prime:
+            c %= prime
+        if not c:
             continue
-        red = None
-        for b in basis:
-            lm = b.lm
-            for a, e in zip(lm, exp):
-                if a > e:
-                    break
-            else:
-                red = b
+        for lm, tail in basis:
+            if not (m - lm) & guards:
                 break
-        if red is None:
-            out.append((exp, c))
-            continue
-        shift = tuple(e - l for e, l in zip(exp, red.lm))
-        if prime is not None:
-            for texp, tc in red.tail:
-                nexp = tuple(a + b for a, b in zip(texp, shift))
-                cur = acc.get(nexp)
-                if cur is None:
-                    acc[nexp] = -c * tc % prime
-                    push(heap, (tuple(-k for k in keyfn(nexp)), nexp))
-                else:
-                    nc = (cur - c * tc) % prime
-                    if nc:
-                        acc[nexp] = nc
-                    else:
-                        del acc[nexp]
         else:
-            for texp, tc in red.tail:
-                nexp = tuple(a + b for a, b in zip(texp, shift))
-                cur = acc.get(nexp)
-                if cur is None:
-                    acc[nexp] = fneg(fmul(c, tc))
-                    push(heap, (tuple(-k for k in keyfn(nexp)), nexp))
-                else:
-                    nc = fsub(cur, fmul(c, tc))
-                    if nc == zero:
-                        del acc[nexp]
-                    else:
-                        acc[nexp] = nc
+            out.append((m, c))
+            continue
+        shift = m - lm
+        c = -c
+        for tm, tc in tail:
+            nm = tm + shift
+            cur = acc.get(nm)
+            if cur is None:
+                acc[nm] = c * tc
+                push(heap, -nm)
+            else:
+                acc[nm] = cur + c * tc
     return out
 
 
-def _spoly_terms(e1: _Elem, e2: _Elem, keyfn, field):
-    lcm = tuple(max(a, b) for a, b in zip(e1.lm, e2.lm))
-    s1 = tuple(l - a for l, a in zip(lcm, e1.lm))
-    s2 = tuple(l - a for l, a in zip(lcm, e2.lm))
-    acc: dict = {}
-    zero = field.zero()
-    for exp, c in e1.terms:
-        acc[tuple(a + b for a, b in zip(exp, s1))] = c
-    for exp, c in e2.terms:
-        nexp = tuple(a + b for a, b in zip(exp, s2))
-        cur = acc.get(nexp)
-        s = field.neg(c) if cur is None else field.sub(cur, c)
-        if s == zero:
-            acc.pop(nexp, None)
-        else:
-            acc[nexp] = s
-    return sorted(acc.items(), key=lambda t: keyfn(t[0]), reverse=True)
-
-
-def _buchberger(gen_terms, keyfn, field, max_pairs, max_basis):
-    basis: list[_Elem] = []
+def _buchberger(gens, pk, field, max_pairs, max_basis):
+    guards, prime = pk.guards, field.modulus
+    basis: list = []            # monic (lm, tail) pairs
+    exps: list = []             # exponent tuple of each lm, for the lcms
     pair_heap: list = []
     pending: set = set()
 
-    def push_pairs(j):
-        gj = basis[j]
+    def add(terms):
+        lm, tail = _monic(terms, field)
+        exp = pk.unpack(lm)
+        j = len(basis)
+        basis.append((lm, tail))
+        exps.append(exp)
         for i in range(j):
-            gi = basis[i]
-            lcm = tuple(max(a, b) for a, b in zip(gi.lm, gj.lm))
+            lcm = pk.pack(tuple(map(max, exps[i], exp)))
             # coprime leading monomials: S-poly reduces to zero, skip
-            if all(min(a, b) == 0 for a, b in zip(gi.lm, gj.lm)):
-                continue
-            heapq.heappush(pair_heap, (keyfn(lcm), i, j, lcm))
-            pending.add((i, j))
+            if lcm != basis[i][0] + lm:
+                heappush(pair_heap, (lcm, i, j))
+                pending.add((i, j))
 
-    for terms in gen_terms:
-        if not terms:
-            continue
-        basis.append(_Elem(_monic(terms, field), keyfn))
-        push_pairs(len(basis) - 1)
+    for terms in gens:
+        add(terms)
 
     processed = 0
     while pair_heap:
-        _, i, j, lcm = heapq.heappop(pair_heap)
+        lcm, i, j = heappop(pair_heap)
         pending.discard((i, j))
         processed += 1
         if processed > max_pairs:
@@ -218,71 +235,61 @@ def _buchberger(gen_terms, keyfn, field, max_pairs, max_basis):
                 f"S-pair cap exceeded ({max_pairs}); raise the limit to continue")
         # chain criterion: some other lead divides the lcm and both
         # companion pairs were already treated
-        skip = False
-        for k, gk in enumerate(basis):
-            if k == i or k == j:
-                continue
-            if all(a <= l for a, l in zip(gk.lm, lcm)):
-                pi = (min(i, k), max(i, k))
-                pj = (min(j, k), max(j, k))
-                if pi not in pending and pj not in pending:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and not (lcm - lk) & guards
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (lk, _) in enumerate(basis)):
             continue
-        s = _spoly_terms(basis[i], basis[j], keyfn, field)
-        r = _reduce_full(s, basis, keyfn, field)
+        (li, ti), (lj, tj) = basis[i], basis[j]
+        si, sj = lcm - li, lcm - lj
+        # the leading terms cancel; the S-polynomial is the tails' difference
+        r = _reduce([(m + si, c) for m, c in ti] + [(m + sj, -c) for m, c in tj],
+                    basis, guards, prime)
         if not r:
             continue
-        basis.append(_Elem(_monic(r, field), keyfn))
+        add(r)
         if len(basis) > max_basis:
             raise ResourceLimitError(
                 f"basis size cap exceeded ({max_basis}); raise the limit to continue")
-        push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    order = sorted(range(len(basis)), key=lambda t: basis[t].key)
-    kept: list[_Elem] = []
-    for idx in order:
-        e = basis[idx]
-        if any(all(a <= b for a, b in zip(k.lm, e.lm)) for k in kept):
-            continue
-        kept.append(e)
+    kept: list = []
+    for lm, tail in sorted(basis, key=lambda e: e[0]):
+        if all((lm - k) & guards for k, _ in kept):
+            kept.append((lm, tail))
     # tail-reduce each element against the others
-    reduced = []
-    for pos, e in enumerate(kept):
-        others = kept[:pos] + kept[pos + 1:]
-        r = _reduce_full(e.terms, others, keyfn, field)
-        reduced.append(_Elem(_monic(r, field), keyfn))
-    reduced.sort(key=lambda e: e.key)
-    return reduced
+    return [(lm, _reduce(tail, kept[:pos] + kept[pos + 1:], guards, prime))
+            for pos, (lm, tail) in enumerate(kept)]
 
 
 def groebner(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
              max_pairs: int | None = None, max_basis: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal; deterministic for fixed input."""
-    keyfn = order.key
-    gen_terms = [_to_terms(g, keyfn) for g in ideal.generators]
-    elems = _buchberger(gen_terms, keyfn, ideal.field,
-                        max_pairs or DEFAULT_MAX_PAIRS,
-                        max_basis or DEFAULT_MAX_BASIS)
-    polys = tuple(_from_terms(e.terms, ideal.field, ideal.nvars) for e in elems)
-    return GroebnerBasis(order, polys, ideal.field, ideal.nvars,
-                         tuple(e.lm for e in elems))
+    field = ideal.field
 
+    def run(pk):
+        return pk, _buchberger([pk.terms(g) for g in ideal.generators], pk, field,
+                               max_pairs or DEFAULT_MAX_PAIRS,
+                               max_basis or DEFAULT_MAX_BASIS)
 
-def _basis_elems(G: GroebnerBasis):
-    keyfn = G.order.key
-    return [_Elem(_to_terms(p, keyfn), keyfn) for p in G.basis]
+    degree = max(g.total_degree() for g in ideal.generators)
+    pk, elems = _widening(ideal.nvars, order, degree, run)
+    one = field.one()
+    polys = tuple(pk.poly([(lm, one), *tail], field) for lm, tail in elems)
+    return GroebnerBasis(order, polys, field, ideal.nvars,
+                         tuple(pk.unpack(lm) for lm, _ in elems), pk, tuple(elems))
 
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     """The unique remainder of p modulo G; zero iff p lies in the ideal."""
     if p.field != G.field or p.nvars != G.nvars:
         raise FieldMismatchError("polynomial and basis live in different rings")
-    keyfn = G.order.key
-    r = _reduce_full(_to_terms(p, keyfn), _basis_elems(G), keyfn, G.field)
-    return _from_terms(r, G.field, G.nvars)
+
+    def run(pk):
+        return pk, _reduce(pk.terms(p), G.packed(pk), pk.guards, G.field.modulus)
+
+    pk, r = _widening(G.nvars, G.order, max(p.total_degree(), 0), run, G.packing)
+    return pk.poly(r, G.field)
 
 
 def is_zero_dimensional(G: GroebnerBasis) -> bool:
@@ -347,23 +354,12 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     """
     if G.is_unit_ideal():
         return -1
-    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in G.lead_exps]
-    n = G.nvars
-    best = 0
-    # subsets encoded as bitmasks, largest first
-    for size in range(n, 0, -1):
-        if size <= best:
-            break
-        for mask in range(1 << n):
-            if bin(mask).count("1") != size:
-                continue
-            sset = {i for i in range(n) if mask >> i & 1}
-            if all(not s <= sset for s in supports):
-                best = size
-                break
-        if best == size:
-            break
-    return best
+    supports = [{i for i, e in enumerate(exp) if e} for exp in G.lead_exps]
+    for size in range(G.nvars, 0, -1):
+        for subset in map(set, combinations(range(G.nvars), size)):
+            if not any(s <= subset for s in supports):
+                return size
+    return 0
 
 
 # -- univariate helpers on coefficient lists (for the reducedness test) ------
@@ -411,47 +407,44 @@ def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
     dim = len(std)
     if dim == 0:
         return True
-    index = {m: i for i, m in enumerate(std)}
-    elems = _basis_elems(G)
-    keyfn = G.order.key
     bound = field.modulus if isinstance(field, PrimeField) else (1 << 20)
+    zero, one = field.zero(), field.one()
     while True:
         coeffs = [field.from_int(stream.below(bound)) for _ in range(G.nvars)]
-        if any(c != field.zero() for c in coeffs):
+        if any(c != zero for c in coeffs):
             break
-    ell = MultiPoly.from_terms(
-        field, G.nvars,
-        ((tuple(1 if j == v else 0 for j in range(G.nvars)), c)
-         for v, c in enumerate(coeffs) if c != field.zero()))
+    ell = [(v, c) for v, c in enumerate(coeffs) if c != zero]
 
-    zero, one = field.zero(), field.one()
-    # incremental row echelon over the standard-monomial coordinates,
-    # tracking each reduced row as a combination of the power vectors
-    pivots: list[tuple[int, list, list]] = []
-    power = MultiPoly.one(field, G.nvars)
-    for k in range(dim + 1):
-        vec = [zero] * dim
-        for exp, c in power.terms.items():
-            vec[index[exp]] = c
-        combo = [zero] * (dim + 1)
-        combo[k] = one
-        for piv, row, rcombo in pivots:
-            c = vec[piv]
-            if c == zero:
-                continue
-            vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
-            combo = [field.sub(a, field.mul(c, b)) for a, b in zip(combo, rcombo)]
-        piv = next((i for i, c in enumerate(vec) if c != zero), None)
-        if piv is None:
-            # dependency: combo gives the minimal polynomial of ell
-            mu = combo[:k + 1]
-            if k != dim:
-                return False
-            return _uni_gcd_is_unit(mu, field)
-        inv = field.inv(vec[piv])
-        vec = [field.mul(c, inv) for c in vec]
-        combo = [field.mul(c, inv) for c in combo]
-        pivots.append((piv, vec, combo))
-        nxt = _reduce_full(_to_terms(ell * power, keyfn), elems, keyfn, field)
-        power = _from_terms(nxt, field, G.nvars)
-    raise AssertionError("minimal polynomial search exceeded quotient dimension")
+    def run(pk):
+        index = {pk.pack(m): i for i, m in enumerate(std)}
+        basis, units = G.packed(pk), pk.units
+        # incremental row echelon over the standard-monomial coordinates,
+        # tracking each reduced row as a combination of the power vectors
+        pivots: list[tuple[int, list, list]] = []
+        power = [(0, one)]          # ell^k in normal form, packed
+        for k in range(dim + 1):
+            vec = [zero] * dim
+            for m, c in power:
+                vec[index[m]] = c
+            combo = [zero] * (dim + 1)
+            combo[k] = one
+            for piv, row, rcombo in pivots:
+                c = vec[piv]
+                if c == zero:
+                    continue
+                vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
+                combo = [field.sub(a, field.mul(c, b)) for a, b in zip(combo, rcombo)]
+            piv = next((i for i, c in enumerate(vec) if c != zero), None)
+            if piv is None:
+                # dependency: combo gives the minimal polynomial of ell
+                return k == dim and _uni_gcd_is_unit(combo[:k + 1], field)
+            inv = field.inv(vec[piv])
+            vec = [field.mul(c, inv) for c in vec]
+            combo = [field.mul(c, inv) for c in combo]
+            pivots.append((piv, vec, combo))
+            # ell * power as one shifted copy of power per variable of ell
+            power = _reduce([(m + units[v], c * a) for v, a in ell for m, c in power],
+                            basis, pk.guards, field.modulus)
+        raise AssertionError("minimal polynomial search exceeded quotient dimension")
+
+    return _widening(G.nvars, G.order, max(map(sum, std)) + 1, run, G.packing)

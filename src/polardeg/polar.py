@@ -12,7 +12,7 @@ stability flags.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
 
@@ -110,6 +110,8 @@ class RationalMapRep:
     """n+1 equal-degree forms representing a rational self-map of P^n."""
 
     components: tuple
+    # checked reductions modulo primes, by field: each is validated once
+    _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, components) -> "RationalMapRep":
@@ -153,11 +155,24 @@ class RationalMapRep:
     def to_field(self, field) -> "RationalMapRep":
         if field == self.field:
             return self
+        reduced = self._reductions.get(field)
+        if reduced is None:
+            reduced = self._reductions[field] = self._reduce(field)
+        return reduced
+
+    def _reduce(self, field) -> "RationalMapRep":
         polys = [c.poly.to_field(field) for c in self.components]
         # a homogeneous form keeps its degree mod p unless it vanishes
         if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.components)):
             raise DegenerateInputError(
                 f"bad reduction: a component vanishes modulo {field.modulus}")
+        # a common factor gained mod p changes the map and its degrees
+        common = gcd_many(polys)
+        if (not common.is_constant()
+                and common.total_degree() > gcd_many(self.polys()).total_degree()):
+            raise DegenerateInputError(
+                f"bad reduction: the components gain a common factor {common} "
+                f"modulo {field.modulus}")
         return RationalMapRep.of(polys)
 
 
@@ -296,7 +311,7 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     """deg_i of the map by majority vote over exact randomized fiber counts."""
     n = m.source_dim
     if not 0 <= i <= n - 1:
-        raise ValueError(f"level must satisfy 0 <= i <= {n - 1}, got {i}")
+        raise DegenerateInputError(f"level must satisfy 0 <= i <= {n - 1}, got {i}")
     if field is None:
         field = m.field
     if not isinstance(field, PrimeField):

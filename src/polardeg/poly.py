@@ -2,8 +2,10 @@
 
 Polynomials are immutable-by-convention sparse maps from dense exponent
 tuples to nonzero field scalars, with a fixed variable count.  Variables are
-x0 .. x{nvars-1}; nvars stays small (<= 8) in every target computation, so a
-dense exponent tuple per monomial is the simplest honest representation.
+x0 .. x{nvars-1}; nvars stays small (<= 8) in every target computation.  The
+dense exponent tuple is the public form of a monomial, used by this module's
+arithmetic and gcd; the Groebner engine packs each monomial into one int
+(see `groebner`) and converts only at its entry and exit.
 
 The multivariate gcd is a recursive content/primitive-part reduction with a
 subresultant pseudo-remainder sequence in the main variable; results are
@@ -319,11 +321,12 @@ class HomogeneousForm:
     def __post_init__(self):
         if self.poly.is_zero():
             if self.degree != -1:
-                raise ValueError("zero form must carry degree marker -1")
+                raise DegenerateInputError("zero form must carry degree marker -1")
             return
         degs = {sum(exp) for exp in self.poly.terms}
         if degs != {self.degree}:
-            raise ValueError(f"polynomial is not homogeneous of degree {self.degree}")
+            raise DegenerateInputError(
+                f"polynomial is not homogeneous of degree {self.degree}")
 
     @classmethod
     def of(cls, poly: MultiPoly) -> "HomogeneousForm":
@@ -331,7 +334,7 @@ class HomogeneousForm:
             return cls(poly, -1)
         degs = {sum(exp) for exp in poly.terms}
         if len(degs) != 1:
-            raise ValueError("polynomial is not homogeneous")
+            raise DegenerateInputError(f"{poly} is not homogeneous")
         return cls(poly, degs.pop())
 
     def is_zero(self) -> bool:

@@ -254,7 +254,7 @@ def resonance_weighted(k: int, resonant: bool) -> WeightedFunction:
     are one.
     """
     if k < 2:
-        raise ValueError("need at least two concurrent lines")
+        raise DegenerateInputError(f"need at least two concurrent lines, got {k}")
     factors = _pencil_lines(k) + [_qq("x2")]
     if resonant:
         weights = [1] * (k - 1) + [-(k - 1), 1]

@@ -81,6 +81,52 @@ def test_polar_refuses_component_vanishing_modulo_the_prime(capsys):
     assert "deg_0 = 1" in out
 
 
+def test_polar_refuses_common_factor_gained_modulo_the_prime(capsys):
+    # mod 1000003 the partials of the cubic all vanish on x2 = 0
+    argv = ["polar", "--poly", "x0*x2^2 + x1*x2^2 + 1000003*x0^3", "--i", "0"]
+    code, out, err = run_cli(capsys, *argv, "--prime", "1000003")
+    assert code == 1 and out == ""
+    assert "bad reduction" in err and "common factor" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "deg_0 = 2" in out
+
+
+BAD_INPUTS = {
+    "unparsable": ["--poly", "x0 x1"],
+    "wrong-nvars": ["--poly", "x0*x1*x2", "--nvars", "2"],
+    "not-homogeneous": ["--poly", "x0^2 + x1"],
+    "prime-below-min": ["--poly", "x0*x1*x2", "--prime", "7"],
+    "zero-weight": ["--poly", "x0", "--poly", "x1", "--poly", "x2", "--weights", "1,0,1"],
+    "level-out-of-range": ["--poly", "x0*x1*x2", "--i", "7"],
+    "section-out-of-range": ["--poly", "x0*x1*x2", "--k", "9"],
+    "component-vanishes": ["--poly", "x0^2 + x1^2 + 1000003*x2^2", "--prime", "1000003"],
+    "common-factor": ["--poly", "x0*x2^2 + x1*x2^2 + 1000003*x0^3", "--prime", "1000003"],
+    "denominator": ["--poly", "1/1000003*x0^2 + x1^2 + x2^2", "--prime", "1000003"],
+    "pair-cap": ["--poly", "x0^4 + x1^4 + x2^4"],
+    "pair-cap-not-a-number": ["--poly", "x0^4 + x1^4 + x2^4"],
+    "too-few-lines": ["--k", "1"],
+}
+BAD_ENV = {"pair-cap": "1", "pair-cap-not-a-number": "many"}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("verb", ["polar", "gauss", "foliation", "verify"])
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_never_leaks_an_exception(capsys, monkeypatch, case, verb, json_flag):
+    if case in BAD_ENV:
+        monkeypatch.setenv("POLARDEG_MAX_PAIRS", BAD_ENV[case])
+    head = {"foliation": ["foliation", "--sing-degree"],
+            "verify": ["verify", "resonance"]}.get(verb, [verb])
+    try:
+        code = main(head + BAD_INPUTS[case] + json_flag)
+    except SystemExit as exc:       # argparse usage error
+        code = exc.code
+    out = capsys.readouterr()
+    assert code in (1, 2)
+    assert "Traceback" not in out.out + out.err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["polar", "--i", "0", "--profile", "--poly", "x0"])

@@ -292,3 +292,17 @@ def test_pair_cap_is_reported():
             gfp("x0^2*x1^2 - x2^4 + x0*x2^3")]
     with pytest.raises(ResourceLimitError):
         groebner(Ideal.of(gens), max_pairs=2)
+
+
+def test_packed_exponent_overflow_widens_or_refuses():
+    G = GB(qq("x0 - x1^40000", 2), order=LEX)
+    assert G.basis == (qq("x0 - x1^40000", 2),)
+    # tail reduction multiplies x1^16 out to x2^256, past the first field width
+    G = GB(qq("x0 - x1^16"), qq("x1 - x2^16"), order=LEX)
+    assert [str(b) for b in G.basis] == ["-x2^16 + x1", "-x2^256 + x0"]
+    assert G.packing.vbits > 8
+    # a polynomial of higher degree than its basis is packed wider
+    assert normal_form(qq("x0^300", 2), GB(qq("x0 - x1", 2))) == qq("x1^300", 2)
+    huge = MultiPoly.from_terms(QQ, 2, [((1, 0), QQ.one()), ((0, 1 << 70), QQ.one())])
+    with pytest.raises(ResourceLimitError, match="packed exponent"):
+        GB(huge, order=LEX)
