@@ -75,10 +75,10 @@ class _Overflow(Exception):
 class _Packing:
     """Packs the monomials of one ring and order into ints (module docstring)."""
 
-    __slots__ = ("nvars", "order", "vbits", "guards", "units")
+    __slots__ = ("nvars", "vbits", "guards", "units")
 
     def __init__(self, nvars: int, order: MonomialOrder, vbits: int):
-        self.nvars, self.order, self.vbits = nvars, order, vbits
+        self.nvars, self.vbits = nvars, vbits
         width = vbits + 1
         graded = order == DEGREVLEX
         nfields = 2 * nvars if graded else nvars
@@ -140,10 +140,10 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.lead_exps)
 
-    def packed(self, pk: _Packing) -> list:
+    def packed(self, pk: _Packing):
         """The basis in the engine form of packing pk."""
         if pk is self.packing:
-            return list(self.elems)
+            return self.elems
         return [(t[0][0], t[1:]) for t in map(pk.terms, self.basis)]
 
 
