@@ -78,19 +78,19 @@ def test_buchberger_criterion_on_output():
 # every later engine must reproduce them element for element.
 GOLDEN_BASES = {
     "qq-degrevlex-3": (
-        lambda: [qq("x0^2 + x1*x2"), qq("x1^2 - x0*x2"), qq("x0*x1 + x2^2")], DEGREVLEX,
+        [qq("x0^2 + x1*x2"), qq("x1^2 - x0*x2"), qq("x0*x1 + x2^2")], DEGREVLEX,
         ["x1^2 - x0*x2", "x0*x1 + x2^2", "x0^2 + x1*x2"]),
     "qq-lex-2": (
-        lambda: [qq("x0^2 + x1^2 - 1", 2), qq("x0*x1 - 2", 2)], LEX,
+        [qq("x0^2 + x1^2 - 1", 2), qq("x0*x1 - 2", 2)], LEX,
         ["x1^4 - x1^2 + 4", "1/2*x1^3 + x0 - 1/2*x1"]),
     "qq-lex-3": (
-        lambda: [qq("x0^2 - x1*x2 + 1"), qq("x1^2 - x0 + x2"), qq("x2^2 - x0*x1")], LEX,
+        [qq("x0^2 - x1*x2 + 1"), qq("x1^2 - x0 + x2"), qq("x2^2 - x0*x1")], LEX,
         ["x2^8 - 3*x2^7 + 3*x2^6 - 2*x2^5 + x2^4 + x2^3 + x2^2 + 1",
          "-x2^6 + 3*x2^5 - 2*x2^4 + x1 - x2 - 1",
          "-x2^6 + 2*x2^5 - x2^3 + x0 - x2 - 1"]),
     "gfp-degrevlex-4": (
-        lambda: [gfp("x0*x1 + x2*x3 - 1", 4), gfp("x0^2 - x1*x3 + 2*x2", 4),
-                 gfp("x1^2 + x2^2 - x3", 4), gfp("x0 + x1 + x2 + x3 - 3", 4)], DEGREVLEX,
+        [gfp("x0*x1 + x2*x3 - 1", 4), gfp("x0^2 - x1*x3 + 2*x2", 4),
+         gfp("x1^2 + x2^2 - x3", 4), gfp("x0 + x1 + x2 + x3 - 3", 4)], DEGREVLEX,
         ["x0 + x1 + x2 + x3 + 2147483644",
          "x2^2 + 1073741823*x1*x3 + 2*x2*x3 + 1073741824*x3^2 + 2147483645*x2"
          " + 1073741820*x3 + 1073741827",
@@ -105,8 +105,8 @@ GOLDEN_BASES = {
          "x3^4 + 1932735276*x3^3 + 1717986906*x1*x3 + 1932735341*x2*x3 + 77*x3^2"
          " + 1503238413*x1 + 214748306*x2 + 214748155*x3 + 1073742113"]),
     "gfp-lex-5": (
-        lambda: [gfp("x0 - x1*x2 + x4", 5), gfp("x1^2 - x3 + x0", 5),
-                 gfp("x2^2 - x4 + 1", 5), gfp("x3*x4 - 2", 5), gfp("x4^2 - x3 - 1", 5)], LEX,
+        [gfp("x0 - x1*x2 + x4", 5), gfp("x1^2 - x3 + x0", 5),
+         gfp("x2^2 - x4 + 1", 5), gfp("x3*x4 - 2", 5), gfp("x4^2 - x3 - 1", 5)], LEX,
         ["x4^3 + 2147483646*x4 + 2147483645",
          "2147483646*x4^2 + x3 + 1",
          "x2^2 + 2147483646*x4 + 1",
@@ -118,7 +118,7 @@ GOLDEN_BASES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_BASES))
 def test_golden_reduced_bases(name):
     gens, order, expected = GOLDEN_BASES[name]
-    assert [str(b) for b in GB(*gens(), order=order).basis] == expected
+    assert [str(b) for b in GB(*gens, order=order).basis] == expected
 
 
 def _ladder_fiber_system():

@@ -147,3 +147,12 @@ def test_rational_map_rep_validation():
     m = RationalMapRep.of([HomogeneousForm.of(qq("x1", 2)),
                            HomogeneousForm.of(qq("0", 2))])
     assert m.source_dim == 1
+
+
+def test_reduction_refuses_only_a_common_factor_gained_mod_p():
+    p = GF(1000003)
+    # the partials of x2^2*(x0 + x1) share x2 over QQ already: a good reduction
+    m = polar_map(qq("x0*x2^2 + x1*x2^2"))
+    assert m.to_field(p) is m.to_field(p)       # validated once per prime
+    with pytest.raises(DegenerateInputError, match="common factor"):
+        polar_map(qq("x0*x2^2 + x1*x2^2 + 1000003*x0^3")).to_field(p)
