@@ -15,10 +15,10 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
 from .fields import PrimeField, RationalField
-from .groebner import DEGREVLEX, Ideal, groebner, ideal_dimension
+from .groebner import DEGREVLEX, Ideal, common_factor, groebner, ideal_dimension
 from .linalg import rank
 from .poly import (HomogeneousForm, MultiPoly, euler_contraction, exact_divide,
-                   gcd_many, substitute_linear)
+                   substitute_linear)
 from .polar import (DEFAULT_TRIALS, DegreeReport, RationalMapRep,
                     WeightedFunction, map_degree, weighted_gradient)
 from .rand import SeedStream, random_scalar
@@ -67,17 +67,10 @@ class LogFoliation:
         return [c.poly for c in self.coeffs]
 
     def to_field(self, field) -> "LogFoliation":
+        """The reduction mod p, checked as the reduction of the Gauss map."""
         if field == self.field:
             return self
-        polys = [c.poly.to_field(field) for c in self.coeffs]
-        if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.coeffs)):
-            raise DegenerateInputError(
-                f"bad reduction: a coefficient vanishes modulo {field.modulus}")
-        coeffs = tuple(HomogeneousForm(p, c.degree) for p, c in zip(polys, self.coeffs))
-        if not gcd_many([c.poly for c in coeffs]).is_constant():
-            raise DegenerateInputError(
-                "bad reduction: coefficients gained a common factor modulo the prime")
-        return LogFoliation(coeffs, self.degree)
+        return LogFoliation(gauss_map(self).to_field(field).components, self.degree)
 
 
 def logarithmic_form(W: WeightedFunction) -> tuple:
@@ -96,8 +89,10 @@ def logarithmic_form(W: WeightedFunction) -> tuple:
 def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
     """Clear the coefficient gcd and validate the foliation axioms.
 
-    Requires zero radial contraction, a singular set of codimension at least
-    two, and exact integrability of the cleared form.
+    Requires zero radial contraction and exact integrability of the cleared
+    form.  The cleared coefficients have gcd 1, so their singular set has
+    codimension at least two: common_factor reads both facts from one
+    Groebner basis.
     """
     polys = [c.poly if isinstance(c, HomogeneousForm) else c for c in coeffs]
     if all(p.is_zero() for p in polys):
@@ -109,7 +104,7 @@ def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
     if not euler_contraction(polys).is_zero():
         raise DegenerateInputError(
             "radial contraction is nonzero: the form does not descend to projective space")
-    g = gcd_many(polys)
+    g = common_factor(polys, max_pairs=max_pairs)
     if not g.is_constant():
         polys = [p if p.is_zero() else exact_divide(p, g) for p in polys]
     first = next(p for p in polys if not p.is_zero())
@@ -123,11 +118,6 @@ def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
     coeff_deg = degs.pop()
     if any(not d.is_zero() for d in integrability_defect(polys)):
         raise DegenerateInputError("1-form is not integrable")
-    G = groebner(Ideal.of([p for p in polys if not p.is_zero()]), DEGREVLEX,
-                 max_pairs=max_pairs)
-    if ideal_dimension(G) > nv - 2:
-        raise DegenerateInputError(
-            "singular set has codimension one: not a foliation after clearing")
     return LogFoliation(tuple(HomogeneousForm(p, coeff_deg if not p.is_zero() else -1)
                               for p in polys),
                         coeff_deg - 1)
@@ -235,9 +225,12 @@ def e_degree(fol: LogFoliation, k: int, i: int, trials: int = DEFAULT_TRIALS,
 def singular_scheme_degree_p2(fol: LogFoliation, max_pairs: int | None = None) -> int:
     """Degree of the singular scheme of a plane foliation.
 
-    The three coefficients must cut a zero-dimensional projective scheme;
-    the value is the stabilized Hilbert function of the coefficient ideal,
-    detected by three equal consecutive values.
+    The coefficients must cut a zero-dimensional projective scheme; the value
+    is its Hilbert polynomial, a constant, read from the Hilbert function of
+    the leading-monomial ideal at t = L, the sum over the variables of the
+    largest exponent among the leading monomials.  Every lcm of leading
+    monomials has degree at most L, so the Hilbert-series numerator does
+    too, and the Hilbert function is constant from degree L - 2 on.
     """
     if fol.ambient_dim != 2:
         raise DegenerateInputError("singular scheme degree is computed on the plane only")
@@ -246,18 +239,10 @@ def singular_scheme_degree_p2(fol: LogFoliation, max_pairs: int | None = None) -
     if ideal_dimension(G) > 1:
         raise DegenerateInputError("singular scheme has positive dimension")
     lead = G.lead_exps
-    values = []
-    for t in range(0, 400):
-        count = 0
-        for a in range(t + 1):
-            for b in range(t - a + 1):
-                m = (a, b, t - a - b)
-                if not any(all(l <= e for l, e in zip(lm, m)) for lm in lead):
-                    count += 1
-        values.append(count)
-        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
-            return values[-1]
-    raise DegenerateInputError("Hilbert function failed to stabilize")
+    t = sum(map(max, zip(*lead)))
+    return sum(1 for a in range(t + 1) for b in range(t - a + 1)
+               if not any(all(l <= e for l, e in zip(lm, (a, b, t - a - b)))
+                          for lm in lead))
 
 
 def expected_plane_singular_degree(degree: int) -> int:

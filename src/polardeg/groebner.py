@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
 from .fields import PrimeField
-from .poly import MultiPoly, degrevlex_key
+from .poly import MultiPoly, degrevlex_key, gcd_many
 from .rand import SeedStream
 
 DEFAULT_MAX_PAIRS = 200000
@@ -360,6 +360,20 @@ def ideal_dimension(G: GroebnerBasis) -> int:
             if not any(s <= subset for s in supports):
                 return size
     return 0
+
+
+def common_factor(polys, max_pairs: int | None = None) -> MultiPoly:
+    """gcd_many(polys), with a Groebner basis deciding whether it is constant.
+
+    Over an algebraic closure the common zero set has a hypersurface
+    component iff the polys share a nonconstant factor, and a gcd does not
+    change under field extension.  So an ideal of dimension at most nvars - 2
+    has gcd 1, and only the other case runs the subresultant gcd.
+    """
+    G = groebner(Ideal.of(polys), DEGREVLEX, max_pairs=max_pairs)
+    if ideal_dimension(G) <= G.nvars - 2:
+        return MultiPoly.one(G.field, G.nvars)
+    return gcd_many(polys)
 
 
 # -- univariate helpers on coefficient lists (for the reducedness test) ------

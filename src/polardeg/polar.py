@@ -18,11 +18,11 @@ from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField, RationalField
-from .groebner import (DEGREVLEX, Ideal, groebner, is_reduced_zero_dim,
-                       is_zero_dimensional, quotient_dimension)
+from .groebner import (DEGREVLEX, Ideal, common_factor, groebner,
+                       is_reduced_zero_dim, is_zero_dimensional,
+                       quotient_dimension)
 from .linalg import rank, solve_affine
-from .poly import (HomogeneousForm, MultiPoly, exact_divide, gcd_many,
-                   gcd_multivariate, gradient)
+from .poly import HomogeneousForm, MultiPoly, exact_divide, gradient
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
@@ -30,15 +30,17 @@ DEFAULT_RETRIES = 3
 
 
 def _is_squarefree(form: HomogeneousForm) -> bool:
-    """The gcd of F and all its partial derivatives is constant.
+    """F and all its partial derivatives have no common factor.
 
-    Exact when the characteristic is 0 or exceeds deg F: a repeated factor
-    G^2 divides F, so G divides every partial; an irreducible G dividing F
-    and every partial of F = G*H divides H, because some partial of G is
-    nonzero of lower degree.  Every prime field here has p >= MIN_PRIME,
-    far above the degree of any form the engine can handle.
+    common_factor decides it from a Groebner basis of (F, dF/dx0, ...); the
+    gcd runs only when F has a repeated factor.  Exact when the
+    characteristic is 0 or exceeds deg F: a repeated factor G^2 divides F,
+    so G divides every partial; an irreducible G dividing F and every
+    partial of F = G*H divides H, because some partial of G is nonzero of
+    lower degree.  Every prime field here has p >= MIN_PRIME, far above the
+    degree of any form the engine can handle.
     """
-    return gcd_many([form.poly, *gradient(form.poly)]).is_constant()
+    return common_factor([form.poly, *gradient(form.poly)]).is_constant()
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class WeightedFunction:
                 raise DegenerateInputError(f"factor {f.poly} is not squarefree")
         for a in range(len(factors)):
             for b in range(a + 1, len(factors)):
-                if not gcd_multivariate(factors[a].poly, factors[b].poly).is_constant():
+                if not common_factor([factors[a].poly, factors[b].poly]).is_constant():
                     raise DegenerateInputError(
                         f"factors {factors[a].poly} and {factors[b].poly} share a component")
         return cls(factors, weights)
@@ -96,13 +98,6 @@ class WeightedFunction:
         for f in self.factors:
             out = out * f.poly
         return out
-
-    def to_field(self, field) -> "WeightedFunction":
-        if field == self.field:
-            return self
-        return WeightedFunction.of(
-            tuple(HomogeneousForm(f.poly.to_field(field), f.degree) for f in self.factors),
-            self.weights)
 
 
 @dataclass(frozen=True)
@@ -166,10 +161,11 @@ class RationalMapRep:
         if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.components)):
             raise DegenerateInputError(
                 f"bad reduction: a component vanishes modulo {field.modulus}")
-        # a common factor gained mod p changes the map and its degrees
-        common = gcd_many(polys)
+        # a common factor gained mod p changes the map and its degrees; the
+        # factor over QQ is computed only when one shows up mod p
+        common = common_factor(polys)
         if (not common.is_constant()
-                and common.total_degree() > gcd_many(self.polys()).total_degree()):
+                and common.total_degree() > common_factor(self.polys()).total_degree()):
             raise DegenerateInputError(
                 f"bad reduction: the components gain a common factor {common} "
                 f"modulo {field.modulus}")
@@ -246,7 +242,7 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     comps = weighted_gradient(W)
     if all(c.is_zero() for c in comps):
         raise DegenerateInputError("weights annihilate the differential")
-    g = gcd_many(comps)
+    g = common_factor(comps)
     if not g.is_constant():
         comps = [c if c.is_zero() else exact_divide(c, g) for c in comps]
     return RationalMapRep.of(comps)

@@ -5,15 +5,16 @@ import pytest
 from conftest import qq
 from polardeg.errors import DegenerateInputError, GenericityError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.foliations import (associated_foliation, e_degree,
+from polardeg.foliations import (LogFoliation, associated_foliation, e_degree,
                                  expected_plane_singular_degree,
                                  foliation_from_form, gauss_map,
                                  integrability_defect, logarithmic_form,
                                  restrict_to_generic_subspace,
                                  singular_scheme_degree_p2)
-from polardeg.poly import euler_contraction, gcd_many
+from polardeg.groebner import Ideal, groebner, ideal_dimension
+from polardeg.poly import HomogeneousForm, euler_contraction, gcd_many
 from polardeg.polar import WeightedFunction, map_degree
-from polardeg.verify import resonance_plane_foliation
+from polardeg.verify import corpus_foliations, resonance_plane_foliation
 
 
 def wf(texts, weights, nvars=3):
@@ -63,6 +64,19 @@ def test_foliation_from_form_rejects_nonintegrable():
     assert any(not d.is_zero() for d in integrability_defect(coeffs))
     with pytest.raises(DegenerateInputError):
         foliation_from_form(coeffs)
+
+
+def test_foliation_singular_sets_have_codimension_two(Fp):
+    # a cleared form has gcd 1, so its coefficient ideal has no hypersurface
+    # component; foliation_from_form relies on this and checks it no more
+    fols = list(corpus_foliations().values())
+    fols += [resonance_plane_foliation(k) for k in (2, 3)]
+    p4 = associated_foliation(wf(["x0^4 + x1^4 + x2^4 + x3^4"], [1], nvars=4))
+    fols += [restrict_to_generic_subspace(p4.to_field(Fp), k, seed=k) for k in (2, 3)]
+    assert {f.ambient_dim for f in fols} == {2, 3, 4}
+    for fol in fols:
+        G = groebner(Ideal.of(fol.polys()))
+        assert ideal_dimension(G) <= fol.nvars - 2
 
 
 def test_associated_foliation_conic():
@@ -174,3 +188,12 @@ def test_singular_scheme_degree_rejects_positive_dimensional():
     with pytest.raises(DegenerateInputError):
         singular_scheme_degree_p2(bad)
     assert singular_scheme_degree_p2(fol) == 1
+
+
+def test_singular_scheme_degree_past_a_hilbert_plateau():
+    # 8 points on the line x0 = 0 cut by an unsaturated ideal (x0 is not in
+    # it, x0 times every cubic is): the Hilbert function runs 1, 3, 5, 5, 5,
+    # 6, 7, 8, 8, ... and pauses at 5 before it reaches the degree 8
+    gens = ["x0^2", "x0*x1^2", "x0*x1*x2", "x0*x2^3", "x1^8 - x2^8"]
+    fol = LogFoliation(tuple(HomogeneousForm.of(qq(g)) for g in gens), 1)
+    assert singular_scheme_degree_p2(fol) == 8

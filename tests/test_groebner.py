@@ -9,11 +9,12 @@ import pytest
 from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.groebner import (DEGREVLEX, LEX, Ideal, groebner, ideal_dimension,
-                               is_reduced_zero_dim, is_zero_dimensional,
-                               normal_form, quotient_dimension,
-                               standard_monomials)
-from polardeg.poly import MultiPoly, degrevlex_key, gradient, lex_key
+from polardeg.groebner import (DEGREVLEX, LEX, Ideal, common_factor, groebner,
+                               ideal_dimension, is_reduced_zero_dim,
+                               is_zero_dimensional, normal_form,
+                               quotient_dimension, standard_monomials)
+from polardeg.parse import parse_poly
+from polardeg.poly import MultiPoly, degrevlex_key, gcd_many, gradient, lex_key
 from polardeg.rand import SeedStream
 
 
@@ -258,6 +259,41 @@ def test_ideal_dimension_examples():
     assert ideal_dimension(GB(qq("x0 - 1", 1), qq("x0", 1))) == -1
     # cone over the three singular points of the coordinate triangle
     assert ideal_dimension(GB(*gradient(qq("x0*x1*x2")))) == 1
+
+
+# (field, nvars, polys, whether the gcd is constant)
+COMMON_FACTOR_CASES = {
+    "coprime-lines": (QQ, 2, ["x0", "x1"], True),
+    "shared-line": (QQ, 2, ["x0*x1", "x0*x1^2 + x0^2"], False),
+    "zero-entry": (QQ, 3, ["x0*x1", "0", "x0*x2"], False),
+    "single-conic": (QQ, 3, ["2*x0^2 + x1^2 + x2^2"], False),
+    "single-constant": (QQ, 3, ["7"], True),
+    "constant-entry": (GF(DEFAULT_PRIME), 3, ["3", "x0*x1"], True),
+    "codim-two-zeros": (QQ, 4, ["x0*x1", "x2*x3", "x0*x3"], True),
+    "shared-plane": (QQ, 4, ["(x0 + x1)*(x2 - x3)", "(x0 + x1)*(x2 + x3)",
+                             "(x0 + x1)*x0"], False),
+    "five-vars-coprime": (GF(DEFAULT_PRIME), 5, ["x0^2 + x1*x4", "x2^3 - x3*x4^2",
+                                                 "0"], True),
+    "five-vars-shared-quadric": (GF(DEFAULT_PRIME), 5,
+                                 ["x0*x1 - x2*x3", "x4*(x0*x1 - x2*x3)",
+                                  "(x0*x1 - x2*x3)*(x1 + 2*x4)"], False),
+    "non-homogeneous": (QQ, 2, ["x0^2 - 1", "x0*x1 - x1 + x0 - 1"], False),
+    "non-homogeneous-coprime": (GF(DEFAULT_PRIME), 2, ["x0^2 - x1", "x1^2 - x0"], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMON_FACTOR_CASES))
+def test_common_factor_equals_gcd_many(name):
+    field, nvars, texts, coprime = COMMON_FACTOR_CASES[name]
+    polys = [parse_poly(t, nvars, field) for t in texts]
+    g = common_factor(polys)
+    assert g == gcd_many(polys)
+    assert g.is_constant() == coprime
+
+
+def test_common_factor_of_zero_polys_is_refused():
+    with pytest.raises(DegenerateInputError):
+        common_factor([qq("0"), qq("0")])
 
 
 def test_is_reduced_zero_dim_examples(Fp):
