@@ -4,14 +4,14 @@ Verbs: polar (degrees of a weighted polar map), gauss (degrees of the Gauss
 map of the induced foliation), foliation (singular-scheme degree on the
 plane), verify (identity suites).  Exit code 0 on success or a passing
 verification, 1 on computation or verification failure, 2 on usage errors.
-The environment variable POLARDEG_MAX_PAIRS overrides the S-pair cap.
+The S-pair cap that POLARDEG_MAX_PAIRS sets is read by the Groebner engine
+itself; exceeding it ends the run in a reported error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -35,15 +35,6 @@ def _infer_nvars(texts) -> int:
     if top < 0:
         raise PolardegError("no variables found in the input polynomials")
     return top + 1
-
-
-def _max_pairs():
-    raw = os.environ.get("POLARDEG_MAX_PAIRS")
-    if not raw:
-        return None
-    if not raw.isdigit() or int(raw) < 1:
-        raise PolardegError(f"POLARDEG_MAX_PAIRS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -107,10 +98,9 @@ def _cmd_polar(args) -> int:
     W = WeightedFunction.of(factors, weights)
     if args.i is not None:
         report = map_degree(weighted_polar_map(W), args.i, trials=args.trials,
-                            seed=args.seed, field=field, max_pairs=_max_pairs())
+                            seed=args.seed, field=field)
     else:
-        report = polar_degrees_profile(W, trials=args.trials, seed=args.seed,
-                                       field=field, max_pairs=_max_pairs())
+        report = polar_degrees_profile(W, trials=args.trials, seed=args.seed, field=field)
     if args.json:
         print(emit_report(report, command="polar", polys=polys,
                           weights=[str(w) for w in weights], nvars=nvars,
@@ -120,20 +110,19 @@ def _cmd_polar(args) -> int:
     return _report_status(report)
 
 
-def _build_foliation(W: WeightedFunction, max_pairs):
+def _build_foliation(W: WeightedFunction):
     if W.total_degree == 0:
-        return foliation_from_form(logarithmic_form(W), max_pairs=max_pairs)
-    return associated_foliation(W, max_pairs=max_pairs)
+        return foliation_from_form(logarithmic_form(W))
+    return associated_foliation(W)
 
 
 def _cmd_gauss(args) -> int:
     polys, factors, weights, nvars = _collect_input(args)
     field = GF(args.prime)
-    fol = _build_foliation(WeightedFunction.of(factors, weights), _max_pairs())
+    fol = _build_foliation(WeightedFunction.of(factors, weights))
     k = args.k if args.k is not None else fol.ambient_dim
     i = args.i if args.i is not None else 0
-    report = e_degree(fol, k, i, trials=args.trials, seed=args.seed,
-                      field=field, max_pairs=_max_pairs())
+    report = e_degree(fol, k, i, trials=args.trials, seed=args.seed, field=field)
     if args.json:
         print(emit_report(report, command=f"gauss(k={k}, i={i})", polys=polys,
                           weights=[str(w) for w in weights], nvars=nvars,
@@ -155,8 +144,8 @@ def _cmd_foliation(args) -> int:
         raise PolardegError(
             "the weighted degrees must sum to zero for a plane foliation "
             f"(got {W.total_degree})")
-    fol = foliation_from_form(logarithmic_form(W), max_pairs=_max_pairs())
-    value = singular_scheme_degree_p2(fol, max_pairs=_max_pairs())
+    fol = foliation_from_form(logarithmic_form(W))
+    value = singular_scheme_degree_p2(fol)
     if args.json:
         doc = {
             "command": "foliation --sing-degree",
@@ -178,8 +167,7 @@ def _cmd_foliation(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = GF(args.prime)
-    kwargs = dict(trials=args.trials, seed=args.seed, field=field,
-                  max_pairs=_max_pairs())
+    kwargs = dict(trials=args.trials, seed=args.seed, field=field)
     if args.suite == "resonance" and args.k is not None:
         kwargs["ks"] = (args.k,)
     outcomes = SUITES[args.suite](**kwargs)

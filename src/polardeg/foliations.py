@@ -86,7 +86,7 @@ def logarithmic_form(W: WeightedFunction) -> tuple:
     return tuple(HomogeneousForm.of(c) for c in comps)
 
 
-def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
+def foliation_from_form(coeffs) -> LogFoliation:
     """Clear the coefficient gcd and validate the foliation axioms.
 
     Requires zero radial contraction and exact integrability of the cleared
@@ -104,7 +104,7 @@ def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
     if not euler_contraction(polys).is_zero():
         raise DegenerateInputError(
             "radial contraction is nonzero: the form does not descend to projective space")
-    g = common_factor(polys, max_pairs=max_pairs)
+    g = common_factor(polys)
     if not g.is_constant():
         polys = [p if p.is_zero() else exact_divide(p, g) for p in polys]
     first = next(p for p in polys if not p.is_zero())
@@ -123,7 +123,7 @@ def foliation_from_form(coeffs, max_pairs: int | None = None) -> LogFoliation:
                         coeff_deg - 1)
 
 
-def associated_foliation(W: WeightedFunction, max_pairs: int | None = None) -> LogFoliation:
+def associated_foliation(W: WeightedFunction) -> LogFoliation:
     """The foliation on P^{n+1} attached to a weighted product on P^n.
 
     Coefficients are the weighted gradient times the new variable, with last
@@ -143,7 +143,7 @@ def associated_foliation(W: WeightedFunction, max_pairs: int | None = None) -> L
     last = MultiPoly(field, nv + 1,
                      {exp + (0,): c for exp, c in prod.terms.items()})
     last = last.scale(field.neg(field.from_int(total)))
-    return foliation_from_form(lifted + [last], max_pairs=max_pairs)
+    return foliation_from_form(lifted + [last])
 
 
 def gauss_map(fol: LogFoliation) -> RationalMapRep:
@@ -151,8 +151,7 @@ def gauss_map(fol: LogFoliation) -> RationalMapRep:
     return RationalMapRep.of(fol.coeffs)
 
 
-def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int,
-                                 max_pairs: int | None = None) -> LogFoliation:
+def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFoliation:
     """Pull the foliation back along a random linear embedding of P^k.
 
     For k >= 2 the degree is preserved for generic embeddings and this is
@@ -187,7 +186,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int,
             failure = "subspace is invariant"
             continue
         try:
-            out = foliation_from_form(restricted, max_pairs=max_pairs)
+            out = foliation_from_form(restricted)
         except DegenerateInputError as exc:
             failure = str(exc)
             continue
@@ -200,7 +199,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int,
 
 
 def e_degree(fol: LogFoliation, k: int, i: int, trials: int = DEFAULT_TRIALS,
-             seed: int = 0, field=None, max_pairs: int | None = None) -> DegreeReport:
+             seed: int = 0, field=None) -> DegreeReport:
     """deg_i of the Gauss map of the foliation restricted to a generic P^k."""
     n = fol.ambient_dim
     if not 1 <= k <= n:
@@ -217,12 +216,11 @@ def e_degree(fol: LogFoliation, k: int, i: int, trials: int = DEFAULT_TRIALS,
     restrict_seed = master.child_seed()
     degree_seed = master.child_seed()
     if k < n:
-        fol = restrict_to_generic_subspace(fol, k, restrict_seed, max_pairs=max_pairs)
-    return map_degree(gauss_map(fol), i, trials=trials, seed=degree_seed,
-                      field=field, max_pairs=max_pairs)
+        fol = restrict_to_generic_subspace(fol, k, restrict_seed)
+    return map_degree(gauss_map(fol), i, trials=trials, seed=degree_seed, field=field)
 
 
-def singular_scheme_degree_p2(fol: LogFoliation, max_pairs: int | None = None) -> int:
+def singular_scheme_degree_p2(fol: LogFoliation) -> int:
     """Degree of the singular scheme of a plane foliation.
 
     The coefficients must cut a zero-dimensional projective scheme; the value
@@ -235,7 +233,7 @@ def singular_scheme_degree_p2(fol: LogFoliation, max_pairs: int | None = None) -
     if fol.ambient_dim != 2:
         raise DegenerateInputError("singular scheme degree is computed on the plane only")
     polys = [p for p in fol.polys() if not p.is_zero()]
-    G = groebner(Ideal.of(polys), DEGREVLEX, max_pairs=max_pairs)
+    G = groebner(Ideal.of(polys), DEGREVLEX)
     if ideal_dimension(G) > 1:
         raise DegenerateInputError("singular scheme has positive dimension")
     lead = G.lead_exps

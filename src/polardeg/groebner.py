@@ -2,9 +2,11 @@
 
 The basis computation is Buchberger's algorithm with the normal selection
 strategy (smallest lcm first) and the two standard pair-elimination criteria
-(coprime leading monomials, chain criterion).  Configurable caps on the
-number of processed S-pairs and on the basis size turn runaway computations
-into a reported failure instead of a hang.
+(coprime leading monomials, chain criterion).  Two caps turn a runaway
+computation into a ResourceLimitError instead of a hang: the number of
+processed S-pairs, POLARDEG_MAX_PAIRS when that environment variable is set
+and DEFAULT_MAX_PAIRS otherwise, read by every basis computation; and the
+basis size, DEFAULT_MAX_BASIS.
 
 Inside the engine a monomial is one int, a packed exponent vector (Monagan &
 Pearce, CASC 2007): equal-width fields, most significant first, holding the
@@ -24,11 +26,13 @@ fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
+from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
+                     ResourceLimitError)
 from .fields import PrimeField
 from .poly import MultiPoly, degrevlex_key, gcd_many
 from .rand import SeedStream
@@ -202,8 +206,18 @@ def _reduce(items, basis, guards, prime):
     return out
 
 
-def _buchberger(gens, pk, field, max_pairs, max_basis):
-    guards, prime = pk.guards, field.modulus
+def _max_pairs() -> int:
+    """The S-pair cap: POLARDEG_MAX_PAIRS when set, else DEFAULT_MAX_PAIRS."""
+    raw = os.environ.get("POLARDEG_MAX_PAIRS")
+    if not raw:
+        return DEFAULT_MAX_PAIRS
+    if not raw.isdecimal() or int(raw) < 1:
+        raise PolardegError(f"POLARDEG_MAX_PAIRS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _buchberger(gens, pk, field):
+    guards, prime, max_pairs = pk.guards, field.modulus, _max_pairs()
     basis: list = []            # monic (lm, tail) pairs
     exps: list = []             # exponent tuple of each lm, for the lcms
     pair_heap: list = []
@@ -231,8 +245,8 @@ def _buchberger(gens, pk, field, max_pairs, max_basis):
         pending.discard((i, j))
         processed += 1
         if processed > max_pairs:
-            raise ResourceLimitError(
-                f"S-pair cap exceeded ({max_pairs}); raise the limit to continue")
+            raise ResourceLimitError(f"S-pair cap exceeded ({max_pairs}); "
+                                     "raise POLARDEG_MAX_PAIRS to continue")
         # chain criterion: some other lead divides the lcm and both
         # companion pairs were already treated
         if any(k != i and k != j and not (lcm - lk) & guards
@@ -248,9 +262,8 @@ def _buchberger(gens, pk, field, max_pairs, max_basis):
         if not r:
             continue
         add(r)
-        if len(basis) > max_basis:
-            raise ResourceLimitError(
-                f"basis size cap exceeded ({max_basis}); raise the limit to continue")
+        if len(basis) > DEFAULT_MAX_BASIS:
+            raise ResourceLimitError(f"basis size cap exceeded ({DEFAULT_MAX_BASIS})")
 
     # minimalize: drop elements whose lead is divisible by another lead
     kept: list = []
@@ -262,15 +275,16 @@ def _buchberger(gens, pk, field, max_pairs, max_basis):
             for pos, (lm, tail) in enumerate(kept)]
 
 
-def groebner(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
-             max_pairs: int | None = None, max_basis: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal; deterministic for fixed input."""
+def groebner(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal; deterministic for fixed input.
+
+    Raises ResourceLimitError past POLARDEG_MAX_PAIRS processed S-pairs
+    (DEFAULT_MAX_PAIRS when unset) or DEFAULT_MAX_BASIS basis elements.
+    """
     field = ideal.field
 
     def run(pk):
-        return pk, _buchberger([pk.terms(g) for g in ideal.generators], pk, field,
-                               max_pairs or DEFAULT_MAX_PAIRS,
-                               max_basis or DEFAULT_MAX_BASIS)
+        return pk, _buchberger([pk.terms(g) for g in ideal.generators], pk, field)
 
     degree = max(g.total_degree() for g in ideal.generators)
     pk, elems = _widening(ideal.nvars, order, degree, run)
@@ -362,7 +376,7 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return 0
 
 
-def common_factor(polys, max_pairs: int | None = None) -> MultiPoly:
+def common_factor(polys) -> MultiPoly:
     """gcd_many(polys), with a Groebner basis deciding whether it is constant.
 
     Over an algebraic closure the common zero set has a hypersurface
@@ -370,7 +384,7 @@ def common_factor(polys, max_pairs: int | None = None) -> MultiPoly:
     change under field extension.  So an ideal of dimension at most nvars - 2
     has gcd 1, and only the other case runs the subresultant gcd.
     """
-    G = groebner(Ideal.of(polys), DEGREVLEX, max_pairs=max_pairs)
+    G = groebner(Ideal.of(polys), DEGREVLEX)
     if ideal_dimension(G) <= G.nvars - 2:
         return MultiPoly.one(G.field, G.nvars)
     return gcd_many(polys)

@@ -248,8 +248,8 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     return RationalMapRep.of(comps)
 
 
-def _trial_fiber_count(comps, n, i, field, stream, max_pairs):
-    """One generic fiber count; returns (ok, zero_dim, reduced, value)."""
+def _trial_fiber_count(comps, n, i, field, stream):
+    """One fiber count: (zero_dim, reduced, value), or None on a degenerate draw."""
     width = n + 1
     # generic target plane L of dimension i as n-i linear forms, plus an
     # auxiliary form not vanishing on L
@@ -293,17 +293,15 @@ def _trial_fiber_count(comps, n, i, field, stream, max_pairs):
     u = MultiPoly.variable(field, nz, nz - 1)
     gens.append(u * aux - MultiPoly.one(field, nz))
     gens = [g for g in gens if not g.is_zero()]
-    G = groebner(Ideal.of(gens), DEGREVLEX, max_pairs=max_pairs)
+    G = groebner(Ideal.of(gens), DEGREVLEX)
     if not is_zero_dimensional(G):
-        return (False, False, False, None)
+        return (False, False, None)
     value = quotient_dimension(G)
-    reduced = is_reduced_zero_dim(G, stream)
-    return (reduced, True, reduced, value)
+    return (True, is_reduced_zero_dim(G, stream), value)
 
 
 def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
-               seed: int = 0, field=None, retries: int = DEFAULT_RETRIES,
-               max_pairs: int | None = None) -> DegreeReport:
+               seed: int = 0, field=None) -> DegreeReport:
     """deg_i of the map by majority vote over exact randomized fiber counts."""
     n = m.source_dim
     if not 0 <= i <= n - 1:
@@ -322,22 +320,20 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     for _ in range(trials):
         trial_seed = master.child_seed()
         stream = SeedStream(trial_seed)
-        last = (False, False, False, None)
-        for _ in range(retries + 1):
-            res = _trial_fiber_count(comps, n, i, field, stream, max_pairs)
+        zero_dim, reduced, value = False, False, None
+        for _ in range(DEFAULT_RETRIES + 1):
+            res = _trial_fiber_count(comps, n, i, field, stream)
             if res is None:
                 continue            # degenerate linear draw, redraw
-            last = res
-            if res[0]:
+            zero_dim, reduced, value = res
+            if reduced:
                 break
-        _, zero_dim, reduced, value = last
         outcomes.append(TrialOutcome(trial_seed, value, zero_dim, reduced))
     return DegreeReport.from_trials(i, outcomes)
 
 
 def polar_degrees_profile(W: WeightedFunction, trials: int = DEFAULT_TRIALS,
-                          seed: int = 0, field=None,
-                          max_pairs: int | None = None) -> tuple:
+                          seed: int = 0, field=None) -> tuple:
     """(deg_0, ..., deg_{n-1}) of the weighted polar map."""
     if W.total_degree == 0:
         raise DegenerateInputError(
@@ -346,6 +342,5 @@ def polar_degrees_profile(W: WeightedFunction, trials: int = DEFAULT_TRIALS,
     m = weighted_polar_map(W)
     n = m.source_dim
     master = SeedStream(seed)
-    return tuple(map_degree(m, i, trials=trials, seed=master.child_seed(),
-                            field=field, max_pairs=max_pairs)
+    return tuple(map_degree(m, i, trials=trials, seed=master.child_seed(), field=field)
                  for i in range(n))

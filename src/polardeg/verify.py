@@ -53,7 +53,7 @@ class VerificationOutcome:
         return f"{verdict} {self.claim}: {self.instance}: {list(self.left)} vs {list(self.right)}{tag}"
 
 
-def _memo(fn, obj, *args, trials, seed, field, cache, max_pairs):
+def _memo(fn, obj, *args, trials, seed, field, cache):
     """fn(obj, *args, ...) through the memo dict cache; None memoizes nothing.
 
     The key holds fn's name, so map_degree and e_degree entries never meet.
@@ -64,8 +64,7 @@ def _memo(fn, obj, *args, trials, seed, field, cache, max_pairs):
     cache = {} if cache is None else cache
     key = (fn.__name__, tuple(obj.polys()), *args, trials, seed, field.modulus)
     if key not in cache:
-        cache[key] = fn(obj, *args, trials=trials, seed=seed, field=field,
-                        max_pairs=max_pairs)
+        cache[key] = fn(obj, *args, trials=trials, seed=seed, field=field)
     return cache[key]
 
 
@@ -87,12 +86,12 @@ def _is_sum(left, right) -> bool:
 
 def verify_gauss_theorem(fol: LogFoliation, k: int, i: int,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
-                         field=None, cache=None, max_pairs=None,
+                         field=None, cache=None,
                          instance: str = "") -> VerificationOutcome:
     """e_i^k = e_0^{k-i} + e_0^{k-i+1}, both sides computed independently."""
     if not (2 <= k <= fol.ambient_dim and 1 <= i <= k - 1):
         raise ValueError(f"inadmissible pair (k, i) = ({k}, {i})")
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
     lhs = memo(e_degree, fol, k, i, seed=derive_seed(seed, 1, k, i))
     r1 = memo(e_degree, fol, k - i, 0, seed=derive_seed(seed, 2, k - i, 0))
     r2 = memo(e_degree, fol, k - i + 1, 0, seed=derive_seed(seed, 2, k - i + 1, 0))
@@ -102,7 +101,7 @@ def verify_gauss_theorem(fol: LogFoliation, k: int, i: int,
 
 def verify_gauss_corollary(fol: LogFoliation, k: int, i: int, s: int,
                            trials: int = DEFAULT_TRIALS, seed: int = 0,
-                           field=None, cache=None, max_pairs=None,
+                           field=None, cache=None,
                            instance: str = "") -> VerificationOutcome:
     """e_i^k = e_{i-s}^{k-s} for s >= 1, s+2 <= k, 2 <= i <= k-1, i-s >= 1.
 
@@ -111,7 +110,7 @@ def verify_gauss_corollary(fol: LogFoliation, k: int, i: int, s: int,
     """
     if not (s >= 1 and s + 2 <= k <= fol.ambient_dim and 2 <= i <= k - 1 and i - s >= 1):
         raise ValueError(f"inadmissible triple (k, i, s) = ({k}, {i}, {s})")
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
     lhs = memo(e_degree, fol, k, i, seed=derive_seed(seed, 1, k, i))
     rhs = memo(e_degree, fol, k - s, i - s, seed=derive_seed(seed, 1, k - s, i - s))
     return _outcome("gauss-degree-shift", instance or f"(k,i,s)=({k},{i},{s})",
@@ -120,10 +119,10 @@ def verify_gauss_corollary(fol: LogFoliation, k: int, i: int, s: int,
 
 def verify_polar_relation(W: WeightedFunction, i: int,
                           trials: int = DEFAULT_TRIALS, seed: int = 0,
-                          field=None, cache=None, max_pairs=None,
+                          field=None, cache=None,
                           instance: str = "") -> VerificationOutcome:
     """Gauss degree of the attached foliation = deg_i + deg_{i-1} of the polar map."""
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
     fol = associated_foliation(W)
     lhs = memo(e_degree, fol, fol.ambient_dim, i, seed=derive_seed(seed, 3, i))
     m = weighted_polar_map(W)
@@ -135,10 +134,10 @@ def verify_polar_relation(W: WeightedFunction, i: int,
 
 def verify_corollary_deg(W: WeightedFunction, i: int,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
-                         field=None, cache=None, max_pairs=None,
+                         field=None, cache=None,
                          instance: str = "") -> VerificationOutcome:
     """deg_i of the polar map = e_0^{n+1-i} of the attached foliation."""
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
     n = W.nvars - 1
     fol = associated_foliation(W)
     lhs = memo(map_degree, weighted_polar_map(W), i, seed=derive_seed(seed, 4, i))
@@ -153,8 +152,7 @@ def _same_sign(weights) -> bool:
 
 def verify_invariance(factors, weight_sets, trials: int = DEFAULT_TRIALS,
                       seed: int = 0, field=None, override: bool = False,
-                      cache=None, max_pairs=None,
-                      instance: str = "") -> VerificationOutcome:
+                      cache=None, instance: str = "") -> VerificationOutcome:
     """Degree profiles agree across same-sign weight vectors and weight one.
 
     Mixed-sign weight vectors fall outside the verified hypothesis; they are
@@ -167,7 +165,7 @@ def verify_invariance(factors, weight_sets, trials: int = DEFAULT_TRIALS,
         raise DegenerateInputError(
             "mixed-sign weights: invariance hypothesis unverified "
             "(pass override to force the run)")
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
 
     def profile(ws):
         m = weighted_polar_map(WeightedFunction.of(factors, ws))
@@ -183,10 +181,10 @@ def verify_invariance(factors, weight_sets, trials: int = DEFAULT_TRIALS,
 
 
 def verify_product_bound(F1, F2, i: int, trials: int = DEFAULT_TRIALS,
-                         seed: int = 0, field=None, cache=None, max_pairs=None,
+                         seed: int = 0, field=None, cache=None,
                          instance: str = "") -> VerificationOutcome:
     """deg_i of the polar of a coprime product dominates both factors' deg_i."""
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
     f1, f2 = (F.poly if isinstance(F, HomogeneousForm) else F for F in (F1, F2))
     lhs = memo(map_degree, polar_map(f1 * f2), i, seed=derive_seed(seed, 5, i))
     r1 = memo(map_degree, polar_map(f1), i, seed=derive_seed(seed, 6, i))
@@ -276,9 +274,9 @@ def resonance_plane_foliation(k: int) -> LogFoliation:
 
 
 def run_resonance_example(k: int, seed: int = 0, trials: int = DEFAULT_TRIALS,
-                          field=None, cache=None, max_pairs=None) -> VerificationOutcome:
+                          field=None, cache=None) -> VerificationOutcome:
     """Resonant pencil weights give a birational polar map; weight one gives k-1."""
-    memo = partial(_memo, trials=trials, field=field, cache=cache, max_pairs=max_pairs)
+    memo = partial(_memo, trials=trials, field=field, cache=cache)
     res = memo(map_degree, weighted_polar_map(resonance_weighted(k, True)), 0,
                seed=derive_seed(seed, 8, k))
     ones = memo(map_degree, weighted_polar_map(resonance_weighted(k, False)), 0,
@@ -287,10 +285,10 @@ def run_resonance_example(k: int, seed: int = 0, trials: int = DEFAULT_TRIALS,
                     (res, ones), (res.value, ones.value), (1, k - 1))
 
 
-def run_resonance_singular_check(k: int, max_pairs=None) -> VerificationOutcome:
+def run_resonance_singular_check(k: int) -> VerificationOutcome:
     """Total singular-scheme degree of the example foliation is k^2 + k + 1."""
     fol = resonance_plane_foliation(k)
-    value = singular_scheme_degree_p2(fol, max_pairs=max_pairs)
+    value = singular_scheme_degree_p2(fol)
     expected = expected_plane_singular_degree(fol.degree)
     return _outcome("resonance-singular-degree",
                     f"degree-{fol.degree} plane foliation from {k}+2 lines",
@@ -301,13 +299,12 @@ def run_resonance_singular_check(k: int, max_pairs=None) -> VerificationOutcome:
 def _suite(checks):
     """Suite from a generator checks(seed, opts, **extra) of outcomes.
 
-    opts holds the trials, field, cache and max_pairs keywords of the verify
-    functions; the checks of one run share a cache, fresh unless given.
+    opts holds the trials, field and cache keywords of the verify functions;
+    the checks of one run share a cache, fresh unless given.
     """
     def run(trials: int = DEFAULT_TRIALS, seed: int = 0, field=None, cache=None,
-            max_pairs=None, **extra) -> list:
-        opts = dict(trials=trials, field=field, max_pairs=max_pairs,
-                    cache={} if cache is None else cache)
+            **extra) -> list:
+        opts = dict(trials=trials, field=field, cache={} if cache is None else cache)
         return list(checks(seed, opts, **extra))
     # not functools.wraps: the signature shown must be run's, not checks'
     run.__name__, run.__doc__ = checks.__name__, checks.__doc__
@@ -415,7 +412,7 @@ def suite_resonance(seed, opts, ks=(2, 3, 4)):
         yield run_resonance_example(k, seed=seed, **opts)
     for k in ks:
         if k <= 3:
-            yield run_resonance_singular_check(k, max_pairs=opts["max_pairs"])
+            yield run_resonance_singular_check(k)
 
 
 SUITES = {

@@ -105,9 +105,11 @@ BAD_INPUTS = {
     "denominator": ["--poly", "1/1000003*x0^2 + x1^2 + x2^2", "--prime", "1000003"],
     "pair-cap": ["--poly", "x0^4 + x1^4 + x2^4"],
     "pair-cap-not-a-number": ["--poly", "x0^4 + x1^4 + x2^4"],
+    "pair-cap-superscript": ["--poly", "x0^4 + x1^4 + x2^4"],
     "too-few-lines": ["--k", "1"],
 }
-BAD_ENV = {"pair-cap": "1", "pair-cap-not-a-number": "many"}
+BAD_ENV = {"pair-cap": "1", "pair-cap-not-a-number": "many",
+           "pair-cap-superscript": "\u00b2"}
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -174,6 +176,18 @@ def test_env_pair_cap_is_honored(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "polar", "--poly", "x0^4+x1^4+x2^4", "--i", "0")
     assert code == 1
     assert "cap" in err
+
+
+def test_env_pair_cap_reaches_the_validation_bases(capsys, monkeypatch):
+    # every fiber basis here needs at most 10 S-pairs; the squarefree check
+    # of the input processes 12
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "10")
+    code, out, _ = run_cli(capsys, "polar", "--poly", "x0^3+x1^3+x2^3+x0*x1*x2",
+                           "--i", "1", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert "S-pair cap exceeded (10)" in doc["message"]
 
 
 def test_verify_dolgachev(capsys):

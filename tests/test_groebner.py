@@ -323,11 +323,12 @@ def test_fermat_quartic_fiber_reduced(Fp):
         assert is_reduced_zero_dim(G, rng)
 
 
-def test_pair_cap_is_reported():
+def test_pair_cap_is_reported(monkeypatch):
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "2")
     gens = [gfp("x0^4 + x1^3*x2 - x0*x1*x2"), gfp("x1^4 - x0^2*x2^2 + x2^4"),
             gfp("x0^2*x1^2 - x2^4 + x0*x2^3")]
     with pytest.raises(ResourceLimitError):
-        groebner(Ideal.of(gens), max_pairs=2)
+        groebner(Ideal.of(gens))
 
 
 def test_packed_exponent_overflow_widens_or_refuses():

@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import plane_map_fiber_count
 from conftest import gfp, qq
-from polardeg.errors import DegenerateInputError
+from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import HomogeneousForm
 from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
@@ -58,6 +58,13 @@ def test_weighted_function_validation():
         WeightedFunction.of([qq("x0")], [0])
     with pytest.raises(DegenerateInputError):
         WeightedFunction.of([qq("2")], [1])
+
+
+def test_pair_cap_reaches_the_validation_bases(monkeypatch):
+    # the squarefree check of this cubic processes 12 S-pairs
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "10")
+    with pytest.raises(ResourceLimitError, match=r"S-pair cap exceeded \(10\)"):
+        WeightedFunction.of([qq("x0^3 + x1^3 + x2^3 + x0*x1*x2")], [1])
 
 
 def test_weighted_total_degree_recorded_exactly():
