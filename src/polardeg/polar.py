@@ -249,7 +249,20 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
 
 
 def _trial_fiber_count(comps, n, i, field, stream):
-    """One fiber count: (zero_dim, reduced, value), or None on a degenerate draw."""
+    """One fiber count: (zero_dim, reduced, value), or None on a degenerate draw.
+
+    The count runs in the fixed affine chart x_n = 1; only the target plane
+    L (n-i forms, plus the auxiliary form ell0) and the source plane Lambda
+    (i forms) are random.  No point is lost off the chart.  Let Z be the
+    closure of phi^{-1}(L) away from the base locus; for generic L it has
+    dimension i.  Stratify phi(H), H = {x_n = 0}, by the fiber dimension k
+    of phi restricted to H: each stratum Y_k has dim Y_k + k <= n - 1.  A
+    generic L meets Y_k in dimension <= dim Y_k + i - n, so Z meets H in
+    dimension <= i - 1; base points are removed by the saturation
+    u * ell0(phi) = 1.  So a generic Lambda of codimension i misses Z meet
+    H: every point of Z meet Lambda lies in the chart, and at i = 0 the
+    finite fiber misses H.
+    """
     width = n + 1
     # generic target plane L of dimension i as n-i linear forms, plus an
     # auxiliary form not vanishing on L
@@ -257,28 +270,33 @@ def _trial_fiber_count(comps, n, i, field, stream):
     ell0 = random_vector(field, width, stream)
     if rank(target_rows + [ell0], field) != n - i + 1:
         return None
-    # generic source (n-i)-plane as i linear forms, and an affine chart h = 1
-    source_rows = [random_vector(field, width, stream) for _ in range(i)]
-    chart = random_vector(field, width, stream)
-    solved = solve_affine(source_rows + [chart], [field.zero()] * i + [field.one()], field)
-    if solved is None:
-        return None
-    pivots, exprs = solved
-    free = [a for a in range(width) if a not in pivots]
-    nz = len(free) + 1          # free source coordinates plus u (last)
-    zpos = {a: t for t, a in enumerate(free)}
-    images = [None] * width
-    for a in free:
-        images[a] = MultiPoly.variable(field, nz, zpos[a])
-    for (const, coeffs), a in zip(exprs, pivots):
-        terms = {}
-        if const != field.zero():
-            terms[(0,) * nz] = const
-        for c, coef in coeffs.items():
-            exp = tuple(1 if t == zpos[c] else 0 for t in range(nz))
-            terms[exp] = field.neg(coef)
-        images[a] = MultiPoly(field, nz, terms)
-    sub = [c.substitute(images) for c in comps]
+    nz = n - i + 1              # free chart coordinates plus u (last)
+    if i == 0:
+        # components are homogeneous: setting x_n = 1 merges no two terms
+        sub = [MultiPoly(field, nz, {exp[:n] + (0,): c for exp, c in comp.terms.items()})
+               for comp in comps]
+    else:
+        # generic source plane Lambda as i linear forms, solved in the chart
+        source_rows = [random_vector(field, width, stream) for _ in range(i)]
+        solved = solve_affine([row[:n] for row in source_rows],
+                              [field.neg(row[n]) for row in source_rows], field)
+        if solved is None:
+            return None
+        pivots, exprs = solved
+        free = [a for a in range(n) if a not in pivots]
+        zpos = {a: t for t, a in enumerate(free)}
+        images = [None] * n + [MultiPoly.one(field, nz)]
+        for a in free:
+            images[a] = MultiPoly.variable(field, nz, zpos[a])
+        for (const, coeffs), a in zip(exprs, pivots):
+            terms = {}
+            if const != field.zero():
+                terms[(0,) * nz] = const
+            for c, coef in coeffs.items():
+                exp = tuple(1 if t == zpos[c] else 0 for t in range(nz))
+                terms[exp] = field.neg(coef)
+            images[a] = MultiPoly(field, nz, terms)
+        sub = [c.substitute(images) for c in comps]
     gens = []
     for row in target_rows:
         g = MultiPoly.zero(field, nz)

@@ -6,11 +6,13 @@ import pytest
 
 from _oracles import plane_map_fiber_count
 from conftest import gfp, qq
+from polardeg import polar
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.poly import HomogeneousForm
+from polardeg.poly import HomogeneousForm, MultiPoly
 from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
                             polar_degrees_profile, polar_map, weighted_polar_map)
+from polardeg.rand import SeedStream, random_vector
 
 SECOND_PRIME = 1000003
 
@@ -142,6 +144,55 @@ def test_conic_transversal_pinned_regression(Fp):
     # engine-pinned: the polar degree of a conic with a transversal line is 2
     rep = map_degree(polar_map(qq("x2*(x0^2 + x1^2 + x2^2)")), 0, field=Fp)
     assert rep.value == 2 and rep.stable
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("text, nvars, profile", [
+    ("x2*(x1^2 - x0*x2)", 3, (1, 2)),       # conic plus tangent line: homaloidal
+    ("x0*x1*x2", 3, (1, 2)),
+    ("x0*x1*x2*x3", 4, (1, 3, 3)),
+])
+def test_chart_hyperplane_as_a_component(text, nvars, profile, prime):
+    # x_n = 0 is a component of the curve, so the fixed chart x_n = 1 cuts
+    # through its polar map's base locus; no fiber point may be lost
+    W = WeightedFunction.of([qq(text, nvars)], [1])
+    for seed in range(6):
+        reports = polar_degrees_profile(W, seed=seed, field=GF(prime))
+        assert tuple(r.value for r in reports) == profile
+        assert all(t.reduced for r in reports for t in r.trials)
+
+
+def test_level_zero_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
+    m = polar_map(qq("x2*(x1^2 - x0*x2)")).to_field(Fp)
+    comps, n, seed = m.polys(), m.source_dim, 5
+    ideals = []
+    real_groebner = polar.groebner
+
+    def capture(ideal, order):
+        ideals.append(ideal)
+        return real_groebner(ideal, order)
+
+    monkeypatch.setattr(polar, "groebner", capture)
+    map_degree(m, 1, trials=1, seed=seed, field=Fp)
+    assert all(g.nvars == n for g in ideals[0].generators)
+
+    # replay the first trial's stream: n target rows, then ell0
+    stream = SeedStream(SeedStream(seed).child_seed())
+    rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
+    chart = [MultiPoly.variable(Fp, n + 1, a) for a in range(n)] + [MultiPoly.one(Fp, n + 1)]
+    dehom = [c.substitute(chart) for c in comps]
+    combos = [sum((d.scale(r) for r, d in zip(row, dehom)), MultiPoly.zero(Fp, n + 1))
+              for row in rows]
+    u = MultiPoly.variable(Fp, n + 1, n)
+
+    def refuse(*args):
+        raise AssertionError("level 0 solves and substitutes nothing")
+
+    monkeypatch.setattr(MultiPoly, "substitute", refuse)
+    monkeypatch.setattr(polar, "solve_affine", refuse)
+    ideals.clear()
+    assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 1
+    assert list(ideals[0].generators) == combos[:n] + [u * combos[n] - MultiPoly.one(Fp, n + 1)]
 
 
 def test_rational_map_rep_validation():
