@@ -1,12 +1,12 @@
 """Groebner bases and the ideal-theoretic queries built on them.
 
-The basis computation is Buchberger's algorithm with the normal selection
-strategy (smallest lcm first) and the two standard pair-elimination criteria
-(coprime leading monomials, chain criterion).  Two caps turn a runaway
-computation into a ResourceLimitError instead of a hang: the number of
-processed S-pairs, POLARDEG_MAX_PAIRS when that environment variable is set
-and DEFAULT_MAX_PAIRS otherwise, read by every basis computation; and the
-basis size, DEFAULT_MAX_BASIS.
+The basis computation is Buchberger's algorithm with the Gebauer-Moeller
+pair update (JSC 1988) and sugar selection (Giovini et al., ISSAC 1991), or
+under lex, where sugar measured far worse, smallest lcm first.  Two caps turn
+a runaway computation into a ResourceLimitError instead of a hang: the
+number of S-pairs reduced, POLARDEG_MAX_PAIRS when that environment variable
+is set and DEFAULT_MAX_PAIRS otherwise, read by every basis computation; and
+the number of elements built, DEFAULT_MAX_BASIS.
 
 Inside the engine a monomial is one int, a packed exponent vector (Monagan &
 Pearce, CASC 2007): equal-width fields, most significant first, holding the
@@ -34,7 +34,7 @@ from itertools import combinations
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
 from .fields import PrimeField
-from .poly import MultiPoly, degrevlex_key, gcd_many
+from .poly import MultiPoly, gcd_many
 from .rand import SeedStream
 
 DEFAULT_MAX_PAIRS = 200000
@@ -216,58 +216,62 @@ def _max_pairs() -> int:
     return int(raw)
 
 
-def _buchberger(gens, pk, field):
+def _buchberger(gens, pk, field, graded):
     guards, prime, max_pairs = pk.guards, field.modulus, _max_pairs()
-    basis: list = []            # monic (lm, tail) pairs
-    exps: list = []             # exponent tuple of each lm, for the lcms
-    pair_heap: list = []
-    pending: set = set()
+    polys: list = []            # (lm, tail, exponents of lm, sugar - deg lm), append-only
+    G: dict = {}                # the current basis: index -> monic (lm, tail)
+    pairs: list = []            # heap of (sugar, or 0 under lex, lcm, i, j, sugar)
 
-    def add(terms):
+    def lcm_with(i, exp):
+        return pk.pack(tuple(map(max, polys[i][2], exp)))
+
+    def add(terms, sugar):
+        nonlocal G
         lm, tail = _monic(terms, field)
-        exp = pk.unpack(lm)
-        j = len(basis)
-        basis.append((lm, tail))
-        exps.append(exp)
-        for i in range(j):
-            lcm = pk.pack(tuple(map(max, exps[i], exp)))
-            # coprime leading monomials: S-poly reduces to zero, skip
-            if lcm != basis[i][0] + lm:
-                heappush(pair_heap, (lcm, i, j))
-                pending.add((i, j))
+        h, exp = len(polys), pk.unpack(lm)
+        polys.append((lm, tail, exp, sugar - sum(exp)))
+        # Gebauer-Moeller: drop old pairs (i, j) with lm(h) | lcm(i, j) != lcm(i, h), lcm(j, h)
+        pairs[:] = [p for p in pairs if (p[1] - lm) & guards
+                    or lcm_with(p[2], exp) == p[1] or lcm_with(p[3], exp) == p[1]]
+        heapify(pairs)
+        # new pairs by ascending lcm, coprime first among equal lcms; keep a pair
+        # iff no kept lcm divides its lcm, and queue it unless it is coprime
+        new = []
+        for g, (lg, _) in G.items():
+            m = lcm_with(g, exp)
+            new.append((m, m != lg + lm, g))
+        kept: list = []
+        for m, shared, g in sorted(new):
+            if all((m - k) & guards for k in kept):
+                kept.append(m)
+                if shared:
+                    s = max(polys[g][3], polys[h][3]) + sum(map(max, polys[g][2], exp))
+                    heappush(pairs, (s if graded else 0, m, g, h, s))
+        G = {g: e for g, e in G.items() if (e[0] - lm) & guards} | {h: (lm, tail)}
 
-    for terms in gens:
-        add(terms)
+    for terms in gens:          # sugar: the total degree, the lead's under degrevlex
+        add(terms, sum(pk.unpack(terms[0][0])))
 
     processed = 0
-    while pair_heap:
-        lcm, i, j = heappop(pair_heap)
-        pending.discard((i, j))
+    while pairs:
+        _, lcm, i, j, sugar = heappop(pairs)
         processed += 1
         if processed > max_pairs:
             raise ResourceLimitError(f"S-pair cap exceeded ({max_pairs}); "
                                      "raise POLARDEG_MAX_PAIRS to continue")
-        # chain criterion: some other lead divides the lcm and both
-        # companion pairs were already treated
-        if any(k != i and k != j and not (lcm - lk) & guards
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k, (lk, _) in enumerate(basis)):
-            continue
-        (li, ti), (lj, tj) = basis[i], basis[j]
+        (li, ti, *_), (lj, tj, *_) = polys[i], polys[j]
         si, sj = lcm - li, lcm - lj
         # the leading terms cancel; the S-polynomial is the tails' difference
         r = _reduce([(m + si, c) for m, c in ti] + [(m + sj, -c) for m, c in tj],
-                    basis, guards, prime)
-        if not r:
-            continue
-        add(r)
-        if len(basis) > DEFAULT_MAX_BASIS:
-            raise ResourceLimitError(f"basis size cap exceeded ({DEFAULT_MAX_BASIS})")
+                    G.values(), guards, prime)
+        if r:
+            add(r, sugar)
+            if len(polys) > DEFAULT_MAX_BASIS:
+                raise ResourceLimitError(f"basis size cap exceeded ({DEFAULT_MAX_BASIS})")
 
     # minimalize: drop elements whose lead is divisible by another lead
     kept: list = []
-    for lm, tail in sorted(basis, key=lambda e: e[0]):
+    for lm, tail in sorted(G.values(), key=lambda e: e[0]):
         if all((lm - k) & guards for k, _ in kept):
             kept.append((lm, tail))
     # tail-reduce each element against the others
@@ -278,13 +282,14 @@ def _buchberger(gens, pk, field):
 def groebner(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal; deterministic for fixed input.
 
-    Raises ResourceLimitError past POLARDEG_MAX_PAIRS processed S-pairs
-    (DEFAULT_MAX_PAIRS when unset) or DEFAULT_MAX_BASIS basis elements.
+    Raises ResourceLimitError past POLARDEG_MAX_PAIRS reduced S-pairs
+    (DEFAULT_MAX_PAIRS when unset) or DEFAULT_MAX_BASIS elements built.
     """
     field = ideal.field
 
     def run(pk):
-        return pk, _buchberger([pk.terms(g) for g in ideal.generators], pk, field)
+        return pk, _buchberger([pk.terms(g) for g in ideal.generators], pk, field,
+                               order == DEGREVLEX)
 
     degree = max(g.total_degree() for g in ideal.generators)
     pk, elems = _widening(ideal.nvars, order, degree, run)
@@ -352,12 +357,6 @@ def quotient_dimension(G: GroebnerBasis) -> int:
     if not is_zero_dimensional(G):
         raise DegenerateInputError("ideal is not zero-dimensional")
     return len(_standard_monomials(G.lead_exps, G.nvars))
-
-
-def standard_monomials(G: GroebnerBasis):
-    if not is_zero_dimensional(G):
-        raise DegenerateInputError("ideal is not zero-dimensional")
-    return sorted(_standard_monomials(G.lead_exps, G.nvars), key=degrevlex_key)
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

@@ -2,9 +2,10 @@
 
 Everything here avoids the package's Groebner path on purpose: univariate
 arithmetic over GF(p) on plain coefficient lists, resultants by evaluation
-and Lagrange interpolation, and counts of distinct roots through squarefree
-parts.  The fiber-count oracle solves the generic-fiber system of a plane
-polar map by eliminating one variable with a resultant.
+and Lagrange interpolation, counts of distinct roots through squarefree
+parts, and a criterion-free Buchberger on exponent-tuple dicts.  The
+fiber-count oracle solves the generic-fiber system of a plane polar map by
+eliminating one variable with a resultant.
 """
 
 from __future__ import annotations
@@ -258,3 +259,79 @@ def plane_map_fiber_count(components, p, seed=0) -> int:
         # both leading coefficients are nonzero at [1:0], so the gcd sees
         # every common root of the binary forms
         return affine + at_infinity
+
+
+# -- Buchberger's algorithm with no criteria ----------------------------------
+
+def plain_reduced_basis(polys, keyfn):
+    """Reduced Groebner basis of package MultiPolys by plain Buchberger.
+
+    No pair is skipped: the S-polynomial of every two elements, taken first
+    in first out, is reduced against every element found so far.  The work
+    is done on dicts from exponent tuples to coefficients, apart from the
+    engine's packed monomials; keyfn (degrevlex_key or lex_key) orders the
+    monomials.  Returns the monic reduced basis as MultiPolys, ascending by
+    leading monomial.
+    """
+    from polardeg.poly import MultiPoly
+
+    field, nvars = polys[0].field, polys[0].nvars
+    zero = field.zero()
+
+    def lead(p):
+        return max(p, key=keyfn)
+
+    def monic(p):
+        inv = field.inv(p[lead(p)])
+        return {e: field.mul(c, inv) for e, c in p.items()}
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def add_multiple(acc, p, shift, c):
+        """acc += c * x^shift * p, dropping cancelled terms."""
+        for e, pc in p.items():
+            ne = tuple(x + y for x, y in zip(e, shift))
+            v = field.add(acc.get(ne, zero), field.mul(c, pc))
+            if v == zero:
+                acc.pop(ne, None)
+            else:
+                acc[ne] = v
+
+    def remainder(p, basis):
+        p, out = dict(p), {}
+        while p:
+            e = lead(p)
+            g = next((g for g in basis if divides(lead(g), e)), None)
+            if g is None:
+                out[e] = p.pop(e)
+            else:
+                shift = tuple(x - y for x, y in zip(e, lead(g)))
+                add_multiple(p, g, shift, field.neg(p[e]))
+        return out
+
+    basis = [monic(dict(p.terms)) for p in polys if not p.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        f, g = basis[i], basis[j]
+        lcm = tuple(map(max, lead(f), lead(g)))
+        s: dict = {}
+        add_multiple(s, f, tuple(x - y for x, y in zip(lcm, lead(f))), field.one())
+        add_multiple(s, g, tuple(x - y for x, y in zip(lcm, lead(g))), field.neg(field.one()))
+        r = remainder(s, basis)
+        if r:
+            basis.append(monic(r))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+
+    minimal: list = []
+    for g in sorted(basis, key=lambda g: keyfn(lead(g))):
+        if not any(divides(lead(k), lead(g)) for k in minimal):
+            minimal.append(g)
+    out = []
+    for pos, g in enumerate(minimal):
+        lm = lead(g)
+        tail = remainder({e: c for e, c in g.items() if e != lm},
+                         minimal[:pos] + minimal[pos + 1:])
+        out.append(MultiPoly(field, nvars, {lm: g[lm], **tail}))
+    return out

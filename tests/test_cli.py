@@ -172,22 +172,23 @@ def test_foliation_requires_descent(capsys):
 
 
 def test_env_pair_cap_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "2")
+    # each fiber basis here reduces 2 S-pairs
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "1")
     code, _, err = run_cli(capsys, "polar", "--poly", "x0^4+x1^4+x2^4", "--i", "0")
     assert code == 1
     assert "cap" in err
 
 
 def test_env_pair_cap_reaches_the_validation_bases(capsys, monkeypatch):
-    # every fiber basis here needs at most 10 S-pairs; the squarefree check
-    # of the input processes 12
-    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "10")
+    # every fiber basis here reduces 4 S-pairs and each common-factor check
+    # of the polar map 8; the squarefree check of the input reduces 9
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "8")
     code, out, _ = run_cli(capsys, "polar", "--poly", "x0^3+x1^3+x2^3+x0*x1*x2",
                            "--i", "1", "--json")
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "error"
-    assert "S-pair cap exceeded (10)" in doc["message"]
+    assert "S-pair cap exceeded (8)" in doc["message"]
 
 
 def test_verify_dolgachev(capsys):

@@ -63,9 +63,9 @@ def test_weighted_function_validation():
 
 
 def test_pair_cap_reaches_the_validation_bases(monkeypatch):
-    # the squarefree check of this cubic processes 12 S-pairs
-    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "10")
-    with pytest.raises(ResourceLimitError, match=r"S-pair cap exceeded \(10\)"):
+    # the squarefree check of this cubic reduces 9 S-pairs
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "8")
+    with pytest.raises(ResourceLimitError, match=r"S-pair cap exceeded \(8\)"):
         WeightedFunction.of([qq("x0^3 + x1^3 + x2^3 + x0*x1*x2")], [1])
 
 
