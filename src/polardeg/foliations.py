@@ -10,7 +10,7 @@ over a prime field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
@@ -18,7 +18,7 @@ from .fields import PrimeField, RationalField
 from .groebner import DEGREVLEX, Ideal, common_factor, groebner, ideal_dimension
 from .linalg import rank
 from .poly import (HomogeneousForm, MultiPoly, euler_contraction, exact_divide,
-                   substitute_linear)
+                   linear_combination, linear_images, substitute_all)
 from .polar import (DEFAULT_TRIALS, DegreeReport, RationalMapRep,
                     WeightedFunction, map_degree, weighted_gradient)
 from .rand import SeedStream, random_scalar
@@ -50,6 +50,8 @@ class LogFoliation:
 
     coeffs: tuple
     degree: int
+    # checked reductions modulo primes, by field: each is validated once
+    _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def field(self):
@@ -70,7 +72,10 @@ class LogFoliation:
         """The reduction mod p, checked as the reduction of the Gauss map."""
         if field == self.field:
             return self
-        return LogFoliation(gauss_map(self).to_field(field).components, self.degree)
+        if field not in self._reductions:
+            self._reductions[field] = LogFoliation(
+                gauss_map(self).to_field(field).components, self.degree)
+        return self._reductions[field]
 
 
 def logarithmic_form(W: WeightedFunction) -> tuple:
@@ -87,23 +92,35 @@ def logarithmic_form(W: WeightedFunction) -> tuple:
 
 
 def foliation_from_form(coeffs) -> LogFoliation:
-    """Clear the coefficient gcd and validate the foliation axioms.
+    """Check a 1-form given from outside and clear it with `_clear_form`.
 
-    Requires zero radial contraction and exact integrability of the cleared
-    form.  The cleared coefficients have gcd 1, so their singular set has
-    codimension at least two: common_factor reads both facts from one
-    Groebner basis.
+    Requires a nonzero form, one coefficient per variable, zero radial
+    contraction and exact integrability of the cleared form.
     """
     polys = [c.poly if isinstance(c, HomogeneousForm) else c for c in coeffs]
     if all(p.is_zero() for p in polys):
         raise DegenerateInputError("zero 1-form")
-    field, nv = polys[0].field, polys[0].nvars
+    nv = polys[0].nvars
     if len(polys) != nv:
         raise FieldMismatchError(
             f"need {nv} coefficients for {nv} variables, got {len(polys)}")
     if not euler_contraction(polys).is_zero():
         raise DegenerateInputError(
             "radial contraction is nonzero: the form does not descend to projective space")
+    fol = _clear_form(polys)
+    if any(not d.is_zero() for d in integrability_defect(fol.polys())):
+        raise DegenerateInputError("1-form is not integrable")
+    return fol
+
+
+def _clear_form(polys) -> LogFoliation:
+    """Divide out the coefficient gcd, make the form monic, read the degree.
+
+    Checks neither integrability nor the contraction; clearing keeps both,
+    as (w/g) ^ d(w/g) = (w ^ dw) / g^2.  The gcd is 1 afterwards, so the
+    singular set has codimension at least two.
+    """
+    field = polys[0].field
     g = common_factor(polys)
     if not g.is_constant():
         polys = [p if p.is_zero() else exact_divide(p, g) for p in polys]
@@ -116,8 +133,6 @@ def foliation_from_form(coeffs) -> LogFoliation:
     if len(degs) != 1:
         raise DegenerateInputError("coefficient degrees differ after clearing")
     coeff_deg = degs.pop()
-    if any(not d.is_zero() for d in integrability_defect(polys)):
-        raise DegenerateInputError("1-form is not integrable")
     return LogFoliation(tuple(HomogeneousForm(p, coeff_deg if not p.is_zero() else -1)
                               for p in polys),
                         coeff_deg - 1)
@@ -128,6 +143,8 @@ def associated_foliation(W: WeightedFunction) -> LogFoliation:
 
     Coefficients are the weighted gradient times the new variable, with last
     entry minus the scaled total degree times the product of the factors.
+    It is a function times a closed logarithmic form, so integrable, and
+    its contraction x_{n+1} F (sum mu_j d_j - total) is 0: no re-check.
     """
     if W.total_degree == 0:
         raise DegenerateInputError(
@@ -143,7 +160,7 @@ def associated_foliation(W: WeightedFunction) -> LogFoliation:
     last = MultiPoly(field, nv + 1,
                      {exp + (0,): c for exp, c in prod.terms.items()})
     last = last.scale(field.neg(field.from_int(total)))
-    return foliation_from_form(lifted + [last])
+    return _clear_form(lifted + [last])
 
 
 def gauss_map(fol: LogFoliation) -> RationalMapRep:
@@ -156,7 +173,8 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFol
 
     For k >= 2 the degree is preserved for generic embeddings and this is
     asserted, with re-randomization on failure; for k = 1 the result is the
-    unique foliation of the projective line.
+    unique foliation of the projective line.  A linear pullback commutes
+    with d and the wedge and keeps the radial field: no re-check.
     """
     n = fol.ambient_dim
     if not 1 <= k < n:
@@ -174,22 +192,13 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFol
         if rank(cols, field) != k + 1:
             failure = "rank-deficient embedding matrix"
             continue
-        pulled_coeffs = [substitute_linear(p, matrix) for p in polys]
-        restricted = []
-        for j in range(k + 1):
-            acc = MultiPoly.zero(field, k + 1)
-            for r in range(n + 1):
-                if matrix[r][j] != field.zero():
-                    acc = acc + pulled_coeffs[r].scale(matrix[r][j])
-            restricted.append(acc)
+        # the coefficient of dz_j is sum_r M[r][j] a_r, pulled back
+        restricted = substitute_all([linear_combination(col, polys) for col in cols],
+                                    linear_images(matrix, field))
         if all(p.is_zero() for p in restricted):
             failure = "subspace is invariant"
             continue
-        try:
-            out = foliation_from_form(restricted)
-        except DegenerateInputError as exc:
-            failure = str(exc)
-            continue
+        out = _clear_form(restricted)
         if k >= 2 and out.degree != fol.degree:
             failure = f"degree dropped from {fol.degree} to {out.degree}"
             continue

@@ -22,7 +22,8 @@ from .groebner import (DEGREVLEX, Ideal, common_factor, groebner,
                        is_reduced_zero_dim, is_zero_dimensional,
                        quotient_dimension)
 from .linalg import rank, solve_affine
-from .poly import HomogeneousForm, MultiPoly, exact_divide, gradient
+from .poly import (HomogeneousForm, MultiPoly, exact_divide, gradient, linear_combination,
+                   substitute_all)
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
@@ -284,30 +285,15 @@ def _trial_fiber_count(comps, n, i, field, stream):
             return None
         pivots, exprs = solved
         free = [a for a in range(n) if a not in pivots]
-        zpos = {a: t for t, a in enumerate(free)}
-        images = [None] * n + [MultiPoly.one(field, nz)]
-        for a in free:
-            images[a] = MultiPoly.variable(field, nz, zpos[a])
+        one = MultiPoly.one(field, nz)
+        z = {a: MultiPoly.variable(field, nz, t) for t, a in enumerate(free)}
+        images = [z.get(a) for a in range(n)] + [one]
         for (const, coeffs), a in zip(exprs, pivots):
-            terms = {}
-            if const != field.zero():
-                terms[(0,) * nz] = const
-            for c, coef in coeffs.items():
-                exp = tuple(1 if t == zpos[c] else 0 for t in range(nz))
-                terms[exp] = field.neg(coef)
-            images[a] = MultiPoly(field, nz, terms)
-        sub = [c.substitute(images) for c in comps]
-    gens = []
-    for row in target_rows:
-        g = MultiPoly.zero(field, nz)
-        for coef, c in zip(row, sub):
-            if coef != field.zero():
-                g = g + c.scale(coef)
-        gens.append(g)
-    aux = MultiPoly.zero(field, nz)
-    for coef, c in zip(ell0, sub):
-        if coef != field.zero():
-            aux = aux + c.scale(coef)
+            images[a] = linear_combination([const, *map(field.neg, coeffs.values())],
+                                           [one, *(z[c] for c in coeffs)])
+        sub = substitute_all(comps, images)
+    gens = [linear_combination(row, sub) for row in target_rows]
+    aux = linear_combination(ell0, sub)
     u = MultiPoly.variable(field, nz, nz - 1)
     gens.append(u * aux - MultiPoly.one(field, nz))
     gens = [g for g in gens if not g.is_zero()]

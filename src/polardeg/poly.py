@@ -97,10 +97,6 @@ class MultiPoly:
             return -1
         return max(sum(exp) for exp in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(exp) for exp in self.terms}
-        return len(degs) <= 1
-
     def variables_present(self):
         used = [False] * self.nvars
         for exp in self.terms:
@@ -211,49 +207,11 @@ class MultiPoly:
             terms[nexp] = coef
         return MultiPoly(field, self.nvars, terms)
 
-    # -- evaluation / substitution ------------------------------------------
-
-    def evaluate(self, point):
-        """Value at a tuple of field scalars."""
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        field = self.field
-        total = field.zero()
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                for _ in range(e):
-                    v = field.mul(v, x)
-            total = field.add(total, v)
-        return total
+    # -- substitution ----------------------------------------------------------
 
     def substitute(self, images: list) -> "MultiPoly":
-        """Compose with x_i -> images[i]; images live in a common ring."""
-        if len(images) != self.nvars:
-            raise FieldMismatchError("need one image per variable")
-        field = images[0].field
-        nv = images[0].nvars
-        for im in images:
-            if im.field != field or im.nvars != nv:
-                raise FieldMismatchError("images live in different rings")
-        if self.field != field:
-            raise FieldMismatchError("image field differs from polynomial field")
-        pows: list[list] = [[MultiPoly.one(field, nv), im] for im in images]
-        needed = [0] * self.nvars
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                needed[i] = max(needed[i], e)
-        for i, top in enumerate(needed):
-            while len(pows[i]) <= top:
-                pows[i].append(pows[i][-1] * images[i])
-        out = MultiPoly.zero(field, nv)
-        for exp, c in self.sorted_terms():
-            term = MultiPoly.constant(field, nv, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * pows[i][e]
-            out = out + term
-        return out
+        """Compose with x_i -> images[i]: `substitute_all` on this poly alone."""
+        return substitute_all([self], images)[0]
 
     def to_field(self, field) -> "MultiPoly":
         """Map coefficients into another field (QQ -> GF(p), or identity)."""
@@ -281,6 +239,63 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.field!r}, {self.nvars}, {poly_str(self)!r})"
+
+
+def substitute_all(polys: list, images: list) -> list:
+    """Compose every poly with x_i -> images[i]; images live in a common ring.
+
+    The polys share one memo of monomial images, local to the call: the
+    image of x^e is the image of x^(e - unit_v) times images[v], v the last
+    variable of e.  A term's own image goes straight into its poly's result
+    and is not stored.  Target monomials are ints, one bit field per
+    variable wide enough for any exponent; coefficients (ints mod p or
+    Fractions) are multiplied and summed as plain numbers and brought back
+    into the field once per stored value, zeros dropped.
+    """
+    if any(p.nvars != len(images) for p in polys):
+        raise FieldMismatchError("need one image per variable")
+    if not polys:
+        return []
+    field, nv = images[0].field, images[0].nvars
+    if any(q.field != field for q in polys + images) or any(im.nvars != nv for im in images):
+        raise FieldMismatchError("the polys and images do not share one ring of scalars")
+    zero = field.zero()
+    top = max(p.total_degree() for p in polys) * max(im.total_degree() for im in images)
+    width = max(top, 1).bit_length()
+    shifts, mask = range(0, width * nv, width), (1 << width) - 1
+    ims = [[(sum(e << s for e, s in zip(exp, shifts)), c) for exp, c in im.terms.items()]
+           for im in images]
+    memo = {(0,) * len(images): {0: field.one()}}
+
+    def settle(acc):
+        return {m: r for m, c in acc.items() if (r := field.add(c, zero)) != zero}
+
+    def add_image(acc, exp, c):
+        """acc += c * (image of x^exp), for exp != 0."""
+        v = len(exp) - 1
+        while not exp[v]:
+            v -= 1
+        prefix = exp[:v] + (exp[v] - 1,) + exp[v + 1:]
+        base = memo.get(prefix)
+        if base is None:
+            base = memo[prefix] = settle(add_image({}, prefix, 1))
+        scaled = [(m2, c * c2) for m2, c2 in ims[v]]
+        for m1, c1 in base.items():
+            for m2, c2 in scaled:
+                acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+        return acc
+
+    out = []
+    for p in polys:
+        acc: dict = {}
+        for exp, c in p.terms.items():
+            if any(exp):
+                add_image(acc, exp, c)
+            else:
+                acc[0] = acc.get(0, 0) + c
+        out.append(MultiPoly(field, nv, {tuple((m >> s) & mask for s in shifts): c
+                                         for m, c in settle(acc).items()}))
+    return out
 
 
 def poly_str(p: MultiPoly) -> str:
@@ -372,17 +387,27 @@ def substitute_linear(p: MultiPoly, matrix) -> MultiPoly:
     """Evaluate p(M z): matrix has p.nvars rows; columns index new variables."""
     if len(matrix) != p.nvars:
         raise FieldMismatchError("matrix must have one row per variable")
+    return p.substitute(linear_images(matrix, p.field))
+
+
+def linear_images(matrix, field) -> list:
+    """The linear forms sum_c M[r][c] z_c, one per row r: the images of x = M z."""
     width = len(matrix[0])
-    field = p.field
-    images = []
-    for row in matrix:
-        if len(row) != width:
-            raise FieldMismatchError("ragged matrix")
-        images.append(MultiPoly.from_terms(
-            field, width,
-            ((tuple(1 if j == k else 0 for j in range(width)), c)
-             for k, c in enumerate(row))))
-    return p.substitute(images)
+    if any(len(row) != width for row in matrix):
+        raise FieldMismatchError("ragged matrix")
+    return [MultiPoly.from_terms(field, width, ((tuple(int(j == k) for j in range(width)), c)
+                                                for k, c in enumerate(row)))
+            for row in matrix]
+
+
+def linear_combination(scalars, polys) -> MultiPoly:
+    """sum(c_i * p_i) over the nonzero scalars; the polys share one ring."""
+    field = polys[0].field
+    out = MultiPoly.zero(field, polys[0].nvars)
+    for c, p in zip(scalars, polys):
+        if c != field.zero():
+            out = out + p.scale(c)
+    return out
 
 
 # -- multivariate gcd --------------------------------------------------------

@@ -5,7 +5,8 @@ arithmetic over GF(p) on plain coefficient lists, resultants by evaluation
 and Lagrange interpolation, counts of distinct roots through squarefree
 parts, and a criterion-free Buchberger on exponent-tuple dicts.  The
 fiber-count oracle solves the generic-fiber system of a plane polar map by
-eliminating one variable with a resultant.
+eliminating one variable with a resultant.  Substitution has a term-by-term
+reference built on MultiPoly's own sum and product.
 """
 
 from __future__ import annotations
@@ -131,6 +132,36 @@ def eval_poly(poly, point, p):
                 v = v * pow(x, e, p) % p
         total = (total + v) % p
     return total
+
+
+def is_homogeneous(poly) -> bool:
+    """All terms share one total degree; the zero polynomial counts."""
+    return len({sum(exp) for exp in poly.terms}) <= 1
+
+
+def substitute_termwise(poly, images):
+    """poly with x_i -> images[i], one term at a time.
+
+    Each image's powers come from repeated products, each term is a
+    constant times a product of powers, and the terms are summed one by one
+    with MultiPoly addition, largest monomial first.
+    """
+    from polardeg.poly import MultiPoly
+
+    field, nv = images[0].field, images[0].nvars
+    pows = [[MultiPoly.one(field, nv), im] for im in images]
+    for i, im in enumerate(images):
+        top = max((exp[i] for exp in poly.terms), default=0)
+        while len(pows[i]) <= top:
+            pows[i].append(pows[i][-1] * im)
+    out = MultiPoly.zero(field, nv)
+    for exp, c in poly.sorted_terms():
+        term = MultiPoly.constant(field, nv, c)
+        for i, e in enumerate(exp):
+            if e:
+                term = term * pows[i][e]
+        out = out + term
+    return out
 
 
 def _bivariate_coeff_lists(poly, p):

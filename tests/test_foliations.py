@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import qq
+from polardeg import foliations
 from polardeg.errors import DegenerateInputError, GenericityError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.foliations import (LogFoliation, associated_foliation, e_degree,
@@ -99,13 +100,51 @@ def test_associated_foliation_rejects_zero_total_degree():
         associated_foliation(wf(["x0", "x1"], [1, -1], nvars=2))
 
 
-def test_integrability_of_constructed_foliations():
-    for fol in (associated_foliation(wf(["x0^2 + x1^2 + x2^2"], [1])),
-                associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])),
-                foliation_from_form(logarithmic_form(
-                    wf(["x0", "x1", "x0 + x1"], [1, 1, -2])))):
+# the weighted surfaces of P^3 whose associated P^4 foliations the
+# sections benchmark restricts
+SECTION_SURFACES = (
+    (["x0^4 + x1^4 + x2^4 + x3^4"], [1]),
+    (["x0^3 + x1^3 + x2^3 + x3^3", "x0 + 2*x1 + 3*x2 + 5*x3"], [2, 3]),
+    (["x0", "x1", "x2", "x3", "x0 + 2*x1 + 3*x2 + 4*x3"], [1, 2, 3, 4, 5]),
+)
+
+
+def test_integrability_of_constructed_foliations(Fp):
+    # associated_foliation and restrict_to_generic_subspace do not re-check
+    # integrability or the contraction; both hold by construction
+    fols = [associated_foliation(wf(["x0^2 + x1^2 + x2^2"], [1])),
+            associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])),
+            foliation_from_form(logarithmic_form(wf(["x0", "x1", "x0 + x1"], [1, 1, -2])))]
+    fols += corpus_foliations().values()
+    fols += [resonance_plane_foliation(k) for k in (2, 3)]
+    for texts, weights in SECTION_SURFACES:
+        p4 = associated_foliation(wf(texts, weights, nvars=4))
+        fols += [p4] + [restrict_to_generic_subspace(p4.to_field(Fp), k, seed=k)
+                        for k in (2, 3)]
+    assert {f.ambient_dim for f in fols} == {2, 3, 4}
+    for fol in fols:
         assert all(d.is_zero() for d in integrability_defect(fol.polys()))
         assert euler_contraction(fol.polys()).is_zero()
+
+
+def test_constructed_foliations_are_not_rechecked(Fp, monkeypatch):
+    def refuse(coeffs):
+        raise AssertionError("integrability is known by construction")
+
+    monkeypatch.setattr(foliations, "integrability_defect", refuse)
+    for texts, weights in SECTION_SURFACES:
+        p4 = associated_foliation(wf(texts, weights, nvars=4)).to_field(Fp)
+        for k in (1, 2, 3):
+            assert restrict_to_generic_subspace(p4, k, seed=k).ambient_dim == k
+    with pytest.raises(AssertionError):
+        foliation_from_form([qq("x1", 2), qq("0 - x0", 2)])
+
+
+def test_reduction_is_checked_once_per_prime():
+    fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1]))
+    p = GF(1000003)
+    assert fol.to_field(p) is fol.to_field(p)
+    assert fol.to_field(p).polys() == [c.to_field(p) for c in fol.polys()]
 
 
 def test_gauss_map_components():

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import eval_poly, is_homogeneous, substitute_termwise
 from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, FieldMismatchError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
+from polardeg.parse import parse_poly
 from polardeg.poly import (HomogeneousForm, MultiPoly, euler_contraction,
                            exact_divide, gcd_multivariate, gradient,
-                           substitute_linear)
+                           substitute_all, substitute_linear)
 from polardeg.rand import SeedStream, random_scalar
 
 
@@ -52,7 +54,7 @@ def test_mul_examples():
 def test_mul_degree_additive_on_homogeneous():
     p, q = qq("x0*x1 + x2^2"), qq("x0 + x1")
     assert (p * q).total_degree() == 3
-    assert (p * q).is_homogeneous()
+    assert is_homogeneous(p * q)
 
 
 def test_partial_derivative_examples():
@@ -166,11 +168,11 @@ def test_substitute_linear_random_restriction_keeps_degree():
         for e in [(3, 0, 0, 0), (0, 2, 1, 0), (1, 1, 1, 0), (0, 0, 1, 2), (1, 0, 0, 2)]))
     M = [[rng.randrange(DEFAULT_PRIME) for _ in range(3)] for _ in range(4)]
     q = substitute_linear(p, M)
-    assert q.total_degree() == 3 and q.is_homogeneous()
+    assert q.total_degree() == 3 and is_homogeneous(q)
     for _ in range(5):
         z = [rng.randrange(DEFAULT_PRIME) for _ in range(3)]
         x = [sum(M[r][c] * z[c] for c in range(3)) % DEFAULT_PRIME for r in range(4)]
-        assert q.evaluate(z) == p.evaluate(x)
+        assert eval_poly(q, z, DEFAULT_PRIME) == eval_poly(p, x, DEFAULT_PRIME)
 
 
 def test_substitute_linear_functorial_composition():
@@ -194,6 +196,46 @@ def test_substitute_linear_is_ring_homomorphism():
         b = random_poly(F, 3, 3, 4, rng)
         assert substitute_linear(a + b, M) == substitute_linear(a, M) + substitute_linear(b, M)
         assert substitute_linear(a * b, M) == substitute_linear(a, M) * substitute_linear(b, M)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["QQ", "GFp"])
+def test_substitute_all_matches_termwise_reference(field):
+    # random polys under affine images with constants (as in a fiber trial),
+    # sometimes of degree 2, sometimes with a zero image; zero and constant
+    # polys ride along, and all polys of one call share the kernel's memo
+    rng = random.Random(43)
+    zero = field.zero()
+    for trial in range(40):
+        nsrc, ntgt = rng.randrange(1, 5), rng.randrange(1, 4)
+        polys = [random_poly(field, nsrc, 5, rng.randrange(1, 9), rng) for _ in range(4)]
+        polys += [MultiPoly.zero(field, nsrc), MultiPoly.constant(field, nsrc, field.from_int(-7))]
+        images = [random_poly(field, ntgt, 1 + trial % 2, rng.randrange(1, 5), rng)
+                  for _ in range(nsrc)]
+        if trial % 4 == 0:
+            images[rng.randrange(nsrc)] = MultiPoly.zero(field, ntgt)
+        got = substitute_all(polys, images)
+        assert got == [substitute_termwise(p, images) for p in polys]
+        assert got[4].is_zero() and got[5] == MultiPoly.constant(field, ntgt, field.from_int(-7))
+        assert all(c != zero for g in got for c in g.terms.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["QQ", "GFp"])
+def test_substitute_all_cancellation(field):
+    def P(text, nvars):
+        return parse_poly(text, nvars, field)
+
+    images = [P("x0 + 1", 2), P("x0 + 1", 2), P("1 - x0 + x1", 2)]
+    polys = [P("x0 - x1", 3), P("x0^3 - x0*x1^2", 3), P("(x1 + x2)^3 - 8*x2^3", 3),
+             P("x0^2*x2 + x1", 3)]
+    got = substitute_all(polys, images)
+    assert got == [substitute_termwise(p, images) for p in polys]
+    assert got[0].is_zero() and got[1].is_zero()
+    assert got[2] == (P("2 + x1", 2) ** 3) - P("8", 2) * (P("1 - x0 + x1", 2) ** 3)
+    assert all(c != field.zero() for g in got for c in g.terms.values())
+    # one poly through MultiPoly.substitute is the same composition
+    assert polys[3].substitute(images) == got[3]
+    with pytest.raises(FieldMismatchError):
+        substitute_all(polys, images[:2])
 
 
 def test_homogeneous_form_markers():
