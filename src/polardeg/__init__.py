@@ -7,12 +7,11 @@ from .foliations import (LogFoliation, associated_foliation, e_degree,
                          foliation_from_form, gauss_map, integrability_defect,
                          logarithmic_form, restrict_to_generic_subspace,
                          singular_scheme_degree_p2)
-from .groebner import (DEGREVLEX, LEX, GroebnerBasis, Ideal, MonomialOrder,
-                       groebner, ideal_dimension, is_reduced_zero_dim,
+from .groebner import (GroebnerBasis, groebner, ideal_dimension, is_reduced_zero_dim,
                        is_zero_dimensional, normal_form, quotient_dimension)
 from .parse import emit_report, parse_poly, parse_weights
 from .poly import (HomogeneousForm, MultiPoly, euler_contraction,
-                   gcd_multivariate, gradient, poly_str, substitute_linear)
+                   gcd_multivariate, gradient, poly_str)
 from .polar import (DegreeReport, RationalMapRep, TrialOutcome,
                     WeightedFunction, map_degree, polar_map,
                     polar_degrees_profile, weighted_polar_map)

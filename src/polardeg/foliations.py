@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
 from .fields import PrimeField, RationalField
-from .groebner import DEGREVLEX, Ideal, common_factor, groebner, ideal_dimension
+from .groebner import common_factor, groebner, ideal_dimension
 from .linalg import rank
 from .poly import (HomogeneousForm, MultiPoly, euler_contraction, exact_divide,
                    linear_combination, linear_images, substitute_all)
@@ -241,8 +241,7 @@ def singular_scheme_degree_p2(fol: LogFoliation) -> int:
     """
     if fol.ambient_dim != 2:
         raise DegenerateInputError("singular scheme degree is computed on the plane only")
-    polys = [p for p in fol.polys() if not p.is_zero()]
-    G = groebner(Ideal.of(polys), DEGREVLEX)
+    G = groebner(fol.polys())
     if ideal_dimension(G) > 1:
         raise DegenerateInputError("singular scheme has positive dimension")
     lead = G.lead_exps

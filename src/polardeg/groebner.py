@@ -1,22 +1,22 @@
 """Groebner bases and the ideal-theoretic queries built on them.
 
-The basis computation is Buchberger's algorithm with the Gebauer-Moeller
-pair update (JSC 1988) and sugar selection (Giovini et al., ISSAC 1991), or
-under lex, where sugar measured far worse, smallest lcm first.  Two caps turn
-a runaway computation into a ResourceLimitError instead of a hang: the
-number of S-pairs reduced, POLARDEG_MAX_PAIRS when that environment variable
-is set and DEFAULT_MAX_PAIRS otherwise, read by every basis computation; and
-the number of elements built, DEFAULT_MAX_BASIS.
+Every basis is a reduced degrevlex basis, computed by Buchberger's algorithm
+with the Gebauer-Moeller pair update (JSC 1988) and sugar selection (Giovini
+et al., ISSAC 1991).  Two caps turn a runaway computation into a
+ResourceLimitError instead of a hang: the number of S-pairs reduced,
+POLARDEG_MAX_PAIRS when that environment variable is set and
+DEFAULT_MAX_PAIRS otherwise, read by every basis computation; and the number
+of elements built, DEFAULT_MAX_BASIS.
 
 Inside the engine a monomial is one int, a packed exponent vector (Monagan &
-Pearce, CASC 2007): equal-width fields, most significant first, holding the
-order key and then the exponents e0 .. e{n-1}.  The degrevlex key is (deg,
-e0+...+e{n-2}, ..., e0); under lex the exponents are the key and come once.
-Every field is linear in the exponents, so the order is int comparison and
-a product is int addition.  The top bit of each field is a guard bit that a
-valid monomial leaves clear: two valid fields sum below twice the guard, so
-a product never carries into the next field, and m divides t iff
-(t - m) & guards == 0, since a field with t < m borrows into its guard bit.
+Pearce, CASC 2007): 2n equal-width fields, most significant first, holding
+the degrevlex key (deg, e0+...+e{n-2}, ..., e0) and then the exponents
+e0 .. e{n-1}.  Every field is linear in the exponents, so the order is int
+comparison and a product is int addition.  The top bit of each field is a
+guard bit that a valid monomial leaves clear: two valid fields sum below
+twice the guard, so a product never carries into the next field, and m
+divides t iff (t - m) & guards == 0, since a field with t < m borrows into
+its guard bit.
 
 Overflow rule: each field is at most the total degree, so widths are sized
 from the input degree.  A monomial that does not fit (an input or lcm of too
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -43,55 +44,23 @@ DEFAULT_MAX_BASIS = 5000
 _MAX_VALUE_BITS = 64
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """degrevlex or lex."""
-
-    kind: str
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
-
-
-@dataclass(frozen=True)
-class Ideal:
-    generators: tuple
-    field: object
-    nvars: int
-
-    @classmethod
-    def of(cls, generators) -> "Ideal":
-        gens = tuple(g for g in generators if not g.is_zero())
-        if not gens:
-            raise DegenerateInputError("ideal needs at least one nonzero generator")
-        f, nv = gens[0].field, gens[0].nvars
-        for g in gens:
-            if g.field != f or g.nvars != nv:
-                raise FieldMismatchError("generators live in different rings")
-        return cls(gens, f, nv)
-
-
 class _Overflow(Exception):
     """A packed monomial outgrew its field width."""
 
 
 class _Packing:
-    """Packs the monomials of one ring and order into ints (module docstring)."""
+    """Packs the monomials of one ring into ints (module docstring)."""
 
     __slots__ = ("nvars", "vbits", "guards", "units")
 
-    def __init__(self, nvars: int, order: MonomialOrder, vbits: int):
+    def __init__(self, nvars: int, vbits: int):
         self.nvars, self.vbits = nvars, vbits
         width = vbits + 1
-        graded = order == DEGREVLEX
-        nfields = 2 * nvars if graded else nvars
-        self.guards = sum(1 << (width * f + vbits) for f in range(nfields))
+        self.guards = sum(1 << (width * f + vbits) for f in range(2 * nvars))
         self.units = []
         for v in range(nvars):
-            fields = [int(j == v) for j in range(nvars)]
-            if graded:
-                fields = [int(k >= v) for k in reversed(range(nvars))] + fields
+            fields = ([int(k >= v) for k in reversed(range(nvars))]
+                      + [int(j == v) for j in range(nvars)])
             m = 0
             for f in fields:
                 m = m << width | f
@@ -114,14 +83,14 @@ class _Packing:
         return MultiPoly(field, self.nvars, {self.unpack(m): c for m, c in terms})
 
 
-def _widening(nvars, order, degree, run, packing=None):
+def _widening(nvars, degree, run, packing=None):
     """run(packing) on fields wide enough for `degree`, doubled on overflow."""
     vbits = min(max(8, (4 * degree).bit_length(), packing.vbits if packing else 0),
                 _MAX_VALUE_BITS)
     pk = packing if packing is not None and packing.vbits == vbits else None
     while True:
         try:
-            return run(pk or _Packing(nvars, order, vbits))
+            return run(pk or _Packing(nvars, vbits))
         except _Overflow:
             if vbits == _MAX_VALUE_BITS:
                 raise ResourceLimitError(
@@ -132,14 +101,19 @@ def _widening(nvars, order, degree, run, packing=None):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    order: MonomialOrder
-    basis: tuple
     field: object
     nvars: int
-    lead_exps: tuple = dc_field(default=(), compare=False)
-    # the engine form of `basis`: monic (leading monomial, tail terms) pairs
-    packing: object = dc_field(default=None, compare=False, repr=False)
-    elems: tuple = dc_field(default=(), compare=False, repr=False)
+    lead_exps: tuple
+    packing: _Packing = dc_field(compare=False, repr=False)
+    # monic (leading monomial, tail terms) pairs, packed by `packing`
+    elems: tuple = dc_field(repr=False)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The elements as monic MultiPolys, ascending by leading monomial."""
+        one = self.field.one()
+        return tuple(self.packing.poly([(lm, one), *tail], self.field)
+                     for lm, tail in self.elems)
 
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.lead_exps)
@@ -216,11 +190,11 @@ def _max_pairs() -> int:
     return int(raw)
 
 
-def _buchberger(gens, pk, field, graded):
+def _buchberger(gens, pk, field):
     guards, prime, max_pairs = pk.guards, field.modulus, _max_pairs()
     polys: list = []            # (lm, tail, exponents of lm, sugar - deg lm), append-only
     G: dict = {}                # the current basis: index -> monic (lm, tail)
-    pairs: list = []            # heap of (sugar, or 0 under lex, lcm, i, j, sugar)
+    pairs: list = []            # heap of (sugar, lcm, i, j)
 
     def lcm_with(i, exp):
         return pk.pack(tuple(map(max, polys[i][2], exp)))
@@ -246,15 +220,15 @@ def _buchberger(gens, pk, field, graded):
                 kept.append(m)
                 if shared:
                     s = max(polys[g][3], polys[h][3]) + sum(map(max, polys[g][2], exp))
-                    heappush(pairs, (s if graded else 0, m, g, h, s))
+                    heappush(pairs, (s, m, g, h))
         G = {g: e for g, e in G.items() if (e[0] - lm) & guards} | {h: (lm, tail)}
 
-    for terms in gens:          # sugar: the total degree, the lead's under degrevlex
+    for terms in gens:          # sugar: the total degree, which is the lead's
         add(terms, sum(pk.unpack(terms[0][0])))
 
     processed = 0
     while pairs:
-        _, lcm, i, j, sugar = heappop(pairs)
+        sugar, lcm, i, j = heappop(pairs)
         processed += 1
         if processed > max_pairs:
             raise ResourceLimitError(f"S-pair cap exceeded ({max_pairs}); "
@@ -279,24 +253,28 @@ def _buchberger(gens, pk, field, graded):
             for pos, (lm, tail) in enumerate(kept)]
 
 
-def groebner(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal; deterministic for fixed input.
+def groebner(polys) -> GroebnerBasis:
+    """Reduced degrevlex Groebner basis of the ideal the polys generate.
 
-    Raises ResourceLimitError past POLARDEG_MAX_PAIRS reduced S-pairs
-    (DEFAULT_MAX_PAIRS when unset) or DEFAULT_MAX_BASIS elements built.
+    Zero generators are dropped; deterministic for fixed input.  Raises
+    DegenerateInputError when every generator is zero, FieldMismatchError
+    when they live in different rings, and ResourceLimitError past
+    POLARDEG_MAX_PAIRS reduced S-pairs (DEFAULT_MAX_PAIRS when unset) or
+    DEFAULT_MAX_BASIS elements built.
     """
-    field = ideal.field
+    gens = [g for g in polys if not g.is_zero()]
+    if not gens:
+        raise DegenerateInputError("ideal needs at least one nonzero generator")
+    field, nvars = gens[0].field, gens[0].nvars
+    if any(g.field != field or g.nvars != nvars for g in gens):
+        raise FieldMismatchError("generators live in different rings")
 
     def run(pk):
-        return pk, _buchberger([pk.terms(g) for g in ideal.generators], pk, field,
-                               order == DEGREVLEX)
+        return pk, _buchberger([pk.terms(g) for g in gens], pk, field)
 
-    degree = max(g.total_degree() for g in ideal.generators)
-    pk, elems = _widening(ideal.nvars, order, degree, run)
-    one = field.one()
-    polys = tuple(pk.poly([(lm, one), *tail], field) for lm, tail in elems)
-    return GroebnerBasis(order, polys, field, ideal.nvars,
-                         tuple(pk.unpack(lm) for lm, _ in elems), pk, tuple(elems))
+    pk, elems = _widening(nvars, max(g.total_degree() for g in gens), run)
+    return GroebnerBasis(field, nvars, tuple(pk.unpack(lm) for lm, _ in elems), pk,
+                         tuple(elems))
 
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
@@ -307,7 +285,7 @@ def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     def run(pk):
         return pk, _reduce(pk.terms(p), G.packed(pk), pk.guards, G.field.modulus)
 
-    pk, r = _widening(G.nvars, G.order, max(p.total_degree(), 0), run, G.packing)
+    pk, r = _widening(G.nvars, max(p.total_degree(), 0), run, G.packing)
     return pk.poly(r, G.field)
 
 
@@ -383,7 +361,7 @@ def common_factor(polys) -> MultiPoly:
     change under field extension.  So an ideal of dimension at most nvars - 2
     has gcd 1, and only the other case runs the subresultant gcd.
     """
-    G = groebner(Ideal.of(polys), DEGREVLEX)
+    G = groebner(polys)
     if ideal_dimension(G) <= G.nvars - 2:
         return MultiPoly.one(G.field, G.nvars)
     return gcd_many(polys)
@@ -474,4 +452,4 @@ def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
                             basis, pk.guards, field.modulus)
         raise AssertionError("minimal polynomial search exceeded quotient dimension")
 
-    return _widening(G.nvars, G.order, max(map(sum, std)) + 1, run, G.packing)
+    return _widening(G.nvars, max(map(sum, std)) + 1, run, G.packing)

@@ -244,10 +244,7 @@ def emit_report(report, *, command: str, polys, weights, nvars: int, field,
     doc["trials"] = trials
     stable = bool(reports) and all(r.stable for r in reports)
     doc["stable"] = stable
-    if not trials:
-        doc["status"] = "error"
-        doc["message"] = message or "empty trial list"
-    elif any(r.value is None for r in reports):
+    if any(r.value is None for r in reports):
         doc["status"] = "error"
         doc["message"] = message or "no majority value across trials"
     elif not stable:

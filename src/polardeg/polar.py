@@ -18,9 +18,8 @@ from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField, RationalField
-from .groebner import (DEGREVLEX, Ideal, common_factor, groebner,
-                       is_reduced_zero_dim, is_zero_dimensional,
-                       quotient_dimension)
+from .groebner import (common_factor, groebner, is_reduced_zero_dim,
+                       is_zero_dimensional, quotient_dimension)
 from .linalg import rank, solve_affine
 from .poly import (HomogeneousForm, MultiPoly, exact_divide, gradient, linear_combination,
                    substitute_all)
@@ -116,6 +115,9 @@ class RationalMapRep:
         if not components:
             raise DegenerateInputError("map needs components")
         field, nv = components[0].poly.field, components[0].poly.nvars
+        if nv < 2:
+            raise DegenerateInputError(
+                f"a rational map needs a source of dimension at least 1, not P^{nv - 1}")
         if len(components) != nv:
             raise DegenerateInputError(
                 f"a self-map of P^{nv - 1} needs {nv} components, got {len(components)}")
@@ -296,8 +298,7 @@ def _trial_fiber_count(comps, n, i, field, stream):
     aux = linear_combination(ell0, sub)
     u = MultiPoly.variable(field, nz, nz - 1)
     gens.append(u * aux - MultiPoly.one(field, nz))
-    gens = [g for g in gens if not g.is_zero()]
-    G = groebner(Ideal.of(gens), DEGREVLEX)
+    G = groebner(gens)
     if not is_zero_dimensional(G):
         return (False, False, None)
     value = quotient_dimension(G)
@@ -310,6 +311,8 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     n = m.source_dim
     if not 0 <= i <= n - 1:
         raise DegenerateInputError(f"level must satisfy 0 <= i <= {n - 1}, got {i}")
+    if trials < 1:
+        raise DegenerateInputError(f"need at least one trial, got {trials}")
     if field is None:
         field = m.field
     if not isinstance(field, PrimeField):

@@ -27,10 +27,6 @@ def degrevlex_key(exp):
     return (sum(exp), *(-e for e in reversed(exp)))
 
 
-def lex_key(exp):
-    return exp
-
-
 class MultiPoly:
     """Sparse exact polynomial with a fixed ambient variable count."""
 
@@ -105,14 +101,14 @@ class MultiPoly:
                     used[i] = True
         return [i for i, u in enumerate(used) if u]
 
-    def sorted_terms(self, keyfn=degrevlex_key):
-        return sorted(self.terms.items(), key=lambda t: keyfn(t[0]), reverse=True)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
-    def leading(self, keyfn=degrevlex_key):
-        """(exponent, coefficient) of the largest monomial; None for zero."""
+    def leading(self):
+        """(exponent, coefficient) of the degrevlex-largest monomial; None for zero."""
         if not self.terms:
             return None
-        exp = max(self.terms, key=keyfn)
+        exp = max(self.terms, key=degrevlex_key)
         return exp, self.terms[exp]
 
     # -- arithmetic --------------------------------------------------------
@@ -383,13 +379,6 @@ def gradient(p: MultiPoly) -> list[MultiPoly]:
     return [p.diff(i) for i in range(p.nvars)]
 
 
-def substitute_linear(p: MultiPoly, matrix) -> MultiPoly:
-    """Evaluate p(M z): matrix has p.nvars rows; columns index new variables."""
-    if len(matrix) != p.nvars:
-        raise FieldMismatchError("matrix must have one row per variable")
-    return p.substitute(linear_images(matrix, p.field))
-
-
 def linear_images(matrix, field) -> list:
     """The linear forms sum_c M[r][c] z_c, one per row r: the images of x = M z."""
     width = len(matrix[0])
@@ -416,8 +405,7 @@ def _lex_normalize(p: MultiPoly) -> MultiPoly:
     """Scale so the lex-leading coefficient is 1."""
     if p.is_zero():
         return p
-    _, c = p.leading(lex_key)
-    return p.scale(p.field.inv(c))
+    return p.scale(p.field.inv(p.terms[max(p.terms)]))
 
 
 def _main_var_profile(p: MultiPoly, m: int):

@@ -294,23 +294,22 @@ def plane_map_fiber_count(components, p, seed=0) -> int:
 
 # -- Buchberger's algorithm with no criteria ----------------------------------
 
-def plain_reduced_basis(polys, keyfn):
+def plain_reduced_basis(polys):
     """Reduced Groebner basis of package MultiPolys by plain Buchberger.
 
     No pair is skipped: the S-polynomial of every two elements, taken first
     in first out, is reduced against every element found so far.  The work
     is done on dicts from exponent tuples to coefficients, apart from the
-    engine's packed monomials; keyfn (degrevlex_key or lex_key) orders the
-    monomials.  Returns the monic reduced basis as MultiPolys, ascending by
-    leading monomial.
+    engine's packed monomials, under degrevlex.  Returns the monic reduced
+    basis as MultiPolys, ascending by leading monomial.
     """
-    from polardeg.poly import MultiPoly
+    from polardeg.poly import MultiPoly, degrevlex_key
 
     field, nvars = polys[0].field, polys[0].nvars
     zero = field.zero()
 
     def lead(p):
-        return max(p, key=keyfn)
+        return max(p, key=degrevlex_key)
 
     def monic(p):
         inv = field.inv(p[lead(p)])
@@ -356,7 +355,7 @@ def plain_reduced_basis(polys, keyfn):
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     minimal: list = []
-    for g in sorted(basis, key=lambda g: keyfn(lead(g))):
+    for g in sorted(basis, key=lambda g: degrevlex_key(lead(g))):
         if not any(divides(lead(k), lead(g)) for k in minimal):
             minimal.append(g)
     out = []

@@ -92,6 +92,20 @@ def test_polar_refuses_common_factor_gained_modulo_the_prime(capsys):
     assert "deg_0 = 2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--poly", "x0", "--nvars", "1"],                   # a form on P^0: no level to count
+    ["--poly", "x0*x1*x2", "--trials", "0"],
+    ["--poly", "x0*x1*x2", "--trials", "-3"],
+], ids=["p0", "zero-trials", "negative-trials"])
+def test_polar_without_a_trial_to_run_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, "polar", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    code, out, _ = run_cli(capsys, "polar", *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+
+
 BAD_INPUTS = {
     "unparsable": ["--poly", "x0 x1"],
     "wrong-nvars": ["--poly", "x0*x1*x2", "--nvars", "2"],

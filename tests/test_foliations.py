@@ -12,7 +12,7 @@ from polardeg.foliations import (LogFoliation, associated_foliation, e_degree,
                                  integrability_defect, logarithmic_form,
                                  restrict_to_generic_subspace,
                                  singular_scheme_degree_p2)
-from polardeg.groebner import Ideal, groebner, ideal_dimension
+from polardeg.groebner import groebner, ideal_dimension
 from polardeg.poly import HomogeneousForm, euler_contraction, gcd_many
 from polardeg.polar import WeightedFunction, map_degree
 from polardeg.verify import corpus_foliations, resonance_plane_foliation
@@ -76,7 +76,7 @@ def test_foliation_singular_sets_have_codimension_two(Fp):
     fols += [restrict_to_generic_subspace(p4.to_field(Fp), k, seed=k) for k in (2, 3)]
     assert {f.ambient_dim for f in fols} == {2, 3, 4}
     for fol in fols:
-        G = groebner(Ideal.of(fol.polys()))
+        G = groebner(fol.polys())
         assert ideal_dimension(G) <= fol.nvars - 2
 
 

@@ -12,7 +12,7 @@ from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.parse import parse_poly
 from polardeg.poly import (HomogeneousForm, MultiPoly, euler_contraction,
                            exact_divide, gcd_multivariate, gradient,
-                           substitute_all, substitute_linear)
+                           linear_images, substitute_all)
 from polardeg.rand import SeedStream, random_scalar
 
 
@@ -151,11 +151,18 @@ def test_gcd_divides_and_cofactors_coprime():
             assert gcd_multivariate(ca, cb).is_constant()
 
 
+def substitute_linear(polys, M):
+    """Each poly at x = M z, through the pipeline's linear-restriction kernel."""
+    return substitute_all(polys, linear_images(M, polys[0].field))
+
+
 def test_substitute_linear_examples():
     one = Fraction(1)
-    assert substitute_linear(qq("x0^2", 1), [[one]]) == qq("x0^2", 1)
+    assert substitute_linear([qq("x0^2", 1)], [[one]]) == [qq("x0^2", 1)]
     M = [[one, Fraction(0)], [one, one]]
-    assert substitute_linear(qq("x0*x1", 2), M) == qq("x0^2 + x0*x1", 2)
+    assert substitute_linear([qq("x0*x1", 2)], M) == [qq("x0^2 + x0*x1", 2)]
+    with pytest.raises(FieldMismatchError):
+        substitute_linear([qq("x0*x1", 2)], [[one, one]])
 
 
 def test_substitute_linear_random_restriction_keeps_degree():
@@ -167,7 +174,7 @@ def test_substitute_linear_random_restriction_keeps_degree():
         (tuple(e), rng.randrange(1, DEFAULT_PRIME))
         for e in [(3, 0, 0, 0), (0, 2, 1, 0), (1, 1, 1, 0), (0, 0, 1, 2), (1, 0, 0, 2)]))
     M = [[rng.randrange(DEFAULT_PRIME) for _ in range(3)] for _ in range(4)]
-    q = substitute_linear(p, M)
+    [q] = substitute_linear([p], M)
     assert q.total_degree() == 3 and is_homogeneous(q)
     for _ in range(5):
         z = [rng.randrange(DEFAULT_PRIME) for _ in range(3)]
@@ -184,7 +191,7 @@ def test_substitute_linear_functorial_composition():
     N = [[rng.randrange(DEFAULT_PRIME) for _ in range(2)] for _ in range(3)]
     MN = [[sum(M[r][t] * N[t][c] for t in range(3)) % DEFAULT_PRIME
            for c in range(2)] for r in range(4)]
-    assert substitute_linear(substitute_linear(p, M), N) == substitute_linear(p, MN)
+    assert substitute_linear(substitute_linear([p], M), N) == substitute_linear([p], MN)
 
 
 def test_substitute_linear_is_ring_homomorphism():
@@ -194,8 +201,9 @@ def test_substitute_linear_is_ring_homomorphism():
     for _ in range(10):
         a = random_poly(F, 3, 3, 4, rng)
         b = random_poly(F, 3, 3, 4, rng)
-        assert substitute_linear(a + b, M) == substitute_linear(a, M) + substitute_linear(b, M)
-        assert substitute_linear(a * b, M) == substitute_linear(a, M) * substitute_linear(b, M)
+        sa, sb, s_sum, s_prod = substitute_linear([a, b, a + b, a * b], M)
+        assert s_sum == sa + sb
+        assert s_prod == sa * sb
 
 
 @pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["QQ", "GFp"])
