@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, JSON determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -219,3 +220,44 @@ def test_verify_resonance_single_k_json(capsys):
     assert doc["status"] == "ok"
     claims = {o["claim"] for o in doc["outcomes"]}
     assert claims == {"resonance-example", "resonance-singular-degree"}
+
+
+# sha256 of the default --json stdout: a change to the engine must leave every
+# printed degree, trial outcome and claim of these commands as it is
+PINNED_JSON = {
+    "polar-fermat-cubic": (["polar", "--poly", "x0^3+x1^3+x2^3", "--json", "--seed", "3"],
+                           "81e87a16fc15fc33e1ea3f32b0c0c8dc9a0b74933e788f3f7a16d0c6d3b8fa75"),
+    "verify-corollary-deg": (["verify", "corollary-deg", "--json"],
+                             "1a2bab1c169b4c8c7ff073fc41c77ab6859bf43bbfebc54ee30d2dc2c9f55fb2"),
+    "verify-dolgachev": (["verify", "dolgachev", "--json"],
+                         "97a1fd312f978cee6dd7a7d5bbb428d20acb154ed47cc50d049712d750d7b7e1"),
+    "verify-gauss-theorem": (["verify", "gauss-theorem", "--json"],
+                             "ea1ca9cd1772ac6637785397e6005665e80e819e015b5a01977af25e44cd3ee7"),
+    "verify-invariance": (["verify", "invariance", "--json"],
+                          "c756a1a245bac772a3b32af5a652a10649cbb87af1ff03dee15dc17e2cdb608c"),
+    "verify-polar-relation": (["verify", "polar-relation", "--json"],
+                              "5740a43a06fa9bb9246067c8335063e2350ec5a9e2a87ea79e1c8dbf361672f1"),
+    "verify-product-bound": (["verify", "product-bound", "--json"],
+                             "7c4d74b5b0b2ee9fe285fa2b92ff73fca0df7d8b7d3f4a8f44dc7037d7528193"),
+    "verify-resonance-k2": (["verify", "resonance", "--k", "2", "--json"],
+                            "ee86e355e7664d9a2b7612df20d822af46b7f117001f88374f808a7314a3d57c"),
+    "gauss-triangle": (["gauss", "--poly", "x0*x1*x2", "--k", "2", "--i", "1", "--json"],
+                       "ea051dc45e8212f4016f17f6dbadddcb9b886cedb35b74e0b243547ca11ef3ae"),
+    "polar-weighted": (["polar", "--poly", "x2", "--poly", "x1^2-x0*x2", "--weights", "3,1",
+                        "--json"],
+                       "c53b73f61e2cad9ffac9a2fbce3be9989ca675829ad20affba02633058e52b69"),
+    "foliation-sing-degree": (["foliation", "--sing-degree", "--poly", "x0", "--poly", "x1",
+                               "--poly", "x2", "--weights", "1,1,-2", "--json"],
+                              "89148e7b0c5b81087c9fa99642814074d0c2121f868484a07227270b86f588f1"),
+    "gauss-foliation-from": (["gauss", "--foliation-from", "x0; x1; x2; 1,1,1", "--k", "3",
+                              "--i", "1", "--json"],
+                             "8bc4f024d23856fb34bcc78dc4dcdad09deb6b96665b00dc22255aad1af422c8"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_JSON))
+def test_default_json_output_is_pinned(capsys, name):
+    argv, digest = PINNED_JSON[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

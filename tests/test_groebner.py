@@ -333,6 +333,17 @@ def test_is_reduced_zero_dim_examples(Fp):
                                SeedStream(1))
     one_var = groebner([MultiPoly.from_terms(Fp, 1, [((2,), 1)])])
     assert not is_reduced_zero_dim(one_var, SeedStream(1))
+    # a fat point: dimension 3, but every form has a minimal polynomial of degree 2
+    fat = GB(gfp("x0^2", 2), gfp("x0*x1", 2), gfp("x1^2", 2))
+    assert quotient_dimension(fat) == 3
+    assert not is_reduced_zero_dim(fat, SeedStream(1))
+    # dimension 4 and minimal polynomial t^4: full degree, not squarefree
+    nilpotent = GB(gfp("x0^2 - x1", 2), gfp("x1^2", 2))
+    assert quotient_dimension(nilpotent) == 4
+    assert not is_reduced_zero_dim(nilpotent, SeedStream(1))
+    two_points = GB(gfp("x0^2 - 1", 2), gfp("x1 - 3", 2))
+    assert quotient_dimension(two_points) == 2
+    assert is_reduced_zero_dim(two_points, SeedStream(1))
 
 
 def test_fermat_quartic_fiber_reduced(Fp):
