@@ -35,6 +35,7 @@ from itertools import combinations
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
 from .fields import PrimeField
+from .linalg import row_reduce
 from .poly import MultiPoly, gcd_many
 from .rand import SeedStream
 
@@ -400,10 +401,13 @@ def _uni_gcd_is_unit(mu, field) -> bool:
 def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
     """Whether the zero-dimensional quotient is reduced with separated points.
 
-    Draws a random linear form, computes its minimal polynomial on the
-    quotient by linear algebra over the standard monomials, and accepts iff
-    the minimal polynomial is squarefree of degree equal to the quotient
-    dimension.  A non-separating form yields a false negative; callers retry.
+    Draws a random linear form ell and writes the normal forms of 1, ell,
+    ..., ell^dim over the standard monomials.  The quotient is reduced with
+    ell separating its points iff ell's minimal polynomial has degree dim
+    and is squarefree: iff 1, ..., ell^(dim-1) are independent, so that
+    sum a_k ell^k = -ell^dim has one solution, and t^dim + sum a_k t^k is
+    coprime to its derivative.  A non-separating form yields a false
+    negative; callers retry.
     """
     field = G.field
     if not is_zero_dimensional(G):
@@ -420,36 +424,25 @@ def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
             break
     ell = [(v, c) for v, c in enumerate(coeffs) if c != zero]
 
-    def run(pk):
+    def matrix(pk):
+        """Columns ell^0 .. ell^(dim-1), then -ell^dim, over the standard monomials."""
         index = {pk.pack(m): i for i, m in enumerate(std)}
         basis, units = G.packed(pk), pk.units
-        # incremental row echelon over the standard-monomial coordinates,
-        # tracking each reduced row as a combination of the power vectors
-        pivots: list[tuple[int, list, list]] = []
+        rows = [[zero] * (dim + 1) for _ in range(dim)]
         power = [(0, one)]          # ell^k in normal form, packed
-        for k in range(dim + 1):
-            vec = [zero] * dim
+        for k in range(dim):
             for m, c in power:
-                vec[index[m]] = c
-            combo = [zero] * (dim + 1)
-            combo[k] = one
-            for piv, row, rcombo in pivots:
-                c = vec[piv]
-                if c == zero:
-                    continue
-                vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
-                combo = [field.sub(a, field.mul(c, b)) for a, b in zip(combo, rcombo)]
-            piv = next((i for i, c in enumerate(vec) if c != zero), None)
-            if piv is None:
-                # dependency: combo gives the minimal polynomial of ell
-                return k == dim and _uni_gcd_is_unit(combo[:k + 1], field)
-            inv = field.inv(vec[piv])
-            vec = [field.mul(c, inv) for c in vec]
-            combo = [field.mul(c, inv) for c in combo]
-            pivots.append((piv, vec, combo))
+                rows[index[m]][k] = c
             # ell * power as one shifted copy of power per variable of ell
             power = _reduce([(m + units[v], c * a) for v, a in ell for m, c in power],
                             basis, pk.guards, field.modulus)
-        raise AssertionError("minimal polynomial search exceeded quotient dimension")
+        for m, c in power:
+            rows[index[m]][dim] = field.neg(c)
+        return rows
 
-    return _widening(G.nvars, max(map(sum, std)) + 1, run, G.packing)
+    # passed on as a temporary, the matrix is freed as row_reduce replaces it
+    rref, pivots = row_reduce(_widening(G.nvars, max(map(sum, std)) + 1, matrix, G.packing),
+                              field)
+    if pivots != list(range(dim)):
+        return False
+    return _uni_gcd_is_unit([row[dim] for row in rref] + [one], field)

@@ -20,9 +20,8 @@ from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField, RationalField
 from .groebner import (common_factor, groebner, is_reduced_zero_dim,
                        is_zero_dimensional, quotient_dimension)
-from .linalg import rank, solve_affine
-from .poly import (HomogeneousForm, MultiPoly, exact_divide, gradient, linear_combination,
-                   substitute_all)
+from .linalg import rank
+from .poly import HomogeneousForm, MultiPoly, exact_divide, gradient, linear_combination
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
@@ -264,7 +263,10 @@ def _trial_fiber_count(comps, n, i, field, stream):
     dimension <= i - 1; base points are removed by the saturation
     u * ell0(phi) = 1.  So a generic Lambda of codimension i misses Z meet
     H: every point of Z meet Lambda lies in the chart, and at i = 0 the
-    finite fiber misses H.
+    finite fiber misses H.  Lambda's i affine forms join the generators:
+    being independent and affine-linear in the chart coordinates, they
+    eliminate i of them, so the quotient is isomorphic to that of the fiber
+    system restricted to Lambda, with the same dimension and reducedness.
     """
     width = n + 1
     # generic target plane L of dimension i as n-i linear forms, plus an
@@ -273,31 +275,20 @@ def _trial_fiber_count(comps, n, i, field, stream):
     ell0 = random_vector(field, width, stream)
     if rank(target_rows + [ell0], field) != n - i + 1:
         return None
-    nz = n - i + 1              # free chart coordinates plus u (last)
-    if i == 0:
-        # components are homogeneous: setting x_n = 1 merges no two terms
-        sub = [MultiPoly(field, nz, {exp[:n] + (0,): c for exp, c in comp.terms.items()})
-               for comp in comps]
-    else:
-        # generic source plane Lambda as i linear forms, solved in the chart
-        source_rows = [random_vector(field, width, stream) for _ in range(i)]
-        solved = solve_affine([row[:n] for row in source_rows],
-                              [field.neg(row[n]) for row in source_rows], field)
-        if solved is None:
-            return None
-        pivots, exprs = solved
-        free = [a for a in range(n) if a not in pivots]
-        one = MultiPoly.one(field, nz)
-        z = {a: MultiPoly.variable(field, nz, t) for t, a in enumerate(free)}
-        images = [z.get(a) for a in range(n)] + [one]
-        for (const, coeffs), a in zip(exprs, pivots):
-            images[a] = linear_combination([const, *map(field.neg, coeffs.values())],
-                                           [one, *(z[c] for c in coeffs)])
-        sub = substitute_all(comps, images)
+    # generic source plane Lambda as i linear forms, independent in the chart
+    source_rows = [random_vector(field, width, stream) for _ in range(i)]
+    if rank([row[:n] for row in source_rows], field) != i:
+        return None
+    # chart coordinates x_0 .. x_{n-1}, then u; the components are
+    # homogeneous, so setting x_n = 1 merges no two terms
+    one = MultiPoly.one(field, width)
+    sub = [MultiPoly(field, width, {exp[:n] + (0,): c for exp, c in comp.terms.items()})
+           for comp in comps]
     gens = [linear_combination(row, sub) for row in target_rows]
-    aux = linear_combination(ell0, sub)
-    u = MultiPoly.variable(field, nz, nz - 1)
-    gens.append(u * aux - MultiPoly.one(field, nz))
+    u = MultiPoly.variable(field, width, n)
+    gens.append(u * linear_combination(ell0, sub) - one)
+    chart = [MultiPoly.variable(field, width, a) for a in range(n)] + [one]
+    gens += [linear_combination(row, chart) for row in source_rows]
     G = groebner(gens)
     if not is_zero_dimensional(G):
         return (False, False, None)

@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import plane_map_fiber_count
 from conftest import gfp, qq
-from polardeg import polar
+from polardeg import linalg, polar, poly
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import HomogeneousForm, MultiPoly
@@ -162,9 +162,19 @@ def test_chart_hyperplane_as_a_component(text, nvars, profile, prime):
         assert all(t.reduced for r in reports for t in r.trials)
 
 
-def test_level_zero_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
+def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     m = polar_map(qq("x2*(x1^2 - x0*x2)")).to_field(Fp)
     comps, n, seed = m.polys(), m.source_dim, 5
+    # replay the first trial's stream: n - i target rows, ell0, i source rows
+    stream = SeedStream(SeedStream(seed).child_seed())
+    rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
+    chart = [MultiPoly.variable(Fp, n + 1, a) for a in range(n)] + [MultiPoly.one(Fp, n + 1)]
+    dehom = [c.substitute(chart) for c in comps]
+
+    def combination(row, polys):
+        return sum((p.scale(r) for r, p in zip(row, polys)), MultiPoly.zero(Fp, n + 1))
+
+    u = MultiPoly.variable(Fp, n + 1, n)
     ideals = []
     real_groebner = polar.groebner
 
@@ -172,28 +182,22 @@ def test_level_zero_generators_are_the_dehomogenized_combinations(Fp, monkeypatc
         ideals.append(polys)
         return real_groebner(polys)
 
-    monkeypatch.setattr(polar, "groebner", capture)
-    map_degree(m, 1, trials=1, seed=seed, field=Fp)
-    assert all(g.nvars == n for g in ideals[0])
-
-    # replay the first trial's stream: n target rows, then ell0
-    stream = SeedStream(SeedStream(seed).child_seed())
-    rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
-    chart = [MultiPoly.variable(Fp, n + 1, a) for a in range(n)] + [MultiPoly.one(Fp, n + 1)]
-    dehom = [c.substitute(chart) for c in comps]
-    combos = [sum((d.scale(r) for r, d in zip(row, dehom)), MultiPoly.zero(Fp, n + 1))
-              for row in rows]
-    u = MultiPoly.variable(Fp, n + 1, n)
-
     def refuse(*args):
-        raise AssertionError("level 0 solves and substitutes nothing")
+        raise AssertionError("a trial solves and substitutes nothing")
 
+    monkeypatch.setattr(polar, "groebner", capture)
     monkeypatch.setattr(MultiPoly, "substitute", refuse)
-    monkeypatch.setattr(polar, "substitute_all", refuse)
-    monkeypatch.setattr(polar, "solve_affine", refuse)
-    ideals.clear()
-    assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 1
-    assert list(ideals[0]) == combos[:n] + [u * combos[n] - MultiPoly.one(Fp, n + 1)]
+    monkeypatch.setattr(poly, "substitute_all", refuse)
+    monkeypatch.setattr(linalg, "solve_affine", refuse)
+    for i, value in ((0, 1), (1, 2)):
+        ideals.clear()
+        assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
+        target, ell0, source = rows[:n - i], rows[n - i], rows[n - i + 1:]
+        expected = ([combination(row, dehom) for row in target]
+                    + [u * combination(ell0, dehom) - MultiPoly.one(Fp, n + 1)]
+                    + [combination(row, chart) for row in source])
+        assert list(ideals[0]) == expected
+        assert all(g.nvars == n + 1 for g in ideals[0])
 
 
 def test_rational_map_rep_validation():
