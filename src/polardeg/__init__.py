@@ -10,8 +10,7 @@ from .foliations import (LogFoliation, associated_foliation, e_degree,
 from .groebner import (GroebnerBasis, groebner, ideal_dimension, is_reduced_zero_dim,
                        is_zero_dimensional, normal_form, quotient_dimension)
 from .parse import emit_report, parse_poly, parse_weights
-from .poly import (HomogeneousForm, MultiPoly, euler_contraction,
-                   gcd_multivariate, gradient, poly_str)
+from .poly import MultiPoly, euler_contraction, gcd_multivariate, gradient, poly_str
 from .polar import (DegreeReport, RationalMapRep, TrialOutcome,
                     WeightedFunction, map_degree, polar_map,
                     polar_degrees_profile, weighted_polar_map)

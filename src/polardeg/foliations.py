@@ -17,7 +17,7 @@ from .errors import DegenerateInputError, FieldMismatchError, GenericityError
 from .fields import PrimeField, RationalField
 from .groebner import common_factor, groebner, ideal_dimension
 from .linalg import rank
-from .poly import (HomogeneousForm, MultiPoly, euler_contraction, exact_divide,
+from .poly import (MultiPoly, euler_contraction, exact_divide, homogeneous_degree,
                    linear_combination, linear_images, substitute_all)
 from .polar import (DEFAULT_TRIALS, DegreeReport, RationalMapRep,
                     WeightedFunction, map_degree, weighted_gradient)
@@ -32,14 +32,13 @@ def integrability_defect(coeffs) -> list:
     For w = sum(a_i dx_i) returns, for every i<j<k, the coefficient of
     dx_i^dx_j^dx_k in w^dw; the form is integrable iff all vanish.
     """
-    polys = [c.poly if isinstance(c, HomogeneousForm) else c for c in coeffs]
-    n = len(polys)
-    d = [[polys[j].diff(i) for j in range(n)] for i in range(n)]
+    n = len(coeffs)
+    d = [[coeffs[j].diff(i) for j in range(n)] for i in range(n)]
     out = []
     for i, j, k in combinations(range(n), 3):
-        c = (polys[i] * (d[j][k] - d[k][j])
-             - polys[j] * (d[i][k] - d[k][i])
-             + polys[k] * (d[i][j] - d[j][i]))
+        c = (coeffs[i] * (d[j][k] - d[k][j])
+             - coeffs[j] * (d[i][k] - d[k][i])
+             + coeffs[k] * (d[i][j] - d[j][i]))
         out.append(c)
     return out
 
@@ -55,18 +54,15 @@ class LogFoliation:
 
     @property
     def field(self):
-        return self.coeffs[0].poly.field
+        return self.coeffs[0].field
 
     @property
     def nvars(self) -> int:
-        return self.coeffs[0].poly.nvars
+        return self.coeffs[0].nvars
 
     @property
     def ambient_dim(self) -> int:
         return self.nvars - 1
-
-    def polys(self):
-        return [c.poly for c in self.coeffs]
 
     def to_field(self, field) -> "LogFoliation":
         """The reduction mod p, checked as the reduction of the Gauss map."""
@@ -88,27 +84,29 @@ def logarithmic_form(W: WeightedFunction) -> tuple:
     comps = weighted_gradient(W)
     if all(c.is_zero() for c in comps):
         raise DegenerateInputError("weights annihilate the differential")
-    return tuple(HomogeneousForm.of(c) for c in comps)
+    return tuple(comps)
 
 
 def foliation_from_form(coeffs) -> LogFoliation:
     """Check a 1-form given from outside and clear it with `_clear_form`.
 
-    Requires a nonzero form, one coefficient per variable, zero radial
-    contraction and exact integrability of the cleared form.
+    Requires a nonzero form with one coefficient per variable, all
+    homogeneous of one degree.  Zero radial contraction and integrability
+    are checked on the cleared form: clearing keeps each and creates
+    neither.
     """
-    polys = [c.poly if isinstance(c, HomogeneousForm) else c for c in coeffs]
+    polys = list(coeffs)
     if all(p.is_zero() for p in polys):
         raise DegenerateInputError("zero 1-form")
     nv = polys[0].nvars
     if len(polys) != nv:
         raise FieldMismatchError(
             f"need {nv} coefficients for {nv} variables, got {len(polys)}")
-    if not euler_contraction(polys).is_zero():
+    fol = _clear_form(polys)
+    if not euler_contraction(fol.coeffs).is_zero():
         raise DegenerateInputError(
             "radial contraction is nonzero: the form does not descend to projective space")
-    fol = _clear_form(polys)
-    if any(not d.is_zero() for d in integrability_defect(fol.polys())):
+    if any(not d.is_zero() for d in integrability_defect(fol.coeffs)):
         raise DegenerateInputError("1-form is not integrable")
     return fol
 
@@ -116,10 +114,13 @@ def foliation_from_form(coeffs) -> LogFoliation:
 def _clear_form(polys) -> LogFoliation:
     """Divide out the coefficient gcd, make the form monic, read the degree.
 
-    Checks neither integrability nor the contraction; clearing keeps both,
+    Refuses coefficients that are not homogeneous of one degree.  Checks
+    neither integrability nor the contraction; clearing keeps both,
     as (w/g) ^ d(w/g) = (w ^ dw) / g^2.  The gcd is 1 afterwards, so the
     singular set has codimension at least two.
     """
+    if len({homogeneous_degree(p) for p in polys} - {-1}) != 1:
+        raise DegenerateInputError("coefficient degrees differ")
     field = polys[0].field
     g = common_factor(polys)
     if not g.is_constant():
@@ -129,13 +130,7 @@ def _clear_form(polys) -> LogFoliation:
     if lead != field.one():
         inv = field.inv(lead)
         polys = [p.scale(inv) for p in polys]
-    degs = {p.total_degree() for p in polys if not p.is_zero()}
-    if len(degs) != 1:
-        raise DegenerateInputError("coefficient degrees differ after clearing")
-    coeff_deg = degs.pop()
-    return LogFoliation(tuple(HomogeneousForm(p, coeff_deg if not p.is_zero() else -1)
-                              for p in polys),
-                        coeff_deg - 1)
+    return LogFoliation(tuple(polys), first.total_degree() - 1)
 
 
 def associated_foliation(W: WeightedFunction) -> LogFoliation:
@@ -152,7 +147,7 @@ def associated_foliation(W: WeightedFunction) -> LogFoliation:
     field, nv = W.field, W.nvars
     comps = weighted_gradient(W)
     mu = W.integer_weights()
-    total = sum(m * f.degree for m, f in zip(mu, W.factors))
+    total = sum(m * f.total_degree() for m, f in zip(mu, W.factors))
     lifted = [MultiPoly(field, nv + 1,
                         {exp + (1,): c for exp, c in p.terms.items()})
               for p in comps]
@@ -183,7 +178,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFol
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("generic restriction runs over a prime field")
     stream = SeedStream(seed)
-    polys = fol.polys()
+    polys = fol.coeffs
     failure = "no draw accepted"
     for _ in range(_RESTRICT_BUDGET):
         matrix = [[random_scalar(field, stream) for _ in range(k + 1)]
@@ -241,7 +236,7 @@ def singular_scheme_degree_p2(fol: LogFoliation) -> int:
     """
     if fol.ambient_dim != 2:
         raise DegenerateInputError("singular scheme degree is computed on the plane only")
-    G = groebner(fol.polys())
+    G = groebner(fol.coeffs)
     if ideal_dimension(G) > 1:
         raise DegenerateInputError("singular scheme has positive dimension")
     lead = G.lead_exps

@@ -6,7 +6,7 @@ Polynomial grammar (explicit `*` between factors, no juxtaposition):
     term     := factor ('*' factor)*
     factor   := base ('^' nat)?
     base     := rational | var | '(' expr ')'
-    var      := 'x' nat            (or a declared variable name)
+    var      := 'x' nat
     rational := nat ('/' nat)?
 
 Weights are comma-separated nonzero rationals like "1,-1,2/3".
@@ -76,15 +76,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, nvars: int, field, variables=None):
+    def __init__(self, text: str, nvars: int, field):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nvars = nvars
         self.field = field
-        if variables is not None and len(variables) != nvars:
-            raise ValueError("variable name list length must equal nvars")
-        self.varmap = ({name: i for i, name in enumerate(variables)}
-                       if variables is not None else None)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -175,10 +171,6 @@ class _Parser:
 
     def var_index(self, tok: _Token) -> int:
         name = tok.text
-        if self.varmap is not None:
-            if name not in self.varmap:
-                raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
-            return self.varmap[name]
         if name.startswith("x") and name[1:].isdigit():
             k = int(name[1:])
             if k < self.nvars:
@@ -187,9 +179,9 @@ class _Parser:
                          tok.line, tok.col)
 
 
-def parse_poly(text: str, nvars: int, field, variables=None) -> MultiPoly:
-    """Parse a polynomial in x0..x{nvars-1} (or the declared names) over field."""
-    return _Parser(text, nvars, field, variables).parse()
+def parse_poly(text: str, nvars: int, field) -> MultiPoly:
+    """Parse a polynomial in x0..x{nvars-1} over field."""
+    return _Parser(text, nvars, field).parse()
 
 
 def parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -211,8 +203,7 @@ def parse_weights(text: str) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def emit_report(report, *, command: str, polys, weights, nvars: int, field,
-                message: str | None = None) -> str:
+def emit_report(report, *, command: str, polys, weights, nvars: int, field) -> str:
     """Serialize one degree report (or a profile of them) as stable JSON.
 
     `report` is a DegreeReport or a sequence of them (one per level, in which
@@ -246,13 +237,7 @@ def emit_report(report, *, command: str, polys, weights, nvars: int, field,
     doc["stable"] = stable
     if any(r.value is None for r in reports):
         doc["status"] = "error"
-        doc["message"] = message or "no majority value across trials"
-    elif not stable:
-        doc["status"] = "unstable"
-        if message:
-            doc["message"] = message
+        doc["message"] = "no majority value across trials"
     else:
-        doc["status"] = "ok"
-        if message:
-            doc["message"] = message
+        doc["status"] = "ok" if stable else "unstable"
     return json.dumps(doc, indent=2)

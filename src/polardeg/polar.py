@@ -21,14 +21,15 @@ from .fields import PrimeField, RationalField
 from .groebner import (common_factor, groebner, is_reduced_zero_dim,
                        is_zero_dimensional, quotient_dimension)
 from .linalg import rank
-from .poly import HomogeneousForm, MultiPoly, exact_divide, gradient, linear_combination
+from .poly import (MultiPoly, exact_divide, gradient, homogeneous_degree,
+                   linear_combination)
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
 DEFAULT_RETRIES = 3
 
 
-def _is_squarefree(form: HomogeneousForm) -> bool:
+def _is_squarefree(F: MultiPoly) -> bool:
     """F and all its partial derivatives have no common factor.
 
     common_factor decides it from a Groebner basis of (F, dF/dx0, ...); the
@@ -39,7 +40,7 @@ def _is_squarefree(form: HomogeneousForm) -> bool:
     lower degree.  Every prime field here has p >= MIN_PRIME, far above the
     degree of any form the engine can handle.
     """
-    return common_factor([form.poly, *gradient(form.poly)]).is_constant()
+    return common_factor([F, *gradient(F)]).is_constant()
 
 
 @dataclass(frozen=True)
@@ -52,39 +53,38 @@ class WeightedFunction:
 
     @classmethod
     def of(cls, factors, weights) -> "WeightedFunction":
-        factors = tuple(f if isinstance(f, HomogeneousForm) else HomogeneousForm.of(f)
-                        for f in factors)
+        factors = tuple(factors)
         weights = tuple(Fraction(w) for w in weights)
         if not factors or len(factors) != len(weights):
             raise DegenerateInputError("need equally many factors and weights, at least one")
         if any(w == 0 for w in weights):
             raise DegenerateInputError("weights must be nonzero")
-        field, nv = factors[0].poly.field, factors[0].poly.nvars
+        field, nv = factors[0].field, factors[0].nvars
         for f in factors:
-            if f.poly.field != field or f.poly.nvars != nv:
+            if f.field != field or f.nvars != nv:
                 raise FieldMismatchError("factors live in different rings")
-            if f.degree < 1:
+            if homogeneous_degree(f) < 1:
                 raise DegenerateInputError("factors must be nonconstant homogeneous forms")
             if not _is_squarefree(f):
-                raise DegenerateInputError(f"factor {f.poly} is not squarefree")
+                raise DegenerateInputError(f"factor {f} is not squarefree")
         for a in range(len(factors)):
             for b in range(a + 1, len(factors)):
-                if not common_factor([factors[a].poly, factors[b].poly]).is_constant():
+                if not common_factor([factors[a], factors[b]]).is_constant():
                     raise DegenerateInputError(
-                        f"factors {factors[a].poly} and {factors[b].poly} share a component")
+                        f"factors {factors[a]} and {factors[b]} share a component")
         return cls(factors, weights)
 
     @property
     def field(self):
-        return self.factors[0].poly.field
+        return self.factors[0].field
 
     @property
     def nvars(self) -> int:
-        return self.factors[0].poly.nvars
+        return self.factors[0].nvars
 
     @property
     def total_degree(self) -> Fraction:
-        return sum((w * f.degree for f, w in zip(self.factors, self.weights)),
+        return sum((w * f.total_degree() for f, w in zip(self.factors, self.weights)),
                    Fraction(0))
 
     def integer_weights(self) -> tuple:
@@ -95,7 +95,7 @@ class WeightedFunction:
     def product(self) -> MultiPoly:
         out = MultiPoly.one(self.field, self.nvars)
         for f in self.factors:
-            out = out * f.poly
+            out = out * f
         return out
 
 
@@ -109,11 +109,10 @@ class RationalMapRep:
 
     @classmethod
     def of(cls, components) -> "RationalMapRep":
-        components = tuple(c if isinstance(c, HomogeneousForm) else HomogeneousForm.of(c)
-                           for c in components)
+        components = tuple(components)
         if not components:
             raise DegenerateInputError("map needs components")
-        field, nv = components[0].poly.field, components[0].poly.nvars
+        field, nv = components[0].field, components[0].nvars
         if nv < 2:
             raise DegenerateInputError(
                 f"a rational map needs a source of dimension at least 1, not P^{nv - 1}")
@@ -121,9 +120,9 @@ class RationalMapRep:
             raise DegenerateInputError(
                 f"a self-map of P^{nv - 1} needs {nv} components, got {len(components)}")
         for c in components:
-            if c.poly.field != field or c.poly.nvars != nv:
+            if c.field != field or c.nvars != nv:
                 raise FieldMismatchError("components live in different rings")
-        degs = {c.degree for c in components if not c.is_zero()}
+        degs = {homogeneous_degree(c) for c in components} - {-1}
         if not degs:
             raise DegenerateInputError("all components are zero")
         if len(degs) > 1:
@@ -132,22 +131,15 @@ class RationalMapRep:
 
     @property
     def field(self):
-        return self.components[0].poly.field
+        return self.components[0].field
 
     @property
     def nvars(self) -> int:
-        return self.components[0].poly.nvars
+        return self.components[0].nvars
 
     @property
     def source_dim(self) -> int:
         return len(self.components) - 1
-
-    @property
-    def degree(self) -> int:
-        return max(c.degree for c in self.components)
-
-    def polys(self):
-        return [c.poly for c in self.components]
 
     def to_field(self, field) -> "RationalMapRep":
         if field == self.field:
@@ -158,7 +150,7 @@ class RationalMapRep:
         return reduced
 
     def _reduce(self, field) -> "RationalMapRep":
-        polys = [c.poly.to_field(field) for c in self.components]
+        polys = [c.to_field(field) for c in self.components]
         # a homogeneous form keeps its degree mod p unless it vanishes
         if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.components)):
             raise DegenerateInputError(
@@ -167,7 +159,7 @@ class RationalMapRep:
         # factor over QQ is computed only when one shows up mod p
         common = common_factor(polys)
         if (not common.is_constant()
-                and common.total_degree() > common_factor(self.polys()).total_degree()):
+                and common.total_degree() > common_factor(self.components).total_degree()):
             raise DegenerateInputError(
                 f"bad reduction: the components gain a common factor {common} "
                 f"modulo {field.modulus}")
@@ -204,12 +196,11 @@ class DegreeReport:
         return cls(i, value, trials, stable)
 
 
-def polar_map(F: HomogeneousForm | MultiPoly) -> RationalMapRep:
+def polar_map(F: MultiPoly) -> RationalMapRep:
     """The rational self-map given by all first partial derivatives."""
-    form = F if isinstance(F, HomogeneousForm) else HomogeneousForm.of(F)
-    if form.degree < 1:
+    if homogeneous_degree(F) < 1:
         raise DegenerateInputError("polar map needs a nonconstant form")
-    return RationalMapRep.of([form.poly.diff(v) for v in range(form.poly.nvars)])
+    return RationalMapRep.of(gradient(F))
 
 
 def weighted_gradient(W: WeightedFunction) -> list:
@@ -219,7 +210,7 @@ def weighted_gradient(W: WeightedFunction) -> list:
     other factors.
     """
     field, nv = W.field, W.nvars
-    polys = [f.poly for f in W.factors]
+    polys = W.factors
     k = len(polys)
     prefix = [MultiPoly.one(field, nv)]
     for p in polys:
@@ -298,7 +289,11 @@ def _trial_fiber_count(comps, n, i, field, stream):
 
 def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
                seed: int = 0, field=None) -> DegreeReport:
-    """deg_i of the map by majority vote over exact randomized fiber counts."""
+    """deg_i of the map by majority vote over exact randomized fiber counts.
+
+    A trial redraws a degenerate, non-reduced or empty fiber up to
+    DEFAULT_RETRIES times and keeps its last draw.
+    """
     n = m.source_dim
     if not 0 <= i <= n - 1:
         raise DegenerateInputError(f"level must satisfy 0 <= i <= {n - 1}, got {i}")
@@ -312,7 +307,7 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
         m = m.to_field(field)
     elif m.field != field:
         raise FieldMismatchError("map is over a different prime field")
-    comps = m.polys()
+    comps = m.components
     master = SeedStream(seed)
     outcomes = []
     for _ in range(trials):
@@ -324,7 +319,7 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
             if res is None:
                 continue            # degenerate linear draw, redraw
             zero_dim, reduced, value = res
-            if reduced:
+            if reduced and value:
                 break
         outcomes.append(TrialOutcome(trial_seed, value, zero_dim, reduced))
     return DegreeReport.from_trials(i, outcomes)

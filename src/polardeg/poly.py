@@ -14,8 +14,6 @@ normalized so the lexicographically leading scalar coefficient is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateInputError, FieldMismatchError
 from .fields import RationalField
 
@@ -322,34 +320,12 @@ def poly_str(p: MultiPoly) -> str:
     return "".join(pieces)
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
-    """A homogeneous polynomial with its degree; zero carries degree -1."""
-
-    poly: MultiPoly
-    degree: int
-
-    def __post_init__(self):
-        if self.poly.is_zero():
-            if self.degree != -1:
-                raise DegenerateInputError("zero form must carry degree marker -1")
-            return
-        degs = {sum(exp) for exp in self.poly.terms}
-        if degs != {self.degree}:
-            raise DegenerateInputError(
-                f"polynomial is not homogeneous of degree {self.degree}")
-
-    @classmethod
-    def of(cls, poly: MultiPoly) -> "HomogeneousForm":
-        if poly.is_zero():
-            return cls(poly, -1)
-        degs = {sum(exp) for exp in poly.terms}
-        if len(degs) != 1:
-            raise DegenerateInputError(f"{poly} is not homogeneous")
-        return cls(poly, degs.pop())
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
+def homogeneous_degree(p: MultiPoly) -> int:
+    """The degree of a homogeneous p, -1 for zero; refuses any other p."""
+    degs = {sum(exp) for exp in p.terms}
+    if len(degs) > 1:
+        raise DegenerateInputError(f"{p} is not homogeneous")
+    return degs.pop() if degs else -1
 
 
 def euler_contraction(forms) -> MultiPoly:
@@ -358,10 +334,9 @@ def euler_contraction(forms) -> MultiPoly:
     Returns sum(x_i * a_i); it vanishes exactly when the form descends to
     projective space.
     """
-    forms = list(forms)
-    if not forms:
+    polys = list(forms)
+    if not polys:
         raise ValueError("empty coefficient sequence")
-    polys = [f.poly if isinstance(f, HomogeneousForm) else f for f in forms]
     field, nvars = polys[0].field, polys[0].nvars
     if nvars != len(polys):
         raise FieldMismatchError(

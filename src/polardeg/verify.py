@@ -20,7 +20,7 @@ from .foliations import (LogFoliation, associated_foliation, e_degree,
                          expected_plane_singular_degree, foliation_from_form,
                          logarithmic_form, singular_scheme_degree_p2)
 from .parse import parse_poly
-from .poly import HomogeneousForm, MultiPoly
+from .poly import MultiPoly
 from .polar import (DEFAULT_TRIALS, WeightedFunction, map_degree, polar_map,
                     weighted_polar_map)
 
@@ -56,13 +56,15 @@ class VerificationOutcome:
 def _memo(fn, obj, *args, trials, seed, field, cache):
     """fn(obj, *args, ...) through the memo dict cache; None memoizes nothing.
 
-    The key holds fn's name, so map_degree and e_degree entries never meet.
+    The key holds fn's name, so map_degree and e_degree entries never meet,
+    and obj itself: a frozen map or foliation hashes and compares by its
+    polys, not by its cached reductions.
     Callers pass fn as looked up in this module at call time, so a wrapper
     swapped onto the module attribute sees every call that is computed.
     """
     field = GF(DEFAULT_PRIME) if field is None else field
     cache = {} if cache is None else cache
-    key = (fn.__name__, tuple(obj.polys()), *args, trials, seed, field.modulus)
+    key = (fn.__name__, obj, *args, trials, seed, field.modulus)
     if key not in cache:
         cache[key] = fn(obj, *args, trials=trials, seed=seed, field=field)
     return cache[key]
@@ -185,10 +187,9 @@ def verify_product_bound(F1, F2, i: int, trials: int = DEFAULT_TRIALS,
                          instance: str = "") -> VerificationOutcome:
     """deg_i of the polar of a coprime product dominates both factors' deg_i."""
     memo = partial(_memo, trials=trials, field=field, cache=cache)
-    f1, f2 = (F.poly if isinstance(F, HomogeneousForm) else F for F in (F1, F2))
-    lhs = memo(map_degree, polar_map(f1 * f2), i, seed=derive_seed(seed, 5, i))
-    r1 = memo(map_degree, polar_map(f1), i, seed=derive_seed(seed, 6, i))
-    r2 = memo(map_degree, polar_map(f2), i, seed=derive_seed(seed, 7, i))
+    lhs = memo(map_degree, polar_map(F1 * F2), i, seed=derive_seed(seed, 5, i))
+    r1 = memo(map_degree, polar_map(F1), i, seed=derive_seed(seed, 6, i))
+    r2 = memo(map_degree, polar_map(F2), i, seed=derive_seed(seed, 7, i))
     return _outcome("product-degree-bound", instance or f"i={i}",
                     (lhs, r1, r2), (lhs.value,), (r1.value, r2.value),
                     lambda left, right: left[0] >= max(right))

@@ -143,9 +143,9 @@ def test_criterion_8_property_suites(Fp):
         assert euler_contraction(gradient(F)) == F.scale(QQ.from_int(d))
     # constructed foliations: zero contraction and integrability (<= 4 vars)
     for name, fol in corpus_foliations().items():
-        assert euler_contraction(fol.polys()).is_zero()
+        assert euler_contraction(fol.coeffs).is_zero()
         if fol.nvars <= 4:
-            assert all(w.is_zero() for w in integrability_defect(fol.polys()))
+            assert all(w.is_zero() for w in integrability_defect(fol.coeffs))
     # Buchberger criterion on a small instance
     G = groebner([qq("x0^2 - x1*x2"), qq("x0*x1 - x2^2")])
     for a in range(len(G.basis)):

@@ -222,6 +222,12 @@ def test_verify_resonance_single_k_json(capsys):
     assert claims == {"resonance-example", "resonance-singular-degree"}
 
 
+def test_verify_resonance_redraws_an_empty_fiber():
+    # at this seed one draw of a trial meets the fiber nowhere; counted as a
+    # reduced 0 it outvoted the pencil's degree
+    assert main(["verify", "resonance", "--seed", "77", "--prime", "1000003"]) == 0
+
+
 # sha256 of the default --json stdout: a change to the engine must leave every
 # printed degree, trial outcome and claim of these commands as it is
 PINNED_JSON = {

@@ -13,8 +13,8 @@ from polardeg.foliations import (LogFoliation, associated_foliation, e_degree,
                                  restrict_to_generic_subspace,
                                  singular_scheme_degree_p2)
 from polardeg.groebner import groebner, ideal_dimension
-from polardeg.poly import HomogeneousForm, euler_contraction, gcd_many
-from polardeg.polar import WeightedFunction, map_degree
+from polardeg.poly import euler_contraction, gcd_many
+from polardeg.polar import RationalMapRep, WeightedFunction, map_degree, polar_map
 from polardeg.verify import corpus_foliations, resonance_plane_foliation
 
 
@@ -22,9 +22,21 @@ def wf(texts, weights, nvars=3):
     return WeightedFunction.of([qq(t, nvars) for t in texts], weights)
 
 
+@pytest.mark.parametrize("build", [
+    lambda p: WeightedFunction.of([p], [1]),
+    lambda p: RationalMapRep.of([p, qq("x1^2"), qq("x2^2")]),
+    polar_map,
+    # the gcd x2 + 1 would clear to a homogeneous form: checked before clearing
+    lambda p: foliation_from_form([p, qq("0 - x0*x2 - x0"), qq("0")]),
+], ids=["weighted-function", "rational-map", "polar-map", "foliation-from-form"])
+def test_containers_refuse_a_non_homogeneous_poly(build):
+    with pytest.raises(DegenerateInputError, match="not homogeneous"):
+        build(qq("x1*x2 + x1"))
+
+
 def test_logarithmic_form_projective_line():
     coeffs = logarithmic_form(wf(["x0", "x1"], [1, -1], nvars=2))
-    assert [str(c.poly) for c in coeffs] == ["x1", "-x0"]
+    assert [str(c) for c in coeffs] == ["x1", "-x0"]
 
 
 def test_logarithmic_form_euler_formula():
@@ -47,8 +59,8 @@ def test_foliation_from_form_projective_line():
 def test_foliation_from_form_clears_gcd_once():
     # x0 * (pencil form): clearing recovers the unit-gcd representative
     fol = foliation_from_form([qq("x0*x1"), qq("0 - x0^2"), qq("0")])
-    assert [str(c.poly) for c in fol.coeffs] == ["x1", "-x0", "0"]
-    assert gcd_many(fol.polys()).is_constant()
+    assert [str(c) for c in fol.coeffs] == ["x1", "-x0", "0"]
+    assert gcd_many(fol.coeffs).is_constant()
 
 
 def test_foliation_from_form_rejects_bad_input():
@@ -56,6 +68,8 @@ def test_foliation_from_form_rejects_bad_input():
         foliation_from_form([qq("x0", 2), qq("x1", 2)])      # contraction nonzero
     with pytest.raises(DegenerateInputError):
         foliation_from_form([qq("0", 2), qq("0", 2)])
+    with pytest.raises(DegenerateInputError, match="degrees differ"):
+        foliation_from_form([qq("x1"), qq("0 - x0^2"), qq("0")])
 
 
 def test_foliation_from_form_rejects_nonintegrable():
@@ -76,21 +90,21 @@ def test_foliation_singular_sets_have_codimension_two(Fp):
     fols += [restrict_to_generic_subspace(p4.to_field(Fp), k, seed=k) for k in (2, 3)]
     assert {f.ambient_dim for f in fols} == {2, 3, 4}
     for fol in fols:
-        G = groebner(fol.polys())
+        G = groebner(fol.coeffs)
         assert ideal_dimension(G) <= fol.nvars - 2
 
 
 def test_associated_foliation_conic():
     fol = associated_foliation(wf(["x0^2 + x1^2 + x2^2"], [1]))
-    assert [str(c.poly) for c in fol.coeffs] == \
+    assert [str(c) for c in fol.coeffs] == \
         ["x0*x3", "x1*x3", "x2*x3", "-x0^2 - x1^2 - x2^2"]
     assert fol.degree == 1
-    assert euler_contraction(fol.polys()).is_zero()
+    assert euler_contraction(fol.coeffs).is_zero()
 
 
 def test_associated_foliation_triangle_displayed_formula():
     fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1]))
-    assert [str(c.poly) for c in fol.coeffs] == \
+    assert [str(c) for c in fol.coeffs] == \
         ["x1*x2*x3", "x0*x2*x3", "x0*x1*x3", "-3*x0*x1*x2"]
     assert fol.degree == 2
 
@@ -123,8 +137,8 @@ def test_integrability_of_constructed_foliations(Fp):
                         for k in (2, 3)]
     assert {f.ambient_dim for f in fols} == {2, 3, 4}
     for fol in fols:
-        assert all(d.is_zero() for d in integrability_defect(fol.polys()))
-        assert euler_contraction(fol.polys()).is_zero()
+        assert all(d.is_zero() for d in integrability_defect(fol.coeffs))
+        assert euler_contraction(fol.coeffs).is_zero()
 
 
 def test_constructed_foliations_are_not_rechecked(Fp, monkeypatch):
@@ -144,13 +158,13 @@ def test_reduction_is_checked_once_per_prime():
     fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1]))
     p = GF(1000003)
     assert fol.to_field(p) is fol.to_field(p)
-    assert fol.to_field(p).polys() == [c.to_field(p) for c in fol.polys()]
+    assert fol.to_field(p).coeffs == tuple(c.to_field(p) for c in fol.coeffs)
 
 
 def test_gauss_map_components():
     fol = foliation_from_form([qq("x1", 2), qq("0 - x0", 2)])
     m = gauss_map(fol)
-    assert [str(c.poly) for c in m.components] == ["x1", "-x0"]
+    assert [str(c) for c in m.components] == ["x1", "-x0"]
     assert m.source_dim == 1
 
 
@@ -159,7 +173,7 @@ def test_restriction_preserves_degree(Fp):
     for seed in (1, 2, 3):
         r = restrict_to_generic_subspace(fol, 2, seed)
         assert r.degree == fol.degree == 2
-        assert euler_contraction(r.polys()).is_zero()
+        assert euler_contraction(r.coeffs).is_zero()
 
 
 def test_restriction_to_line_gives_unique_foliation(Fp):
@@ -167,7 +181,7 @@ def test_restriction_to_line_gives_unique_foliation(Fp):
     fol = associated_foliation(wf(["x0^2 + x1^2 + x2^2"], [1])).to_field(Fp)
     r = restrict_to_generic_subspace(fol, 1, seed=4)
     assert r.degree == 0
-    assert r.polys() == [parse_poly("x1", 2, Fp), parse_poly("0 - x0", 2, Fp)]
+    assert r.coeffs == (parse_poly("x1", 2, Fp), parse_poly("0 - x0", 2, Fp))
 
 
 def test_restriction_bounds(Fp):
@@ -220,10 +234,7 @@ def test_singular_scheme_degree_rejects_positive_dimensional():
     # gcd clearing strips x2, leaving the pencil: fabricate the degenerate
     # case directly instead
     from polardeg.foliations import LogFoliation
-    from polardeg.poly import HomogeneousForm
-    bad = LogFoliation((HomogeneousForm.of(qq("x1*x2")),
-                        HomogeneousForm.of(qq("0 - x0*x2")),
-                        HomogeneousForm.of(qq("0"))), 1)
+    bad = LogFoliation((qq("x1*x2"), qq("0 - x0*x2"), qq("0")), 1)
     with pytest.raises(DegenerateInputError):
         singular_scheme_degree_p2(bad)
     assert singular_scheme_degree_p2(fol) == 1
@@ -234,5 +245,5 @@ def test_singular_scheme_degree_past_a_hilbert_plateau():
     # it, x0 times every cubic is): the Hilbert function runs 1, 3, 5, 5, 5,
     # 6, 7, 8, 8, ... and pauses at 5 before it reaches the degree 8
     gens = ["x0^2", "x0*x1^2", "x0*x1*x2", "x0*x2^3", "x1^8 - x2^8"]
-    fol = LogFoliation(tuple(HomogeneousForm.of(qq(g)) for g in gens), 1)
+    fol = LogFoliation(tuple(qq(g) for g in gens), 1)
     assert singular_scheme_degree_p2(fol) == 8

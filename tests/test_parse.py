@@ -59,11 +59,6 @@ def test_parse_unknown_variable():
         parse_poly("y", 3, QQ)
 
 
-def test_parse_declared_variable_names():
-    p = parse_poly("u*v + v^2", 2, QQ, variables=["u", "v"])
-    assert p == parse_poly("x0*x1 + x1^2", 2, QQ)
-
-
 def test_parse_negative_exponent_rejected():
     with pytest.raises(ParseError):
         parse_poly("x0^-1", 1, QQ)

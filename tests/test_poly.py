@@ -10,8 +10,8 @@ from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, FieldMismatchError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.parse import parse_poly
-from polardeg.poly import (HomogeneousForm, MultiPoly, euler_contraction,
-                           exact_divide, gcd_multivariate, gradient,
+from polardeg.poly import (MultiPoly, euler_contraction, exact_divide,
+                           gcd_multivariate, gradient, homogeneous_degree,
                            linear_images, substitute_all)
 from polardeg.rand import SeedStream, random_scalar
 
@@ -246,15 +246,11 @@ def test_substitute_all_cancellation(field):
         substitute_all(polys, images[:2])
 
 
-def test_homogeneous_form_markers():
-    f = HomogeneousForm.of(qq("x0^2 + x1*x2"))
-    assert f.degree == 2
-    z = HomogeneousForm.of(qq("0"))
-    assert z.degree == -1 and z.is_zero()
-    with pytest.raises(ValueError):
-        HomogeneousForm.of(qq("x0 + x1^2"))
-    with pytest.raises(ValueError):
-        HomogeneousForm(qq("0"), 3)
+def test_homogeneous_degree():
+    assert homogeneous_degree(qq("x0^2 + x1*x2")) == 2
+    assert homogeneous_degree(qq("0")) == -1
+    with pytest.raises(DegenerateInputError, match="not homogeneous"):
+        homogeneous_degree(qq("x0 + x1^2"))
 
 
 def test_random_stream_determinism():
