@@ -6,6 +6,7 @@ plane), verify (identity suites).  Exit code 0 on success or a passing
 verification, 1 on computation or verification failure, 2 on usage errors.
 The S-pair cap that POLARDEG_MAX_PAIRS sets is read by the Groebner engine
 itself; exceeding it ends the run in a reported error.
+With --json each verb prints one document, built here and written by _emit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import PolardegError
 from .fields import DEFAULT_PRIME, GF, QQ
 from .foliations import (associated_foliation, e_degree, foliation_from_form,
                          logarithmic_form, singular_scheme_degree_p2)
-from .parse import emit_report, parse_poly, parse_weights
+from .parse import parse_poly, parse_weights
 from .polar import (DEFAULT_TRIALS, WeightedFunction, map_degree,
                     polar_degrees_profile, weighted_polar_map)
 from .verify import SUITES
@@ -57,6 +58,7 @@ def _add_input_flags(p: argparse.ArgumentParser):
 
 
 def _collect_input(args):
+    """(factors, weights, source): the parsed input and its "input" document."""
     polys = list(args.poly)
     weights_text = args.weights
     if args.foliation_from:
@@ -74,40 +76,66 @@ def _collect_input(args):
             f"{len(polys)} polynomials but {len(weights)} weights")
     nvars = args.nvars or _infer_nvars(polys)
     factors = [parse_poly(text, nvars, QQ) for text in polys]
-    return polys, factors, weights, nvars
+    source = {"polys": polys, "weights": [str(w) for w in weights], "nvars": nvars}
+    return factors, weights, source
 
 
-def _print_human(reports, label):
-    for r in reports if isinstance(reports, (list, tuple)) else [reports]:
-        trial_values = " ".join("-" if t.value is None else str(t.value)
-                                for t in r.trials)
-        flag = "stable" if r.stable else "UNSTABLE"
-        value = "?" if r.value is None else r.value
-        print(f"{label}_{r.i} = {value}  [{flag}; trials: {trial_values}]")
+def _emit(doc: dict):
+    """The one JSON writer: every document the CLI prints goes through it."""
+    print(json.dumps(doc, indent=2))
 
 
-def _report_status(reports) -> int:
-    reports = reports if isinstance(reports, (list, tuple)) else [reports]
-    ok = all(r.stable and r.value is not None for r in reports)
-    return 0 if ok else 1
+def _field_doc(field) -> dict:
+    doc = {"kind": field.kind}
+    if field.modulus is not None:
+        doc["prime"] = field.modulus
+    return doc
+
+
+def _degree_doc(command: str, source: dict, field, reports, profile: bool) -> dict:
+    """The document of one report, or of a profile: "degrees" in place of
+    "i" and "value", and the trials of every level in order."""
+    doc: dict = {"command": command, "input": source, "field": _field_doc(field)}
+    if profile:
+        doc["degrees"] = [r.value for r in reports]
+    else:
+        doc["i"], doc["value"] = reports[0].i, reports[0].value
+    doc["trials"] = [{"seed": t.seed, "value": t.value, "zero_dim": t.zero_dim,
+                      "reduced": t.reduced} for r in reports for t in r.trials]
+    doc["stable"] = all(r.stable for r in reports)
+    if any(r.value is None for r in reports):
+        doc["status"] = "error"
+        doc["message"] = "no majority value across trials"
+    else:
+        doc["status"] = "ok" if doc["stable"] else "unstable"
+    return doc
+
+
+def _finish_degrees(args, command: str, source: dict, field, reports,
+                    profile: bool, label: str) -> int:
+    """Print the degree document (--json) or one line per report; 0 iff all are stable."""
+    if args.json:
+        _emit(_degree_doc(command, source, field, reports, profile))
+    else:
+        for r in reports:
+            trial_values = " ".join("-" if t.value is None else str(t.value)
+                                    for t in r.trials)
+            flag = "stable" if r.stable else "UNSTABLE"
+            value = "?" if r.value is None else r.value
+            print(f"{label}_{r.i} = {value}  [{flag}; trials: {trial_values}]")
+    return 0 if all(r.stable for r in reports) else 1
 
 
 def _cmd_polar(args) -> int:
-    polys, factors, weights, nvars = _collect_input(args)
+    factors, weights, source = _collect_input(args)
     field = GF(args.prime)
     W = WeightedFunction.of(factors, weights)
     if args.i is not None:
-        report = map_degree(weighted_polar_map(W), args.i, trials=args.trials,
-                            seed=args.seed, field=field)
+        reports = [map_degree(weighted_polar_map(W), args.i, trials=args.trials,
+                              seed=args.seed, field=field)]
     else:
-        report = polar_degrees_profile(W, trials=args.trials, seed=args.seed, field=field)
-    if args.json:
-        print(emit_report(report, command="polar", polys=polys,
-                          weights=[str(w) for w in weights], nvars=nvars,
-                          field=field))
-    else:
-        _print_human(report, "deg")
-    return _report_status(report)
+        reports = polar_degrees_profile(W, trials=args.trials, seed=args.seed, field=field)
+    return _finish_degrees(args, "polar", source, field, reports, args.i is None, "deg")
 
 
 def _build_foliation(W: WeightedFunction):
@@ -117,26 +145,22 @@ def _build_foliation(W: WeightedFunction):
 
 
 def _cmd_gauss(args) -> int:
-    polys, factors, weights, nvars = _collect_input(args)
+    factors, weights, source = _collect_input(args)
     field = GF(args.prime)
     fol = _build_foliation(WeightedFunction.of(factors, weights))
     k = args.k if args.k is not None else fol.ambient_dim
     i = args.i if args.i is not None else 0
     report = e_degree(fol, k, i, trials=args.trials, seed=args.seed, field=field)
-    if args.json:
-        print(emit_report(report, command=f"gauss(k={k}, i={i})", polys=polys,
-                          weights=[str(w) for w in weights], nvars=nvars,
-                          field=field))
-    else:
+    if not args.json:
         print(f"foliation: ambient P^{fol.ambient_dim}, degree {fol.degree}")
-        _print_human(report, f"e^{k}")
-    return _report_status(report)
+    return _finish_degrees(args, f"gauss(k={k}, i={i})", source, field, [report],
+                           False, f"e^{k}")
 
 
 def _cmd_foliation(args) -> int:
     if not args.sing_degree:
         raise PolardegError("nothing to do: pass --sing-degree")
-    polys, factors, weights, nvars = _collect_input(args)
+    factors, weights, source = _collect_input(args)
     field = GF(args.prime) if args.prime is not None else QQ
     factors = [f.to_field(field) for f in factors]
     W = WeightedFunction.of(factors, weights)
@@ -147,18 +171,9 @@ def _cmd_foliation(args) -> int:
     fol = foliation_from_form(logarithmic_form(W))
     value = singular_scheme_degree_p2(fol)
     if args.json:
-        doc = {
-            "command": "foliation --sing-degree",
-            "input": {"polys": polys, "weights": [str(w) for w in weights],
-                      "nvars": nvars},
-            "field": {"kind": field.kind},
-            "value": value,
-            "degree": fol.degree,
-            "status": "ok",
-        }
-        if field.modulus is not None:
-            doc["field"]["prime"] = field.modulus
-        print(json.dumps(doc, indent=2))
+        _emit({"command": "foliation --sing-degree", "input": source,
+               "field": _field_doc(field), "value": value, "degree": fol.degree,
+               "status": "ok"})
     else:
         print(f"foliation degree: {fol.degree}")
         print(f"singular scheme degree: {value}")
@@ -171,22 +186,18 @@ def _cmd_verify(args) -> int:
     if args.suite == "resonance" and args.k is not None:
         kwargs["ks"] = (args.k,)
     outcomes = SUITES[args.suite](**kwargs)
+    passed = all(o.passed for o in outcomes)
     if args.json:
-        doc = {
-            "command": f"verify {args.suite}",
-            "field": {"kind": field.kind, "prime": field.modulus},
-            "outcomes": [
-                {"claim": o.claim, "instance": o.instance,
-                 "left": list(o.left), "right": list(o.right),
-                 "passed": o.passed, "label": o.label}
-                for o in outcomes],
-            "status": "ok" if all(o.passed for o in outcomes) else "error",
-        }
-        print(json.dumps(doc, indent=2))
+        _emit({"command": f"verify {args.suite}", "field": _field_doc(field),
+               "outcomes": [{"claim": o.claim, "instance": o.instance,
+                             "left": list(o.left), "right": list(o.right),
+                             "passed": o.passed, "label": o.label}
+                            for o in outcomes],
+               "status": "ok" if passed else "error"})
     else:
         for o in outcomes:
             print(o.line())
-    return 0 if all(o.passed for o in outcomes) else 1
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +246,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PolardegError as exc:
         if getattr(args, "json", False):
-            print(json.dumps({"status": "error", "message": str(exc)}, indent=2))
+            _emit({"status": "error", "message": str(exc)})
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
-from .fields import PrimeField, RationalField
+from .fields import PrimeField
 from .groebner import common_factor, groebner, ideal_dimension
 from .linalg import rank
 from .poly import (MultiPoly, euler_contraction, exact_divide, homogeneous_degree,
@@ -210,12 +210,8 @@ def e_degree(fol: LogFoliation, k: int, i: int, trials: int = DEFAULT_TRIALS,
         raise DegenerateInputError(f"need 1 <= k <= {n}, got {k}")
     if not 0 <= i <= k - 1:
         raise DegenerateInputError(f"need 0 <= i <= {k - 1}, got {i}")
-    if field is None:
-        field = fol.field
-    if isinstance(fol.field, RationalField):
+    if field is not None:
         fol = fol.to_field(field)
-    elif fol.field != field:
-        raise FieldMismatchError("foliation is over a different prime field")
     master = SeedStream(seed)
     restrict_seed = master.child_seed()
     degree_seed = master.child_seed()

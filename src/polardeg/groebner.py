@@ -34,15 +34,16 @@ from itertools import combinations
 
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
-from .fields import PrimeField
 from .linalg import row_reduce
 from .poly import MultiPoly, gcd_many
-from .rand import SeedStream
+from .rand import SeedStream, random_vector
 
 DEFAULT_MAX_PAIRS = 200000
 DEFAULT_MAX_BASIS = 5000
 # widest field value (guard bit excluded) before a monomial is refused
 _MAX_VALUE_BITS = 64
+# most standard monomials a quotient query enumerates
+_MAX_STANDARD = 1 << 22
 
 
 class _Overflow(Exception):
@@ -301,7 +302,7 @@ def is_zero_dimensional(G: GroebnerBasis) -> bool:
     return True
 
 
-def _standard_monomials(lead_exps, nvars, cap=1 << 22):
+def _standard_monomials(lead_exps, nvars):
     if any(not any(e) for e in lead_exps):
         return []
     start = (0,) * nvars
@@ -321,7 +322,7 @@ def _standard_monomials(lead_exps, nvars, cap=1 << 22):
         if reducible:
             continue
         out.append(m)
-        if len(out) > cap:
+        if len(out) > _MAX_STANDARD:
             raise ResourceLimitError("standard monomial enumeration exploded")
         for v in range(nvars):
             nm = m[:v] + (m[v] + 1,) + m[v + 1:]
@@ -401,13 +402,13 @@ def _uni_gcd_is_unit(mu, field) -> bool:
 def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
     """Whether the zero-dimensional quotient is reduced with separated points.
 
-    Draws a random linear form ell and writes the normal forms of 1, ell,
-    ..., ell^dim over the standard monomials.  The quotient is reduced with
-    ell separating its points iff ell's minimal polynomial has degree dim
-    and is squarefree: iff 1, ..., ell^(dim-1) are independent, so that
-    sum a_k ell^k = -ell^dim has one solution, and t^dim + sum a_k t^k is
-    coprime to its derivative.  A non-separating form yields a false
-    negative; callers retry.
+    Draws a random linear form ell over the prime field (QQ is refused) and
+    writes the normal forms of 1, ell, ..., ell^dim over the standard
+    monomials.  The quotient is reduced with ell separating its points iff
+    ell's minimal polynomial has degree dim and is squarefree: iff 1, ...,
+    ell^(dim-1) are independent, so that sum a_k ell^k = -ell^dim has one
+    solution, and t^dim + sum a_k t^k is coprime to its derivative.  A
+    non-separating form yields a false negative; callers retry.
     """
     field = G.field
     if not is_zero_dimensional(G):
@@ -416,10 +417,9 @@ def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
     dim = len(std)
     if dim == 0:
         return True
-    bound = field.modulus if isinstance(field, PrimeField) else (1 << 20)
     zero, one = field.zero(), field.one()
     while True:
-        coeffs = [field.from_int(stream.below(bound)) for _ in range(G.nvars)]
+        coeffs = random_vector(field, G.nvars, stream)
         if any(c != zero for c in coeffs):
             break
     ell = [(v, c) for v, c in enumerate(coeffs) if c != zero]

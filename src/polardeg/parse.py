@@ -1,4 +1,4 @@
-"""Text input and JSON output.
+"""Text input: polynomials and weights as the command line and the corpus give them.
 
 Polynomial grammar (explicit `*` between factors, no juxtaposition):
 
@@ -14,7 +14,6 @@ Weights are comma-separated nonzero rationals like "1,-1,2/3".
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ParseError
@@ -202,42 +201,3 @@ def parse_weights(text: str) -> tuple[Fraction, ...]:
         col += len(piece) + 1
     return tuple(weights)
 
-
-def emit_report(report, *, command: str, polys, weights, nvars: int, field) -> str:
-    """Serialize one degree report (or a profile of them) as stable JSON.
-
-    `report` is a DegreeReport or a sequence of them (one per level, in which
-    case the document carries a "degrees" list instead of "i"/"value").
-    """
-    doc: dict = {
-        "command": command,
-        "input": {
-            "polys": list(polys),
-            "weights": [str(w) for w in weights],
-            "nvars": nvars,
-        },
-        "field": {"kind": field.kind},
-    }
-    if field.modulus is not None:
-        doc["field"]["prime"] = field.modulus
-    reports = list(report) if isinstance(report, (list, tuple)) else [report]
-    profile = isinstance(report, (list, tuple))
-    if profile:
-        doc["degrees"] = [r.value for r in reports]
-    elif reports:
-        doc["i"] = reports[0].i
-        doc["value"] = reports[0].value
-    trials = []
-    for r in reports:
-        for t in r.trials:
-            trials.append({"seed": t.seed, "value": t.value,
-                           "zero_dim": t.zero_dim, "reduced": t.reduced})
-    doc["trials"] = trials
-    stable = bool(reports) and all(r.stable for r in reports)
-    doc["stable"] = stable
-    if any(r.value is None for r in reports):
-        doc["status"] = "error"
-        doc["message"] = "no majority value across trials"
-    else:
-        doc["status"] = "ok" if stable else "unstable"
-    return json.dumps(doc, indent=2)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
-from .fields import PrimeField, RationalField
+from .fields import PrimeField
 from .groebner import (common_factor, groebner, is_reduced_zero_dim,
                        is_zero_dimensional, quotient_dimension)
 from .linalg import rank
@@ -192,7 +192,7 @@ class DegreeReport:
             best, hits = counts.most_common(1)[0]
             if 2 * hits > len(trials):
                 value = best
-        stable = bool(trials) and all(t.reduced for t in trials) and len(counts) == 1
+        stable = value is not None and all(t.reduced for t in trials) and len(counts) == 1
         return cls(i, value, trials, stable)
 
 
@@ -303,11 +303,7 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
         field = m.field
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("degree computations run over a prime field")
-    if isinstance(m.field, RationalField):
-        m = m.to_field(field)
-    elif m.field != field:
-        raise FieldMismatchError("map is over a different prime field")
-    comps = m.components
+    comps = m.to_field(field).components
     master = SeedStream(seed)
     outcomes = []
     for _ in range(trials):

@@ -70,16 +70,15 @@ def _memo(fn, obj, *args, trials, seed, field, cache):
     return cache[key]
 
 
-def _outcome(claim, instance, reports, left, right, holds=operator.eq,
-             label=None) -> VerificationOutcome:
-    """The check passes iff every report is stable with a value and holds(left, right).
+def _outcome(claim, instance, reports, left, right, holds=operator.eq) -> VerificationOutcome:
+    """The check passes iff every report is stable and holds(left, right).
 
-    Unless a label is given, it is "ok", or "unstable" when some report is not.
+    The label is "ok", or "unstable" when some report is not stable.
     """
     left, right = tuple(left), tuple(right)
-    ok = all(r.stable and r.value is not None for r in reports)
+    ok = all(r.stable for r in reports)
     return VerificationOutcome(claim, instance, left, right, ok and holds(left, right),
-                               tuple(reports), label or ("ok" if ok else "unstable"))
+                               tuple(reports), "ok" if ok else "unstable")
 
 
 def _is_sum(left, right) -> bool:
@@ -153,20 +152,15 @@ def _same_sign(weights) -> bool:
 
 
 def verify_invariance(factors, weight_sets, trials: int = DEFAULT_TRIALS,
-                      seed: int = 0, field=None, override: bool = False,
-                      cache=None, instance: str = "") -> VerificationOutcome:
+                      seed: int = 0, field=None, cache=None,
+                      instance: str = "") -> VerificationOutcome:
     """Degree profiles agree across same-sign weight vectors and weight one.
 
-    Mixed-sign weight vectors fall outside the verified hypothesis; they are
-    rejected unless override is set, and then the outcome is labeled
-    hypothesis-unverified.
+    Mixed-sign weight vectors fall outside the verified hypothesis: refused.
     """
     weight_sets = [tuple(Fraction(w) for w in ws) for ws in weight_sets]
-    mixed = not all(_same_sign(ws) for ws in weight_sets)
-    if mixed and not override:
-        raise DegenerateInputError(
-            "mixed-sign weights: invariance hypothesis unverified "
-            "(pass override to force the run)")
+    if not all(_same_sign(ws) for ws in weight_sets):
+        raise DegenerateInputError("mixed-sign weights: invariance hypothesis unverified")
     memo = partial(_memo, trials=trials, field=field, cache=cache)
 
     def profile(ws):
@@ -178,8 +172,7 @@ def verify_invariance(factors, weight_sets, trials: int = DEFAULT_TRIALS,
     others = [r for ws in weight_sets for r in profile(ws)]
     return _outcome("profile-weight-invariance", instance or "weighted product",
                     ones + others, [r.value for r in ones], [r.value for r in others],
-                    lambda ref, rest: rest == ref * len(weight_sets),
-                    "hypothesis-unverified" if mixed else None)
+                    lambda ref, rest: rest == ref * len(weight_sets))
 
 
 def verify_product_bound(F1, F2, i: int, trials: int = DEFAULT_TRIALS,

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import qq
 from polardeg import foliations
-from polardeg.errors import DegenerateInputError, GenericityError
+from polardeg.errors import DegenerateInputError, FieldMismatchError, GenericityError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.foliations import (LogFoliation, associated_foliation, e_degree,
                                  expected_plane_singular_degree,
@@ -20,6 +20,16 @@ from polardeg.verify import corpus_foliations, resonance_plane_foliation
 
 def wf(texts, weights, nvars=3):
     return WeightedFunction.of([qq(t, nvars) for t in texts], weights)
+
+
+@pytest.mark.parametrize("degree", [
+    lambda q: map_degree(polar_map(qq("x0*x1*x2")).to_field(q), 0, field=GF(DEFAULT_PRIME)),
+    lambda q: e_degree(associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])).to_field(q),
+                       3, 0, field=GF(DEFAULT_PRIME)),
+], ids=["map_degree", "e_degree"])
+def test_degree_refuses_an_object_over_another_prime(degree):
+    with pytest.raises(FieldMismatchError):
+        degree(GF(1000003))
 
 
 @pytest.mark.parametrize("build", [

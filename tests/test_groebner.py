@@ -344,6 +344,9 @@ def test_is_reduced_zero_dim_examples(Fp):
     two_points = GB(gfp("x0^2 - 1", 2), gfp("x1 - 3", 2))
     assert quotient_dimension(two_points) == 2
     assert is_reduced_zero_dim(two_points, SeedStream(1))
+    # the random form is drawn over a prime field only
+    with pytest.raises(DegenerateInputError):
+        is_reduced_zero_dim(GB(qq("x0^2 - 1", 2), qq("x1 - 3", 2)), SeedStream(1))
 
 
 def test_fermat_quartic_fiber_reduced(Fp):

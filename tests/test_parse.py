@@ -1,4 +1,4 @@
-"""Polynomial grammar, weight parsing, and the JSON report schema."""
+"""Polynomial grammar, weight parsing, and the degree document of the CLI."""
 
 import json
 import random
@@ -9,7 +9,8 @@ from _oracles import is_homogeneous
 from conftest import random_poly
 from polardeg.errors import DegenerateInputError, ParseError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.parse import emit_report, parse_poly, parse_weights
+from polardeg.cli import _degree_doc as _cli_degree_doc
+from polardeg.parse import parse_poly, parse_weights
 from polardeg.poly import poly_str
 from polardeg.polar import DegreeReport, TrialOutcome
 
@@ -99,11 +100,14 @@ def _trial(seed, value, zero_dim=True, reduced=True):
     return TrialOutcome(seed, value, zero_dim, reduced)
 
 
-def test_emit_report_schema_ok():
+def _degree_doc(report, polys=("x0",), field=GF(DEFAULT_PRIME)):
+    source = {"polys": list(polys), "weights": ["1"] * len(polys), "nvars": 3}
+    return json.loads(json.dumps(_cli_degree_doc("polar", source, field, [report], False)))
+
+
+def test_degree_doc_schema_ok():
     rep = DegreeReport.from_trials(0, [_trial(s, 1) for s in range(5)])
-    text = emit_report(rep, command="polar", polys=["x0^2+x1^2+x2^2"],
-                       weights=["1"], nvars=3, field=GF(DEFAULT_PRIME))
-    doc = json.loads(text)
+    doc = _degree_doc(rep, polys=["x0^2+x1^2+x2^2"])
     assert doc["status"] == "ok" and doc["stable"] is True
     assert doc["i"] == 0 and doc["value"] == 1
     assert doc["field"] == {"kind": "prime-field", "prime": DEFAULT_PRIME}
@@ -112,19 +116,17 @@ def test_emit_report_schema_ok():
                          "trials", "stable", "status"]
 
 
-def test_emit_report_empty_trials_is_error():
+def test_degree_doc_empty_trials_is_error():
     rep = DegreeReport.from_trials(0, [])
-    doc = json.loads(emit_report(rep, command="polar", polys=[], weights=[],
-                                 nvars=3, field=QQ))
-    assert doc["status"] == "error"
+    doc = _degree_doc(rep, polys=[], field=QQ)
+    assert doc["status"] == "error" and doc["field"] == {"kind": "rationals"}
 
 
-def test_emit_report_mixed_trials_unstable():
+def test_degree_doc_mixed_trials_unstable():
     trials = [_trial(0, 2), _trial(1, 2), _trial(2, 2), _trial(3, 1), _trial(4, 2)]
     rep = DegreeReport.from_trials(1, trials)
     assert rep.value == 2 and rep.stable is False
-    doc = json.loads(emit_report(rep, command="polar", polys=["x0"], weights=["1"],
-                                 nvars=1, field=GF(DEFAULT_PRIME)))
+    doc = _degree_doc(rep)
     assert doc["status"] == "unstable" and doc["stable"] is False
     assert [t["value"] for t in doc["trials"]] == [2, 2, 2, 1, 2]
 
@@ -138,3 +140,7 @@ def test_degree_report_majority_rule():
     split = [_trial(0, 3), _trial(1, 3), _trial(2, 4), _trial(3, 4),
              _trial(4, None, zero_dim=False, reduced=False)]
     assert DegreeReport.from_trials(0, split).value is None
+    # a stable report has a value, even with reduced trials that carry no count
+    countless = [_trial(0, 3), _trial(1, None), _trial(2, None)]
+    rep = DegreeReport.from_trials(0, countless)
+    assert rep.value is None and not rep.stable

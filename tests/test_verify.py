@@ -63,7 +63,7 @@ def test_corollary_deg_conic():
         assert out.passed and out.left == (1,)
 
 
-def test_invariance_same_sign_and_override():
+def test_invariance_same_sign_and_mixed_sign_refused():
     factors = [qq("x0"), qq("x1"), qq("x2")]
     out = verify_invariance(factors, [(2, 5, 11)], cache={})
     assert out.passed and out.label == "ok"
@@ -71,8 +71,6 @@ def test_invariance_same_sign_and_override():
     assert neg.passed
     with pytest.raises(DegenerateInputError):
         verify_invariance(factors, [(1, -1, 1)])
-    forced = verify_invariance(factors, [(1, -1, 2)], override=True, cache={})
-    assert forced.label == "hypothesis-unverified"
 
 
 def test_product_bound_conic_tangent():
