@@ -166,14 +166,12 @@ def test_golden_reduced_bases(name):
     assert [str(b) for b in GB(*gens).basis] == expected
 
 
-def _ladder_fiber_system():
-    """deg_0 fiber of the polar map of a dense random plane sextic, chart x2 = 1,
-    with x2 reused as the saturation variable u: u * aux - 1."""
-    F = GF(DEFAULT_PRIME)
-    rng = random.Random(6)
-    items = [((a, b, 6 - a - b), rng.randrange(1, DEFAULT_PRIME))
-             for a in range(7) for b in range(7 - a)]
-    comps = gradient(MultiPoly.from_terms(F, 3, items))
+def _chart_fiber_system(form, rng):
+    """deg_0 fiber of the polar map of a plane form, chart x2 = 1, with x2
+    reused as the saturation variable u: u * aux - 1; the three target rows
+    are drawn from rng."""
+    F = form.field
+    comps = gradient(form)
     images = [MultiPoly.variable(F, 3, 0), MultiPoly.variable(F, 3, 1), MultiPoly.one(F, 3)]
     sub = [c.substitute(images) for c in comps]
 
@@ -183,9 +181,22 @@ def _ladder_fiber_system():
             g = g + s.scale(c)
         return g
 
-    rows = [[rng.randrange(1, DEFAULT_PRIME) for _ in range(3)] for _ in range(3)]
+    rows = [[rng.randrange(1, F.modulus) for _ in range(3)] for _ in range(3)]
     return [combo(rows[0]), combo(rows[1]),
             MultiPoly.variable(F, 3, 2) * combo(rows[2]) - MultiPoly.one(F, 3)]
+
+
+def _ladder_fiber_system():
+    """The fiber system of a dense random plane sextic (degree 25)."""
+    rng = random.Random(6)
+    items = [((a, b, 6 - a - b), rng.randrange(1, DEFAULT_PRIME))
+             for a in range(7) for b in range(7 - a)]
+    return _chart_fiber_system(MultiPoly.from_terms(GF(DEFAULT_PRIME), 3, items), rng)
+
+
+def _acceptance_fiber_system():
+    """The fiber system of a plane quartic as acceptance draws it (degree 9)."""
+    return _chart_fiber_system(gfp("x0^4 + x1^4 + x2^4 + x0*x1*x2^2"), random.Random(4))
 
 
 def _digest(G):
@@ -208,6 +219,23 @@ def test_golden_ladder_sized_basis():
     assert _digest(G) == "a3cf810dd32f2c612c60e315da28326a0318a0bffa39f6d11d0af9fa2b02527f"
     assert quotient_dimension(G) == 25
     assert is_reduced_zero_dim(G, SeedStream(3))
+
+
+# S-pairs each system reduces: the pair update and the selection order must
+# keep the count, read through the pair cap
+PAIR_COUNTS = {"ladder-sextic": (_ladder_fiber_system, 95),
+               "acceptance-quartic": (_acceptance_fiber_system, 19)}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
+def test_s_pair_count_is_pinned(name, monkeypatch):
+    system, pairs = PAIR_COUNTS[name]
+    gens = system()
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", str(pairs))
+    groebner(gens)
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", str(pairs - 1))
+    with pytest.raises(ResourceLimitError, match="S-pair cap"):
+        groebner(gens)
 
 
 def test_basis_is_reduced_and_monic():
