@@ -22,15 +22,20 @@ Overflow rule: each field is at most the total degree, so widths are sized
 from the input degree.  A monomial that does not fit (an input or lcm of too
 high degree, a product with a guard bit set) restarts the computation with
 fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
+
+Quotient queries: a zero-dimensional basis enumerates its standard monomials
+once, packed wide enough for each of them times a variable, and keeps them
+for quotient_dimension and is_reduced_zero_dim.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import mul
 
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
@@ -85,20 +90,23 @@ class _Packing:
         return MultiPoly(field, self.nvars, {self.unpack(m): c for m, c in terms})
 
 
+# one packing per (nvars, vbits), shared by every basis and query
+_packing = cache(_Packing)
+
+
 def _widening(nvars, degree, run, packing=None):
     """run(packing) on fields wide enough for `degree`, doubled on overflow."""
     vbits = min(max(8, (4 * degree).bit_length(), packing.vbits if packing else 0),
                 _MAX_VALUE_BITS)
-    pk = packing if packing is not None and packing.vbits == vbits else None
     while True:
         try:
-            return run(pk or _Packing(nvars, vbits))
+            return run(_packing(nvars, vbits))
         except _Overflow:
             if vbits == _MAX_VALUE_BITS:
                 raise ResourceLimitError(
                     f"a monomial reaches total degree 2^{_MAX_VALUE_BITS}, "
                     "beyond the widest packed exponent field") from None
-            pk, vbits = None, min(2 * vbits, _MAX_VALUE_BITS)
+            vbits = min(2 * vbits, _MAX_VALUE_BITS)
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,35 @@ class GroebnerBasis:
         one = self.field.one()
         return tuple(self.packing.poly([(lm, one), *tail], self.field)
                      for lm, tail in self.elems)
+
+    @cached_property
+    def _quotient(self) -> tuple:
+        """(packing, standard monomials ascending) of a zero-dimensional ideal;
+        the packing also fits every standard monomial times a variable."""
+        if not is_zero_dimensional(self):
+            raise DegenerateInputError("ideal is not zero-dimensional")
+        return _widening(self.nvars, 0, self._standard_monomials, self.packing)
+
+    def _standard_monomials(self, pk):
+        leads, guards = [pk.pack(e) for e in self.lead_exps], pk.guards
+        seen, stack, out = {0}, [0], []
+        while stack:
+            m = stack.pop()
+            for lm in leads:
+                if not (m - lm) & guards:
+                    break
+            else:
+                out.append(m)
+                if len(out) > _MAX_STANDARD:
+                    raise ResourceLimitError("standard monomial enumeration exploded")
+                for u in pk.units:
+                    nm = m + u
+                    if nm & guards:
+                        raise _Overflow
+                    if nm not in seen:
+                        seen.add(nm)
+                        stack.append(nm)
+        return pk, sorted(out)
 
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.lead_exps)
@@ -194,36 +231,40 @@ def _max_pairs() -> int:
 
 def _buchberger(gens, pk, field):
     guards, prime, max_pairs = pk.guards, field.modulus, _max_pairs()
+    units, top = pk.units, (pk.vbits + 1) * (2 * pk.nvars - 1)   # m >> top: deg m
     polys: list = []            # (lm, tail, exponents of lm, sugar - deg lm), append-only
     G: dict = {}                # the current basis: index -> monic (lm, tail)
     pairs: list = []            # heap of (sugar, lcm, i, j)
 
-    def lcm_with(i, exp):
-        return pk.pack(tuple(map(max, polys[i][2], exp)))
-
     def add(terms, sugar):
-        nonlocal G
         lm, tail = _monic(terms, field)
         h, exp = len(polys), pk.unpack(lm)
         polys.append((lm, tail, exp, sugar - sum(exp)))
-        # Gebauer-Moeller: drop old pairs (i, j) with lm(h) | lcm(i, j) != lcm(i, h), lcm(j, h)
-        pairs[:] = [p for p in pairs if (p[1] - lm) & guards
-                    or lcm_with(p[2], exp) == p[1] or lcm_with(p[3], exp) == p[1]]
-        heapify(pairs)
+        # Gebauer-Moeller: drop old pairs (i, j) with lm(h) | lcm(i, j) != lcm(i, h), lcm(j, h);
+        # there lcm(i, h) | lcm(i, j), so the two are equal iff their degrees are
+        live = [p for p in pairs if (p[1] - lm) & guards
+                or sum(map(max, polys[p[2]][2], exp)) == p[1] >> top
+                or sum(map(max, polys[p[3]][2], exp)) == p[1] >> top]
+        if len(live) < len(pairs):
+            pairs[:] = live
+            heapify(pairs)
         # new pairs by ascending lcm, coprime first among equal lcms; keep a pair
         # iff no kept lcm divides its lcm, and queue it unless it is coprime
         new = []
         for g, (lg, _) in G.items():
-            m = lcm_with(g, exp)
+            m = lm + sum((a - b) * u for u, a, b in zip(units, polys[g][2], exp) if a > b)
+            if m & guards:
+                raise _Overflow
             new.append((m, m != lg + lm, g))
-        kept: list = []
+        kept = []
         for m, shared, g in sorted(new):
             if all((m - k) & guards for k in kept):
                 kept.append(m)
                 if shared:
-                    s = max(polys[g][3], polys[h][3]) + sum(map(max, polys[g][2], exp))
-                    heappush(pairs, (s, m, g, h))
-        G = {g: e for g, e in G.items() if (e[0] - lm) & guards} | {h: (lm, tail)}
+                    heappush(pairs, (max(polys[g][3], polys[h][3]) + (m >> top), m, g, h))
+        for g in [g for g, (lg, _) in G.items() if not (lg - lm) & guards]:
+            del G[g]
+        G[h] = (lm, tail)
 
     for terms in gens:          # sugar: the total degree, which is the lead's
         add(terms, sum(pk.unpack(terms[0][0])))
@@ -302,41 +343,9 @@ def is_zero_dimensional(G: GroebnerBasis) -> bool:
     return True
 
 
-def _standard_monomials(lead_exps, nvars):
-    if any(not any(e) for e in lead_exps):
-        return []
-    start = (0,) * nvars
-    seen = {start}
-    queue = [start]
-    out = []
-    while queue:
-        m = queue.pop()
-        reducible = False
-        for lm in lead_exps:
-            for a, b in zip(lm, m):
-                if a > b:
-                    break
-            else:
-                reducible = True
-                break
-        if reducible:
-            continue
-        out.append(m)
-        if len(out) > _MAX_STANDARD:
-            raise ResourceLimitError("standard monomial enumeration exploded")
-        for v in range(nvars):
-            nm = m[:v] + (m[v] + 1,) + m[v + 1:]
-            if nm not in seen:
-                seen.add(nm)
-                queue.append(nm)
-    return out
-
-
 def quotient_dimension(G: GroebnerBasis) -> int:
     """Vector-space dimension of the quotient ring of a zero-dimensional ideal."""
-    if not is_zero_dimensional(G):
-        raise DegenerateInputError("ideal is not zero-dimensional")
-    return len(_standard_monomials(G.lead_exps, G.nvars))
+    return len(G._quotient[1])
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:
@@ -369,30 +378,27 @@ def common_factor(polys) -> MultiPoly:
     return gcd_many(polys)
 
 
-# -- univariate helpers on coefficient lists (for the reducedness test) ------
+# -- univariate helpers on coefficient lists over GF(p) (for the reducedness test)
 
-def _uni_trim(a, zero):
-    while a and a[-1] == zero:
+def _uni_trim(a):
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _uni_gcd_is_unit(mu, field) -> bool:
+def _uni_gcd_is_unit(mu, p) -> bool:
     """True iff gcd(mu, mu') is constant, i.e. mu is squarefree."""
-    zero = field.zero()
-    a = list(mu)
-    b = [field.mul(c, field.from_int(i)) for i, c in enumerate(mu)][1:]
-    _uni_trim(a, zero)
-    _uni_trim(b, zero)
+    a = _uni_trim(list(mu))
+    b = _uni_trim([c * i % p for i, c in enumerate(mu)][1:])
     while b:
         # a mod b
-        inv = field.inv(b[-1])
+        inv = pow(b[-1], -1, p)
         while len(a) >= len(b):
-            c = field.mul(a[-1], inv)
+            c = a[-1] * inv % p
             off = len(a) - len(b)
             for i, bc in enumerate(b):
-                a[off + i] = field.sub(a[off + i], field.mul(c, bc))
-            _uni_trim(a, zero)
+                a[off + i] = (a[off + i] - c * bc) % p
+            _uni_trim(a)
             if not a:
                 break
         a, b = b, a
@@ -403,46 +409,48 @@ def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
     """Whether the zero-dimensional quotient is reduced with separated points.
 
     Draws a random linear form ell over the prime field (QQ is refused) and
-    writes the normal forms of 1, ell, ..., ell^dim over the standard
-    monomials.  The quotient is reduced with ell separating its points iff
-    ell's minimal polynomial has degree dim and is squarefree: iff 1, ...,
-    ell^(dim-1) are independent, so that sum a_k ell^k = -ell^dim has one
-    solution, and t^dim + sum a_k t^k is coprime to its derivative.  A
-    non-separating form yields a false negative; callers retry.
+    writes 1, ell, ..., ell^dim over the standard monomials, each power as
+    ell's multiplication matrix (Faugere, Gianni, Lazard & Mora, JSC 1993)
+    times the one before.  The quotient is reduced with ell separating its
+    points iff ell's minimal polynomial has degree dim and is squarefree: iff
+    1, ..., ell^(dim-1) are independent, so that sum a_k ell^k = -ell^dim
+    has one solution, and t^dim + sum a_k t^k is coprime to its derivative.
+    A non-separating form yields a false negative; callers retry.
     """
-    field = G.field
-    if not is_zero_dimensional(G):
-        raise DegenerateInputError("ideal is not zero-dimensional")
-    std = _standard_monomials(G.lead_exps, G.nvars)
+    pk, std = G._quotient
     dim = len(std)
     if dim == 0:
         return True
-    zero, one = field.zero(), field.one()
     while True:
-        coeffs = random_vector(field, G.nvars, stream)
-        if any(c != zero for c in coeffs):
+        coeffs = random_vector(G.field, G.nvars, stream)
+        if any(coeffs):
             break
-    ell = [(v, c) for v, c in enumerate(coeffs) if c != zero]
-
-    def matrix(pk):
-        """Columns ell^0 .. ell^(dim-1), then -ell^dim, over the standard monomials."""
-        index = {pk.pack(m): i for i, m in enumerate(std)}
-        basis, units = G.packed(pk), pk.units
-        rows = [[zero] * (dim + 1) for _ in range(dim)]
-        power = [(0, one)]          # ell^k in normal form, packed
-        for k in range(dim):
-            for m, c in power:
-                rows[index[m]][k] = c
-            # ell * power as one shifted copy of power per variable of ell
-            power = _reduce([(m + units[v], c * a) for v, a in ell for m, c in power],
-                            basis, pk.guards, field.modulus)
-        for m, c in power:
-            rows[index[m]][dim] = field.neg(c)
-        return rows
-
-    # passed on as a temporary, the matrix is freed as row_reduce replaces it
-    rref, pivots = row_reduce(_widening(G.nvars, max(map(sum, std)) + 1, matrix, G.packing),
-                              field)
+    p, basis, index = G.field.modulus, G.packed(pk), {m: r for r, m in enumerate(std)}
+    ell = [(u, a) for u, a in zip(pk.units, coeffs) if a]
+    # column c of the matrix is ell * std[c] over the standard monomials; each
+    # border monomial x_v * std[c] is reduced once, and the basis is reduced,
+    # so a lead's normal form is minus its tail
+    cols = [[0] * dim for _ in range(dim)]
+    border = {lm: [(t, -c) for t, c in tail] for lm, tail in basis}
+    for col, s in zip(cols, std):
+        for u, a in ell:
+            m = s + u
+            if m in index:
+                col[index[m]] += a
+                continue
+            if m not in border:
+                border[m] = _reduce([(m, 1)], basis, pk.guards, p)
+            for t, b in border[m]:
+                col[index[t]] += a * b
+    matrix = [[c % p for c in row] for row in zip(*cols)]
+    power = [1] + [0] * (dim - 1)   # std[0] is the monomial 1
+    powers = []
+    for _ in range(dim):
+        powers.append(power)
+        power = [sum(map(mul, row, power)) % p for row in matrix]
+    # rows over the standard monomials: ell^0 .. ell^(dim-1), then -ell^dim
+    rref, pivots = row_reduce([[*r, -last % p] for *r, last in zip(*powers, power)],
+                              G.field)
     if pivots != list(range(dim)):
         return False
-    return _uni_gcd_is_unit([row[dim] for row in rref] + [one], field)
+    return _uni_gcd_is_unit([row[dim] for row in rref] + [1], p)

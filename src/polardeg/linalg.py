@@ -1,34 +1,44 @@
-"""Small dense linear algebra over a coefficient field (desk-scale matrices)."""
+"""Small dense linear algebra over a prime field (desk-scale matrices)."""
 
 from __future__ import annotations
 
 
 def row_reduce(rows, field):
-    """Gaussian elimination; returns (rref rows, pivot column list)."""
+    """Gaussian elimination over a prime field on its int elements; returns
+    (rref rows, pivot column list)."""
+    p = field.modulus
     rows = [list(r) for r in rows]
-    zero = field.zero()
     pivots = []
-    r = 0
     ncols = len(rows[0]) if rows else 0
+    # forward: echelon form with unit pivots; a pivot row is zero left of its
+    # pivot, so only columns c.. change
     for c in range(ncols):
-        pivot_row = next((k for k in range(r, len(rows)) if rows[k][c] != zero), None)
+        r = len(pivots)
+        pivot_row = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(v, inv) for v in rows[r]]
-        for k in range(len(rows)):
-            if k == r:
-                continue
-            factor = rows[k][c]
-            if factor == zero:
-                continue
-            rows[k] = [field.sub(a, field.mul(factor, b))
-                       for a, b in zip(rows[k], rows[r])]
+        inv = pow(rows[r][c], -1, p)
+        pivot = rows[r][c:] = [v * inv % p for v in rows[r][c:]]
+        for row in rows[r + 1:]:
+            factor = row[c]
+            if factor:
+                row[c:] = [(a - factor * b) % p for a, b in zip(row[c:], pivot)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r + 1 == len(rows):
             break
+    # backward, last pivot first: a pivot row is then zero at every other
+    # pivot column, so only the free columns right of its pivot change
+    free = [c for c in range(ncols) if c not in pivots]
+    for r in reversed(range(len(pivots))):
+        c, pivot = pivots[r], rows[r]
+        right = [j for j in free if j > c]
+        for row in rows[:r]:
+            factor = row[c]
+            if factor:
+                row[c] = 0
+                for j in right:
+                    row[j] = (row[j] - factor * pivot[j]) % p
     return rows, pivots
 
 

@@ -18,8 +18,7 @@ from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField
-from .groebner import (common_factor, groebner, is_reduced_zero_dim,
-                       is_zero_dimensional, quotient_dimension)
+from .groebner import common_factor, groebner, is_reduced_zero_dim, quotient_dimension
 from .linalg import rank
 from .poly import (MultiPoly, exact_divide, gradient, homogeneous_degree,
                    linear_combination)
@@ -241,10 +240,11 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     return RationalMapRep.of(comps)
 
 
-def _trial_fiber_count(comps, n, i, field, stream):
+def _trial_fiber_count(sub, n, i, field, stream):
     """One fiber count: (zero_dim, reduced, value), or None on a degenerate draw.
 
-    The count runs in the fixed affine chart x_n = 1; only the target plane
+    sub holds the components in the chart, as map_degree builds them.  The
+    count runs in the fixed affine chart x_n = 1; only the target plane
     L (n-i forms, plus the auxiliary form ell0) and the source plane Lambda
     (i forms) are random.  No point is lost off the chart.  Let Z be the
     closure of phi^{-1}(L) away from the base locus; for generic L it has
@@ -270,20 +270,17 @@ def _trial_fiber_count(comps, n, i, field, stream):
     source_rows = [random_vector(field, width, stream) for _ in range(i)]
     if rank([row[:n] for row in source_rows], field) != i:
         return None
-    # chart coordinates x_0 .. x_{n-1}, then u; the components are
-    # homogeneous, so setting x_n = 1 merges no two terms
     one = MultiPoly.one(field, width)
-    sub = [MultiPoly(field, width, {exp[:n] + (0,): c for exp, c in comp.terms.items()})
-           for comp in comps]
     gens = [linear_combination(row, sub) for row in target_rows]
     u = MultiPoly.variable(field, width, n)
     gens.append(u * linear_combination(ell0, sub) - one)
     chart = [MultiPoly.variable(field, width, a) for a in range(n)] + [one]
     gens += [linear_combination(row, chart) for row in source_rows]
     G = groebner(gens)
-    if not is_zero_dimensional(G):
+    try:
+        value = quotient_dimension(G)
+    except DegenerateInputError:    # the fiber is not finite
         return (False, False, None)
-    value = quotient_dimension(G)
     return (True, is_reduced_zero_dim(G, stream), value)
 
 
@@ -303,7 +300,10 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
         field = m.field
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("degree computations run over a prime field")
-    comps = m.to_field(field).components
+    # the components in the chart x_n = 1, in the ring of the chart coordinates
+    # x_0 .. x_{n-1} and then u; they are homogeneous, so no two terms merge
+    sub = [MultiPoly(field, n + 1, {exp[:n] + (0,): c for exp, c in comp.terms.items()})
+           for comp in m.to_field(field).components]
     master = SeedStream(seed)
     outcomes = []
     for _ in range(trials):
@@ -311,7 +311,7 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
         stream = SeedStream(trial_seed)
         zero_dim, reduced, value = False, False, None
         for _ in range(DEFAULT_RETRIES + 1):
-            res = _trial_fiber_count(comps, n, i, field, stream)
+            res = _trial_fiber_count(sub, n, i, field, stream)
             if res is None:
                 continue            # degenerate linear draw, redraw
             zero_dim, reduced, value = res

@@ -365,3 +365,75 @@ def plain_reduced_basis(polys):
                          minimal[:pos] + minimal[pos + 1:])
         out.append(MultiPoly(field, nvars, {lm: g[lm], **tail}))
     return out
+
+
+# -- reducedness through normal forms of the powers of a random form ----------
+
+def reduced_by_normal_forms(G, stream) -> bool:
+    """The answer of is_reduced_zero_dim, by plain means on the same draws.
+
+    The standard monomials are the exponent vectors in a box that no lead
+    divides.  ell is drawn exactly as the package draws it, each power ell^k
+    is the normal form of ell * ell^(k-1), and the minimal polynomial comes
+    from gauss_jordan on their coordinates: the quotient is reduced
+    with ell separating iff it has degree dim and is coprime to its
+    derivative.  Refuses an infinite quotient like the package.
+    """
+    from itertools import product
+
+    from polardeg.errors import DegenerateInputError
+    from polardeg.groebner import normal_form
+    from polardeg.poly import MultiPoly
+    from polardeg.rand import random_vector
+
+    field, nvars, leads = G.field, G.nvars, G.lead_exps
+    pure = [max((e[v] for e in leads if not any(e[:v] + e[v + 1:])), default=0)
+            for v in range(nvars)]
+    if not all(pure) and not G.is_unit_ideal():
+        raise DegenerateInputError("ideal is not zero-dimensional")
+    std = [e for e in product(*(range(d) for d in pure))
+           if not any(all(a <= b for a, b in zip(lead, e)) for lead in leads)]
+    dim = len(std)
+    if dim == 0:
+        return True
+    while True:
+        coeffs = random_vector(field, nvars, stream)
+        if any(coeffs):
+            break
+    p = field.modulus
+    ell = MultiPoly.from_terms(field, nvars, [(tuple(int(w == v) for w in range(nvars)), a)
+                                             for v, a in enumerate(coeffs)])
+    columns, power = [], MultiPoly.one(field, nvars)
+    for _ in range(dim + 1):
+        power = normal_form(power, G)
+        columns.append([power.terms.get(e, 0) for e in std])
+        power = power * ell
+    # solve sum_k a_k ell^k = -ell^dim, k < dim, or find the columns dependent
+    rows = [[col[r] for col in columns[:dim]] + [-columns[dim][r] % p] for r in range(dim)]
+    rref, pivots = gauss_jordan(rows, p)
+    if pivots != list(range(dim)):
+        return False
+    mu = [row[dim] for row in rref] + [1]
+    return len(ugcd(mu, uderiv(mu, p), p)) == 1
+
+
+def gauss_jordan(rows, p):
+    """(rref, pivot columns) of an int matrix over GF(p), each pivot clearing
+    its whole column in one pass."""
+    rows, pivots = [list(r) for r in rows], []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [(a - f * b) % p for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots

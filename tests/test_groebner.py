@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from _oracles import plain_reduced_basis
+from _oracles import plain_reduced_basis, reduced_by_normal_forms
 from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
@@ -375,6 +375,88 @@ def test_is_reduced_zero_dim_examples(Fp):
     # the random form is drawn over a prime field only
     with pytest.raises(DegenerateInputError):
         is_reduced_zero_dim(GB(qq("x0^2 - 1", 2), qq("x1 - 3", 2)), SeedStream(1))
+
+
+class ScriptedStream(SeedStream):
+    """Answers below() from a script of field elements first, then as SeedStream."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def below(self, m):
+        return self.script.pop(0) if self.script else super().below(m)
+
+
+# zero-dimensional GF(p) systems for the reducedness oracle, as (nvars, texts)
+REDUCEDNESS_SYSTEMS = {
+    "one-point": (3, ["x0 - 1", "x1 - 2", "x2 - 3"]),
+    "two-points": (2, ["x0^2 - 1", "x1 - 3"]),
+    "four-points": (2, ["x0^2 - 1", "x1^2 - 4"]),
+    "eight-points": (3, ["x0^2 - x1", "x1^2 - x2", "x2^2 - 1"]),
+    "cube-roots": (2, ["x0^3 - 1", "x1 - x0^2"]),
+    "hyperbola-line": (2, ["x0*x1 - 1", "x0 + x1 - 3"]),
+    "circle-diagonal": (2, ["x0^2 + x1^2 - 1", "x0 - x1"]),
+    "twisted": (3, ["x0 - x1^2", "x1 - x2^2", "x2^3 - 2"]),
+    "three-roots": (1, ["x0^3 - x0"]),
+    "unit-ideal": (2, ["x0", "x0 - 1"]),
+    "fat-point": (2, ["x0^2", "x0*x1", "x1^2"]),
+    "double-root": (1, ["x0^2 - 2*x0 + 1"]),
+    "triple-root": (1, ["x0^3"]),
+    "nilpotent": (2, ["x0^2 - x1", "x1^2"]),
+    "square-box": (2, ["x0^2", "x1^2"]),
+    "cross": (2, ["x0^2 - x1^2", "x0*x1"]),
+    "point-and-double": (2, ["(x0 - 1)*x0^2", "x1 - x0"]),
+    "tangent-conics": (2, ["x1 - x0^2", "x1"]),
+    "embedded-in-three": (3, ["x0^2", "x1 - x0", "x2^2 - 1"]),
+}
+
+
+def _random_zero_dim_systems(count):
+    """count random zero-dimensional systems: n dense polys in n variables,
+    one of them squared in every other system."""
+    rng = random.Random(29)
+    field = GF(DEFAULT_PRIME)
+    out = []
+    while len(out) < count:
+        nvars = rng.choice((2, 3))
+        gens = [random_poly(field, nvars, 2, 4, rng) for _ in range(nvars)]
+        if len(out) % 2:
+            gens[0] = gens[0] * gens[0]
+        if any(g.is_zero() for g in gens):
+            continue
+        G = groebner(gens)
+        if is_zero_dimensional(G) and 0 < quotient_dimension(G) <= 16:
+            out.append(G)
+    return out
+
+
+def test_is_reduced_zero_dim_matches_the_normal_form_oracle():
+    bases = [groebner([gfp(t, nvars) for t in texts])
+             for nvars, texts in REDUCEDNESS_SYSTEMS.values()]
+    bases += [groebner(_ladder_fiber_system()), groebner(_acceptance_fiber_system())]
+    bases += _random_zero_dim_systems(10)
+    answers = set()
+    for k, G in enumerate(bases):
+        a, b = SeedStream(k), SeedStream(k)
+        want = reduced_by_normal_forms(G, a)
+        assert is_reduced_zero_dim(G, b) == want, k
+        assert a.bits(64) == b.bits(64), k
+        answers.add(want)
+    assert answers == {True, False}
+    # a form that does not separate the two points (1, 1), (2, 2), then a
+    # zero draw that is redrawn
+    G = GB(gfp("x0 - x1", 2), gfp("x1^2 - 3*x1 + 2", 2))
+    for script, want in (([1, DEFAULT_PRIME - 1], False), ([0, 0], True)):
+        a, b = ScriptedStream(5, script), ScriptedStream(5, script)
+        assert reduced_by_normal_forms(G, a) == want
+        assert is_reduced_zero_dim(G, b) == want
+        assert a.bits(64) == b.bits(64)
+    # both refuse an infinite quotient before drawing
+    G = GB(gfp("x0^2", 2), gfp("x0*x1", 2))
+    for check in (reduced_by_normal_forms, is_reduced_zero_dim):
+        with pytest.raises(DegenerateInputError):
+            check(G, SeedStream(1))
 
 
 def test_fermat_quartic_fiber_reduced(Fp):
