@@ -267,6 +267,12 @@ PINNED_JSON = {
     "gauss-foliation-from": (["gauss", "--foliation-from", "x0; x1; x2; 1,1,1", "--k", "3",
                               "--i", "1", "--json"],
                              "8bc4f024d23856fb34bcc78dc4dcdad09deb6b96665b00dc22255aad1af422c8"),
+    # the second prime, where a wrong coefficient of the separating form is likeliest to show
+    "polar-fermat-cubic-p2": (["polar", "--poly", "x0^3+x1^3+x2^3", "--json", "--seed", "3",
+                               "--prime", "1000003"],
+                              "a625460d0d4cff6c1607e31602cf362880ba1fa1f8b6e387a5f702ec2807e46b"),
+    "verify-dolgachev-p2": (["verify", "dolgachev", "--json", "--prime", "1000003"],
+                            "5e2dcdee66d99e3674d6649bdc8ad405dce6e30602e8d66ad594ab8c357e158b"),
 }
 
 
