@@ -41,7 +41,6 @@ from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
 from .linalg import row_reduce
 from .poly import MultiPoly, gcd_many
-from .rand import SeedStream, random_vector
 
 DEFAULT_MAX_PAIRS = 200000
 DEFAULT_MAX_BASIS = 5000
@@ -165,9 +164,11 @@ class GroebnerBasis:
 
 
 def _monic(terms, field):
-    inv = field.inv(terms[0][1])
-    mul = field.mul
-    return terms[0][0], [(m, mul(c, inv)) for m, c in terms[1:]]
+    (lm, lc), p = terms[0], field.modulus
+    inv = field.inv(lc)
+    if p:
+        return lm, [(m, c * inv % p) for m, c in terms[1:]]
+    return lm, [(m, c * inv) for m, c in terms[1:]]
 
 
 def _reduce(items, basis, guards, prime):
@@ -405,27 +406,32 @@ def _uni_gcd_is_unit(mu, p) -> bool:
     return len(a) == 1
 
 
-def is_reduced_zero_dim(G: GroebnerBasis, stream: SeedStream) -> bool:
+def is_reduced_zero_dim(G: GroebnerBasis, coeffs) -> bool:
     """Whether the zero-dimensional quotient is reduced with separated points.
 
-    Draws a random linear form ell over the prime field (QQ is refused) and
-    writes 1, ell, ..., ell^dim over the standard monomials, each power as
-    ell's multiplication matrix (Faugere, Gianni, Lazard & Mora, JSC 1993)
+    coeffs are the coefficients of a linear form ell, one per variable of G,
+    over the prime field (QQ is refused); callers draw them at random.  The
+    test writes 1, ell, ..., ell^dim over the standard monomials, each power
+    as ell's multiplication matrix (Faugere, Gianni, Lazard & Mora, JSC 1993)
     times the one before.  The quotient is reduced with ell separating its
     points iff ell's minimal polynomial has degree dim and is squarefree: iff
     1, ..., ell^(dim-1) are independent, so that sum a_k ell^k = -ell^dim
     has one solution, and t^dim + sum a_k t^k is coprime to its derivative.
-    A non-separating form yields a false negative; callers retry.
+    A non-separating form, the zero form among them once dim > 1, yields a
+    false negative; callers redraw.
     """
+    p = G.field.modulus
+    if p is None:
+        raise DegenerateInputError("the reducedness test runs over a prime field")
+    if len(coeffs) != G.nvars:
+        raise DegenerateInputError(
+            f"a linear form on {G.nvars} variables needs {G.nvars} coefficients, "
+            f"got {len(coeffs)}")
     pk, std = G._quotient
     dim = len(std)
     if dim == 0:
         return True
-    while True:
-        coeffs = random_vector(G.field, G.nvars, stream)
-        if any(coeffs):
-            break
-    p, basis, index = G.field.modulus, G.packed(pk), {m: r for r, m in enumerate(std)}
+    basis, index = G.packed(pk), {m: r for r, m in enumerate(std)}
     ell = [(u, a) for u, a in zip(pk.units, coeffs) if a]
     # column c of the matrix is ell * std[c] over the standard monomials; each
     # border monomial x_v * std[c] is reduced once, and the basis is reduced,

@@ -369,22 +369,21 @@ def plain_reduced_basis(polys):
 
 # -- reducedness through normal forms of the powers of a random form ----------
 
-def reduced_by_normal_forms(G, stream) -> bool:
-    """The answer of is_reduced_zero_dim, by plain means on the same draws.
+def reduced_by_normal_forms(G, coeffs) -> bool:
+    """The answer of is_reduced_zero_dim, by plain means on the same form.
 
     The standard monomials are the exponent vectors in a box that no lead
-    divides.  ell is drawn exactly as the package draws it, each power ell^k
-    is the normal form of ell * ell^(k-1), and the minimal polynomial comes
-    from gauss_jordan on their coordinates: the quotient is reduced
-    with ell separating iff it has degree dim and is coprime to its
-    derivative.  Refuses an infinite quotient like the package.
+    divides.  ell has the given coefficients, each power ell^k is the normal
+    form of ell * ell^(k-1), and the minimal polynomial comes from
+    gauss_jordan on their coordinates: the quotient is reduced with ell
+    separating iff it has degree dim and is coprime to its derivative.
+    Refuses an infinite quotient like the package.
     """
     from itertools import product
 
     from polardeg.errors import DegenerateInputError
     from polardeg.groebner import normal_form
     from polardeg.poly import MultiPoly
-    from polardeg.rand import random_vector
 
     field, nvars, leads = G.field, G.nvars, G.lead_exps
     pure = [max((e[v] for e in leads if not any(e[:v] + e[v + 1:])), default=0)
@@ -396,10 +395,6 @@ def reduced_by_normal_forms(G, stream) -> bool:
     dim = len(std)
     if dim == 0:
         return True
-    while True:
-        coeffs = random_vector(field, nvars, stream)
-        if any(coeffs):
-            break
     p = field.modulus
     ell = MultiPoly.from_terms(field, nvars, [(tuple(int(w == v) for w in range(nvars)), a)
                                              for v, a in enumerate(coeffs)])

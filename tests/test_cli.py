@@ -228,11 +228,10 @@ def test_verify_resonance_redraws_an_empty_fiber():
     assert main(["verify", "resonance", "--seed", "77", "--prime", "1000003"]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "lost point at i >= 1: the saturation u*ell0(phi) - 1 drops a genuine fiber "
-    "point p when ell0(phi(p)) = 0, so one e_degree trial of the Fermat cubic's "
-    "foliation (cubic, i=1) counts 5 where the others count 6 and the report "
-    "is unstable"))
+# at this seed the saturation u*ell0(phi) - 1 drops a genuine fiber point p
+# with ell0(phi(p)) = 0: one e_degree trial of the Fermat cubic's foliation
+# (cubic, i=1) counts 5 where the others count 6, and the audited replay
+# redraws it
 def test_verify_polar_relation_keeps_every_fiber_point():
     assert main(["verify", "polar-relation", "--seed", "42", "--prime", "1000003"]) == 0
 

@@ -15,11 +15,16 @@ from polardeg.groebner import (common_factor, groebner, ideal_dimension,
                                normal_form, quotient_dimension)
 from polardeg.parse import parse_poly
 from polardeg.poly import MultiPoly, gcd_many, gradient
-from polardeg.rand import SeedStream
+from polardeg.rand import SeedStream, random_vector
 
 
 def GB(*polys):
     return groebner(polys)
+
+
+def ell(G, seed):
+    """Coefficients of a random linear form on G's variables."""
+    return random_vector(G.field, G.nvars, SeedStream(seed))
 
 
 def test_groebner_coordinate_ideal():
@@ -62,7 +67,7 @@ def test_groebner_refuses_zero_and_mixed_generators():
 def test_queries_leave_the_polynomial_basis_unbuilt():
     G = GB(gfp("x0^2 - x1"), gfp("x1^2 - x2"), gfp("x2^2 - 1"))
     assert quotient_dimension(G) == 8
-    assert is_reduced_zero_dim(G, SeedStream(1))
+    assert is_reduced_zero_dim(G, ell(G, 1))
     assert G.packing.vbits == 8 and "basis" not in vars(G)
 
 
@@ -218,7 +223,7 @@ def test_golden_ladder_sized_basis():
         474, 473, 471, 478, 477, 470, 476, 479, 474, 472, 467, 478, 474, 472, 481]
     assert _digest(G) == "a3cf810dd32f2c612c60e315da28326a0318a0bffa39f6d11d0af9fa2b02527f"
     assert quotient_dimension(G) == 25
-    assert is_reduced_zero_dim(G, SeedStream(3))
+    assert is_reduced_zero_dim(G, ell(G, 3))
 
 
 # S-pairs each system reduces: the pair update and the selection order must
@@ -357,35 +362,26 @@ def test_common_factor_of_zero_polys_is_refused():
 
 
 def test_is_reduced_zero_dim_examples(Fp):
-    assert is_reduced_zero_dim(GB(gfp("x0 - 1"), gfp("x1 - 2"), gfp("x2 - 3")),
-                               SeedStream(1))
+    one_point = GB(gfp("x0 - 1"), gfp("x1 - 2"), gfp("x2 - 3"))
+    assert is_reduced_zero_dim(one_point, ell(one_point, 1))
     one_var = groebner([MultiPoly.from_terms(Fp, 1, [((2,), 1)])])
-    assert not is_reduced_zero_dim(one_var, SeedStream(1))
+    assert not is_reduced_zero_dim(one_var, ell(one_var, 1))
     # a fat point: dimension 3, but every form has a minimal polynomial of degree 2
     fat = GB(gfp("x0^2", 2), gfp("x0*x1", 2), gfp("x1^2", 2))
     assert quotient_dimension(fat) == 3
-    assert not is_reduced_zero_dim(fat, SeedStream(1))
+    assert not is_reduced_zero_dim(fat, ell(fat, 1))
     # dimension 4 and minimal polynomial t^4: full degree, not squarefree
     nilpotent = GB(gfp("x0^2 - x1", 2), gfp("x1^2", 2))
     assert quotient_dimension(nilpotent) == 4
-    assert not is_reduced_zero_dim(nilpotent, SeedStream(1))
+    assert not is_reduced_zero_dim(nilpotent, ell(nilpotent, 1))
     two_points = GB(gfp("x0^2 - 1", 2), gfp("x1 - 3", 2))
     assert quotient_dimension(two_points) == 2
-    assert is_reduced_zero_dim(two_points, SeedStream(1))
-    # the random form is drawn over a prime field only
+    assert is_reduced_zero_dim(two_points, ell(two_points, 1))
+    # the test runs over a prime field only, on one coefficient per variable
     with pytest.raises(DegenerateInputError):
-        is_reduced_zero_dim(GB(qq("x0^2 - 1", 2), qq("x1 - 3", 2)), SeedStream(1))
-
-
-class ScriptedStream(SeedStream):
-    """Answers below() from a script of field elements first, then as SeedStream."""
-
-    def __init__(self, seed, script):
-        super().__init__(seed)
-        self.script = list(script)
-
-    def below(self, m):
-        return self.script.pop(0) if self.script else super().below(m)
+        is_reduced_zero_dim(GB(qq("x0^2 - 1", 2), qq("x1 - 3", 2)), [1, 1])
+    with pytest.raises(DegenerateInputError):
+        is_reduced_zero_dim(two_points, [1, 1, 1])
 
 
 # zero-dimensional GF(p) systems for the reducedness oracle, as (nvars, texts)
@@ -438,25 +434,22 @@ def test_is_reduced_zero_dim_matches_the_normal_form_oracle():
     bases += _random_zero_dim_systems(10)
     answers = set()
     for k, G in enumerate(bases):
-        a, b = SeedStream(k), SeedStream(k)
-        want = reduced_by_normal_forms(G, a)
-        assert is_reduced_zero_dim(G, b) == want, k
-        assert a.bits(64) == b.bits(64), k
+        coeffs = ell(G, k)
+        want = reduced_by_normal_forms(G, coeffs)
+        assert is_reduced_zero_dim(G, coeffs) == want, k
         answers.add(want)
     assert answers == {True, False}
-    # a form that does not separate the two points (1, 1), (2, 2), then a
-    # zero draw that is redrawn
+    # a form that does not separate the two points (1, 1), (2, 2), then one
+    # that does
     G = GB(gfp("x0 - x1", 2), gfp("x1^2 - 3*x1 + 2", 2))
-    for script, want in (([1, DEFAULT_PRIME - 1], False), ([0, 0], True)):
-        a, b = ScriptedStream(5, script), ScriptedStream(5, script)
-        assert reduced_by_normal_forms(G, a) == want
-        assert is_reduced_zero_dim(G, b) == want
-        assert a.bits(64) == b.bits(64)
-    # both refuse an infinite quotient before drawing
+    for coeffs, want in (([1, DEFAULT_PRIME - 1], False), (ell(G, 5), True)):
+        assert reduced_by_normal_forms(G, coeffs) == want
+        assert is_reduced_zero_dim(G, coeffs) == want
+    # both refuse an infinite quotient
     G = GB(gfp("x0^2", 2), gfp("x0*x1", 2))
     for check in (reduced_by_normal_forms, is_reduced_zero_dim):
         with pytest.raises(DegenerateInputError):
-            check(G, SeedStream(1))
+            check(G, [1, 1])
 
 
 def test_fermat_quartic_fiber_reduced(Fp):
@@ -476,7 +469,7 @@ def test_fermat_quartic_fiber_reduced(Fp):
         G = groebner([e1, e2, chart])
         assert is_zero_dimensional(G)
         assert quotient_dimension(G) == 9
-        assert is_reduced_zero_dim(G, rng)
+        assert is_reduced_zero_dim(G, random_vector(Fp, 3, rng))
 
 
 def test_pair_cap_is_reported(monkeypatch):

@@ -168,13 +168,15 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     # replay the first trial's stream: n - i target rows, ell0, i source rows
     stream = SeedStream(SeedStream(seed).child_seed())
     rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
-    chart = [MultiPoly.variable(Fp, n + 1, a) for a in range(n)] + [MultiPoly.one(Fp, n + 1)]
+    # u is variable 0, the chart coordinates x_0 .. x_{n-1} are variables 1 .. n
+    chart = ([MultiPoly.variable(Fp, n + 1, a + 1) for a in range(n)]
+             + [MultiPoly.one(Fp, n + 1)])
     dehom = [c.substitute(chart) for c in comps]
 
     def combination(row, polys):
         return sum((p.scale(r) for r, p in zip(row, polys)), MultiPoly.zero(Fp, n + 1))
 
-    u = MultiPoly.variable(Fp, n + 1, n)
+    u = MultiPoly.variable(Fp, n + 1, 0)
     ideals = []
     real_groebner = polar.groebner
 
@@ -198,6 +200,76 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
                     + [combination(row, chart) for row in source])
         assert list(ideals[0]) == expected
         assert all(g.nvars == n + 1 for g in ideals[0])
+
+
+class ScriptedStream(SeedStream):
+    """A SeedStream that counts its below() calls and answers those in
+    `script`, {call number: field element}, without drawing."""
+
+    def __init__(self, seed, script=None):
+        super().__init__(seed)
+        self.script, self.calls = script or {}, 0
+
+    def below(self, m):
+        k, self.calls = self.calls, self.calls + 1
+        return self.script[k] if k in self.script else super().below(m)
+
+
+def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch):
+    passed, streams = [], []
+    real_check = polar.is_reduced_zero_dim
+
+    def capture(G, coeffs):
+        passed.append(list(coeffs))
+        return real_check(G, coeffs)
+
+    def counting(zeros):
+        def make(seed):
+            streams.append(ScriptedStream(seed, dict.fromkeys(zeros, 0)))
+            return streams[-1]
+        return make
+
+    monkeypatch.setattr(polar, "is_reduced_zero_dim", capture)
+    m = polar_map(qq("x2*(x1^2 - x0*x2)")).to_field(Fp)
+    n, seed = m.source_dim, 5
+    trial_seed = SeedStream(seed).child_seed()
+    linear = (n + 1) ** 2           # n - i target rows, ell0, i source rows
+    draws = random_vector(Fp, linear + n + 1, SeedStream(trial_seed))[linear:]
+    # an all-zero draw of the form is redrawn, and the redraw is the stream's
+    # next n + 1 draws
+    for zeros in ((), range(linear, linear + n + 1)):
+        for i, value in ((0, 1), (1, 2)):
+            passed.clear()
+            monkeypatch.setattr(polar, "SeedStream", counting(zeros))
+            assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
+            # the last draw goes on u, variable 0
+            assert passed == [draws[-1:] + draws[:-1]]
+            assert streams[-1].calls == linear + len(zeros) + n + 1
+    # a count of 0 draws nothing after the linear data, in each of its redraws
+    passed.clear()
+    monkeypatch.setattr(polar, "SeedStream", counting(()))
+    m = polar_map(qq("x0*x1*(x0 + x1)")).to_field(Fp)
+    assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 0
+    assert passed == []
+    assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * linear
+
+
+def test_audit_redraws_a_count_that_lost_a_fiber_point(Fp):
+    # deg_1 of the Fermat cubic's polar map is 2.  The scripted draws put the
+    # fiber point (1 : 2 : 1) on ell0(phi) = 0: the target line L is
+    # y0 = y2, ell0 = 4*y0 - y1, and Lambda is x0 + x1 = 3*x2, which meets
+    # L(phi) = 3*x0^2 - 3*x2^2 in (1 : 2 : 1) and (-1 : 4 : 1)
+    m = polar_map(qq("x0^3 + x1^3 + x2^3")).to_field(Fp)
+    n, p = m.source_dim, DEFAULT_PRIME
+    sub = [MultiPoly(Fp, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
+           for comp in m.components]
+    script = dict(enumerate([1, 0, p - 1] + [4, p - 1, 0] + [1, 1, p - 3]))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script)) == (True, True, 1)
+    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script), audit=True) is None
+    # generic draws pass the audit
+    for seed in range(3):
+        assert polar._trial_fiber_count(sub, n, 1, Fp, SeedStream(seed), audit=True) == \
+            (True, True, 2)
 
 
 def test_rational_map_rep_validation():
