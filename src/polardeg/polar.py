@@ -339,10 +339,11 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
 
     A trial redraws a degenerate, non-reduced or empty fiber up to
     DEFAULT_RETRIES times and keeps its last draw.  When the trials of a
-    level i >= 1 disagree, each trial off the vote (every trial when there is
-    no majority) is replayed from its seed with the audit of
-    _trial_fiber_count on, which redraws a count that lost a fiber point to
-    the saturation.  Reports whose trials agree run no audit.
+    level i >= 1 disagree, each trial whose count differs from the vote
+    (every counted trial when there is no majority) is replayed from its
+    seed with the audit of _trial_fiber_count on, which redraws a count that
+    lost a fiber point to the saturation.  Reports whose trials agree run no
+    audit.
     """
     n = m.source_dim
     if not 0 <= i <= n - 1:
