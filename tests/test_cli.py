@@ -118,7 +118,7 @@ BAD_INPUTS = {
     "component-vanishes": ["--poly", "x0^2 + x1^2 + 1000003*x2^2", "--prime", "1000003"],
     "common-factor": ["--poly", "x0*x2^2 + x1*x2^2 + 1000003*x0^3", "--prime", "1000003"],
     "denominator": ["--poly", "1/1000003*x0^2 + x1^2 + x2^2", "--prime", "1000003"],
-    "pair-cap": ["--poly", "x0^4 + x1^4 + x2^4"],
+    "pair-cap": ["--poly", "x0^4 + x1^4 + x0*x1*x2^2"],
     "pair-cap-not-a-number": ["--poly", "x0^4 + x1^4 + x2^4"],
     "pair-cap-superscript": ["--poly", "x0^4 + x1^4 + x2^4"],
     "too-few-lines": ["--k", "1"],
@@ -187,9 +187,10 @@ def test_foliation_requires_descent(capsys):
 
 
 def test_env_pair_cap_is_honored(capsys, monkeypatch):
-    # each fiber basis here reduces 2 S-pairs
+    # the squarefree check of this quartic reduces 11 S-pairs and each fiber
+    # basis 18
     monkeypatch.setenv("POLARDEG_MAX_PAIRS", "1")
-    code, _, err = run_cli(capsys, "polar", "--poly", "x0^4+x1^4+x2^4", "--i", "0")
+    code, _, err = run_cli(capsys, "polar", "--poly", "x0^4+x1^4+x0*x1*x2^2", "--i", "0")
     assert code == 1
     assert "cap" in err
 
@@ -272,6 +273,11 @@ PINNED_JSON = {
                               "a625460d0d4cff6c1607e31602cf362880ba1fa1f8b6e387a5f702ec2807e46b"),
     "verify-dolgachev-p2": (["verify", "dolgachev", "--json", "--prime", "1000003"],
                             "5e2dcdee66d99e3674d6649bdc8ad405dce6e30602e8d66ad594ab8c357e158b"),
+    # smooth over QQ, but a triangle of lines mod 1000003: its polar map has
+    # base points at this prime and none at the default one
+    "polar-cubic-triangle-p2": (["polar", "--poly", "x0^3 + x1^3 + x2^3 - 1498503*x0*x1*x2",
+                                 "--prime", "1000003", "--json"],
+                                "1abdf8d3b612df880741887b27a06df1fd0dfcd889c8b092539829c126d413e2"),
 }
 
 

@@ -162,6 +162,18 @@ def test_chart_hyperplane_as_a_component(text, nvars, profile, prime):
         assert all(t.reduced for r in reports for t in r.trials)
 
 
+@pytest.mark.parametrize("prime, profile", [(SECOND_PRIME, (1, 2)), (DEFAULT_PRIME, (4, 2))])
+def test_base_points_are_decided_over_the_trial_field(prime, profile):
+    # smooth over QQ, but 499501 is a cube root of 1 mod 1000003 and
+    # 1498503 = 3 * 499501: there the cubic is a triangle of lines, and its
+    # polar map has base points at the three vertices
+    W = WeightedFunction.of([qq("x0^3 + x1^3 + x2^3 - 1498503*x0*x1*x2")], [1])
+    for seed in range(3):
+        reports = polar_degrees_profile(W, seed=seed, field=GF(prime))
+        assert tuple(r.value for r in reports) == profile
+        assert all(r.stable for r in reports)
+
+
 def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     m = polar_map(qq("x2*(x1^2 - x0*x2)")).to_field(Fp)
     comps, n, seed = m.components, m.source_dim, 5
