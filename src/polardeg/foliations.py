@@ -51,6 +51,8 @@ class LogFoliation:
     degree: int
     # checked reductions modulo primes, by field: each is validated once
     _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # the Gauss map's base_point_free, where building the form decided it
+    _base_point_free: bool | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def field(self):
@@ -69,8 +71,9 @@ class LogFoliation:
         if field == self.field:
             return self
         if field not in self._reductions:
-            self._reductions[field] = LogFoliation(
-                gauss_map(self).to_field(field).components, self.degree)
+            m = gauss_map(self).to_field(field)
+            self._reductions[field] = LogFoliation(m.components, self.degree,
+                                                   _base_point_free=m.base_point_free())
         return self._reductions[field]
 
 
@@ -122,15 +125,19 @@ def _clear_form(polys) -> LogFoliation:
     if len({homogeneous_degree(p) for p in polys} - {-1}) != 1:
         raise DegenerateInputError("coefficient degrees differ")
     field = polys[0].field
-    g = common_factor(polys)
-    if not g.is_constant():
+    G = groebner(polys)
+    g = common_factor(polys, G)
+    free = None         # the Gauss map's base points, decided by G unless g goes
+    if g.is_constant():
+        free = ideal_dimension(G) <= 0
+    else:
         polys = [p if p.is_zero() else exact_divide(p, g) for p in polys]
     first = next(p for p in polys if not p.is_zero())
     _, lead = first.leading()
     if lead != field.one():
         inv = field.inv(lead)
         polys = [p.scale(inv) for p in polys]
-    return LogFoliation(tuple(polys), first.total_degree() - 1)
+    return LogFoliation(tuple(polys), first.total_degree() - 1, _base_point_free=free)
 
 
 def associated_foliation(W: WeightedFunction) -> LogFoliation:
@@ -160,7 +167,7 @@ def associated_foliation(W: WeightedFunction) -> LogFoliation:
 
 def gauss_map(fol: LogFoliation) -> RationalMapRep:
     """The coefficients read as a rational map to the dual projective space."""
-    return RationalMapRep.of(fol.coeffs)
+    return RationalMapRep.of(fol.coeffs, base_point_free=fol._base_point_free)
 
 
 def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFoliation:

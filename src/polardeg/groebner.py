@@ -365,15 +365,17 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return 0
 
 
-def common_factor(polys) -> MultiPoly:
+def common_factor(polys, G=None) -> MultiPoly:
     """gcd_many(polys), with a Groebner basis deciding whether it is constant.
 
     Over an algebraic closure the common zero set has a hypersurface
     component iff the polys share a nonconstant factor, and a gcd does not
     change under field extension.  So an ideal of dimension at most nvars - 2
-    has gcd 1, and only the other case runs the subresultant gcd.
+    has gcd 1, and only the other case runs the subresultant gcd.  G is the
+    polys' basis when the caller has built it.
     """
-    G = groebner(polys)
+    if G is None:
+        G = groebner(polys)
     if ideal_dimension(G) <= G.nvars - 2:
         return MultiPoly.one(G.field, G.nvars)
     return gcd_many(polys)

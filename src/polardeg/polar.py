@@ -18,7 +18,8 @@ from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField
-from .groebner import common_factor, groebner, is_reduced_zero_dim, quotient_dimension
+from .groebner import (common_factor, groebner, ideal_dimension, is_reduced_zero_dim,
+                       quotient_dimension)
 from .linalg import rank
 from .poly import (MultiPoly, exact_divide, gradient, homogeneous_degree,
                    linear_combination)
@@ -105,9 +106,13 @@ class RationalMapRep:
     components: tuple
     # checked reductions modulo primes, by field: each is validated once
     _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # see base_point_free; None until decided
+    _base_point_free: bool | None = dc_field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, components) -> "RationalMapRep":
+    def of(cls, components, base_point_free=None) -> "RationalMapRep":
+        """Check and wrap the components.  A caller that has built their
+        Groebner basis anyway passes base_point_free, read from it."""
         components = tuple(components)
         if not components:
             raise DegenerateInputError("map needs components")
@@ -126,7 +131,7 @@ class RationalMapRep:
             raise DegenerateInputError("all components are zero")
         if len(degs) > 1:
             raise DegenerateInputError(f"component degrees differ: {sorted(degs)}")
-        return cls(components)
+        return cls(components, _base_point_free=base_point_free)
 
     @property
     def field(self):
@@ -139,6 +144,15 @@ class RationalMapRep:
     @property
     def source_dim(self) -> int:
         return len(self.components) - 1
+
+    def base_point_free(self) -> bool:
+        """The components have no common zero in P^n over the algebraic
+        closure of their field: their ideal has dimension at most 0.  Decided
+        once, from a Groebner basis of the components."""
+        if self._base_point_free is None:
+            object.__setattr__(self, "_base_point_free",
+                               ideal_dimension(groebner(self.components)) <= 0)
+        return self._base_point_free
 
     def to_field(self, field) -> "RationalMapRep":
         if field == self.field:
@@ -156,13 +170,14 @@ class RationalMapRep:
                 f"bad reduction: a component vanishes modulo {field.modulus}")
         # a common factor gained mod p changes the map and its degrees; the
         # factor over QQ is computed only when one shows up mod p
-        common = common_factor(polys)
+        G = groebner(polys)
+        common = common_factor(polys, G)
         if (not common.is_constant()
                 and common.total_degree() > common_factor(self.components).total_degree()):
             raise DegenerateInputError(
                 f"bad reduction: the components gain a common factor {common} "
                 f"modulo {field.modulus}")
-        return RationalMapRep.of(polys)
+        return RationalMapRep.of(polys, base_point_free=ideal_dimension(G) <= 0)
 
 
 @dataclass(frozen=True)
@@ -240,7 +255,7 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     return RationalMapRep.of(comps)
 
 
-def _trial_fiber_count(sub, n, i, field, stream, audit=False):
+def _trial_fiber_count(sub, n, i, field, stream, audit=False, saturate=True):
     """One fiber count: (zero_dim, reduced, value), or None on a degenerate draw.
 
     sub holds the components in the chart, as map_degree builds them.  The
@@ -257,13 +272,24 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False):
     i.  Stratify phi(H), H = {x_n = 0}, by the fiber dimension k of phi
     restricted to H: each stratum Y_k has dim Y_k + k <= n - 1.  A generic L
     meets Y_k in dimension <= dim Y_k + i - n, so Z meets H in dimension
-    <= i - 1; base points are removed by the saturation u * ell0(phi) = 1.
-    So a generic Lambda of codimension i misses Z meet H: every point of Z
-    meet Lambda lies in the chart, and at i = 0 the finite fiber misses H.
-    Lambda's i affine forms join the generators: being independent and
-    affine-linear in the chart coordinates, they eliminate i of them, so the
-    quotient is isomorphic to that of the fiber system restricted to Lambda,
-    with the same dimension and reducedness.
+    <= i - 1.  So a generic Lambda of codimension i misses Z meet H: every
+    point of Z meet Lambda lies in the chart, and at i = 0 the finite fiber
+    misses H.  Lambda's i affine forms join the generators: being independent
+    and affine-linear in the chart coordinates, they eliminate i of them, so
+    the quotient is isomorphic to that of the fiber system restricted to
+    Lambda, with the same dimension and reducedness.
+
+    With saturate set, the generator u * ell0(phi) - 1 removes the base
+    points, where phi vanishes, and with them every point where ell0(phi)
+    vanishes.  At i = 0 the rank check keeps ell0 nonzero on the target
+    point; at i >= 1 a genuine point of Z meet Lambda can lie on
+    ell0(phi) = 0 and be lost, which the audit below catches.  map_degree
+    clears saturate for a map with no base points over the field, and the
+    generator u stands in its place.  Then phi vanishes nowhere, Z is
+    phi^{-1}(L), and the system has exactly the points of Z meet Lambda with
+    their local rings, including those on ell0(phi) = 0: the count is exact at
+    every level.  u is zero in the quotient, so the coefficient of ell below
+    that lands on u is inert.
 
     A positive count draws the coefficients of the form ell that
     is_reduced_zero_dim tests, n + 1 of them and never all zero, and puts
@@ -296,7 +322,7 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False):
         return groebner(target + [linear_combination(row, sub) for row in zeros]
                         + [u * linear_combination(ell, sub) - one] + source)
 
-    G = saturated([], ell0)
+    G = saturated([], ell0) if saturate else groebner(target + [u] + source)
     try:
         value = quotient_dimension(G)
     except DegenerateInputError:    # the fiber is not finite
@@ -318,13 +344,13 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False):
     return (True, True, value)
 
 
-def _trial(sub, n, i, field, trial_seed, audit=False) -> TrialOutcome:
+def _trial(sub, n, i, field, trial_seed, audit=False, saturate=True) -> TrialOutcome:
     """A trial: fiber counts from one seeded stream until one is reduced and
     positive, at most DEFAULT_RETRIES redraws; the last draw is kept."""
     stream = SeedStream(trial_seed)
     zero_dim, reduced, value = False, False, None
     for _ in range(DEFAULT_RETRIES + 1):
-        res = _trial_fiber_count(sub, n, i, field, stream, audit)
+        res = _trial_fiber_count(sub, n, i, field, stream, audit, saturate)
         if res is None:
             continue            # degenerate draw, redraw
         zero_dim, reduced, value = res
@@ -338,12 +364,14 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     """deg_i of the map by majority vote over exact randomized fiber counts.
 
     A trial redraws a degenerate, non-reduced or empty fiber up to
-    DEFAULT_RETRIES times and keeps its last draw.  When the trials of a
-    level i >= 1 disagree, each trial whose count differs from the vote
-    (every counted trial when there is no majority) is replayed from its
-    seed with the audit of _trial_fiber_count on, which redraws a count that
-    lost a fiber point to the saturation.  Reports whose trials agree run no
-    audit.
+    DEFAULT_RETRIES times and keeps its last draw.  A map with no base
+    points over the field is counted without the saturation, and its
+    reports are returned as the trials vote: there is no saturated-away
+    point to look for.  Otherwise, when the trials of a level i >= 1
+    disagree, each trial whose count differs from the vote (every counted
+    trial when there is no majority) is replayed from its seed with the
+    audit of _trial_fiber_count on, which redraws a count that lost a fiber
+    point to the saturation.  Reports whose trials agree run no audit.
     """
     n = m.source_dim
     if not 0 <= i <= n - 1:
@@ -354,15 +382,18 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
         field = m.field
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("degree computations run over a prime field")
+    m = m.to_field(field)
+    saturate = not m.base_point_free()
     # the components in the chart x_n = 1, in the ring of u and then the chart
     # coordinates x_0 .. x_{n-1}; they are homogeneous, so no two terms merge
     sub = [MultiPoly(field, n + 1, {(0,) + exp[:n]: c for exp, c in comp.terms.items()})
-           for comp in m.to_field(field).components]
+           for comp in m.components]
     master = SeedStream(seed)
     report = DegreeReport.from_trials(
-        i, [_trial(sub, n, i, field, master.child_seed()) for _ in range(trials)])
+        i, [_trial(sub, n, i, field, master.child_seed(), saturate=saturate)
+            for _ in range(trials)])
     # at i = 0 the rank check keeps ell0 nonzero on the target point: no audit
-    if report.stable or not i:
+    if report.stable or not i or not saturate:
         return report
     return DegreeReport.from_trials(
         i, [t if t.value == report.value else _trial(sub, n, i, field, t.seed, audit=True)

@@ -172,23 +172,32 @@ def test_base_points_are_decided_over_the_trial_field(prime, profile):
         reports = polar_degrees_profile(W, seed=seed, field=GF(prime))
         assert tuple(r.value for r in reports) == profile
         assert all(r.stable for r in reports)
+    assert weighted_polar_map(W).to_field(GF(prime)).base_point_free() == (prime != SECOND_PRIME)
 
 
 def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
-    m = polar_map(qq("x2*(x1^2 - x0*x2)")).to_field(Fp)
-    comps, n, seed = m.components, m.source_dim, 5
+    n, seed = 2, 5
     # replay the first trial's stream: n - i target rows, ell0, i source rows
     stream = SeedStream(SeedStream(seed).child_seed())
     rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
     # u is variable 0, the chart coordinates x_0 .. x_{n-1} are variables 1 .. n
+    u = MultiPoly.variable(Fp, n + 1, 0)
     chart = ([MultiPoly.variable(Fp, n + 1, a + 1) for a in range(n)]
              + [MultiPoly.one(Fp, n + 1)])
-    dehom = [c.substitute(chart) for c in comps]
+    # the first map has base points, (1 : 0 : 0) among them, and keeps the
+    # saturation; the Fermat cubic's polar map has none and puts u there.
+    # Both came through to_field, which decided that: the first basis
+    # map_degree builds is the first trial's fiber system
+    cases = []
+    for text, values, saturated in (("x2*(x1^2 - x0*x2)", (1, 2), True),
+                                    ("x0^3 + x1^3 + x2^3", (4, 2), False)):
+        m = polar_map(qq(text)).to_field(Fp)
+        dehom = [c.substitute(chart) for c in m.components]
+        cases.append((m, dehom, values, saturated))
 
     def combination(row, polys):
         return sum((p.scale(r) for r, p in zip(row, polys)), MultiPoly.zero(Fp, n + 1))
 
-    u = MultiPoly.variable(Fp, n + 1, 0)
     ideals = []
     real_groebner = polar.groebner
 
@@ -203,15 +212,16 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     monkeypatch.setattr(MultiPoly, "substitute", refuse)
     monkeypatch.setattr(poly, "substitute_all", refuse)
     monkeypatch.setattr(linalg, "solve_affine", refuse)
-    for i, value in ((0, 1), (1, 2)):
-        ideals.clear()
-        assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
-        target, ell0, source = rows[:n - i], rows[n - i], rows[n - i + 1:]
-        expected = ([combination(row, dehom) for row in target]
-                    + [u * combination(ell0, dehom) - MultiPoly.one(Fp, n + 1)]
-                    + [combination(row, chart) for row in source])
-        assert list(ideals[0]) == expected
-        assert all(g.nvars == n + 1 for g in ideals[0])
+    for m, dehom, values, saturated in cases:
+        for i, value in enumerate(values):
+            ideals.clear()
+            assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
+            target, ell0, source = rows[:n - i], rows[n - i], rows[n - i + 1:]
+            middle = u * combination(ell0, dehom) - MultiPoly.one(Fp, n + 1) if saturated else u
+            expected = ([combination(row, dehom) for row in target] + [middle]
+                        + [combination(row, chart) for row in source])
+            assert list(ideals[0]) == expected
+            assert all(g.nvars == n + 1 for g in ideals[0])
 
 
 class ScriptedStream(SeedStream):
@@ -282,6 +292,40 @@ def test_audit_redraws_a_count_that_lost_a_fiber_point(Fp):
     for seed in range(3):
         assert polar._trial_fiber_count(sub, n, 1, Fp, SeedStream(seed), audit=True) == \
             (True, True, 2)
+
+
+def test_count_without_the_saturation_keeps_the_point_on_ell0(Fp):
+    # the scripted draws of the audit test above: without base points the
+    # generator u replaces the saturation, and the fiber point (1 : 2 : 1)
+    # on ell0(phi) = 0 is counted with the other one
+    m = polar_map(qq("x0^3 + x1^3 + x2^3")).to_field(Fp)
+    n, p = m.source_dim, DEFAULT_PRIME
+    assert m.base_point_free()
+    sub = [MultiPoly(Fp, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
+           for comp in m.components]
+    script = dict(enumerate([1, 0, p - 1] + [4, p - 1, 0] + [1, 1, p - 3]))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script),
+                                    saturate=False) == (True, True, 2)
+
+
+def test_only_a_map_with_base_points_replays_trials_with_the_audit(Fp, monkeypatch):
+    audited = []
+
+    def trial(sub, n, i, field, trial_seed, audit=False, saturate=True):
+        audited.append(audit)
+        value = 1 if len(audited) == 2 else 2
+        return polar.TrialOutcome(trial_seed, value, True, True)
+
+    monkeypatch.setattr(polar, "_trial", trial)
+    # the Fermat cubic's polar map has no base points: its disagreeing level
+    # is returned as voted
+    rep = map_degree(polar_map(qq("x0^3 + x1^3 + x2^3")), 1, trials=3, field=Fp)
+    assert ([t.value for t in rep.trials], rep.stable) == ([2, 1, 2], False)
+    assert audited == [False] * 3
+    audited.clear()
+    rep = map_degree(polar_map(qq("x2*(x1^2 - x0*x2)")), 1, trials=3, field=Fp)
+    assert audited == [False] * 3 + [True]
+    assert [t.value for t in rep.trials] == [2, 2, 2] and rep.stable
 
 
 def test_rational_map_rep_validation():
