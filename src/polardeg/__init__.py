@@ -8,7 +8,7 @@ from .foliations import (LogFoliation, associated_foliation, e_degree,
                          logarithmic_form, restrict_to_generic_subspace,
                          singular_scheme_degree_p2)
 from .groebner import (GroebnerBasis, groebner, ideal_dimension, is_reduced_zero_dim,
-                       is_zero_dimensional, normal_form, quotient_dimension)
+                       is_zero_dimensional, quotient_dimension)
 from .parse import parse_poly, parse_weights
 from .poly import MultiPoly, euler_contraction, gcd_multivariate, gradient, poly_str
 from .polar import (DegreeReport, RationalMapRep, TrialOutcome,

@@ -321,18 +321,6 @@ def groebner(polys) -> GroebnerBasis:
                          tuple(elems))
 
 
-def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
-    """The unique remainder of p modulo G; zero iff p lies in the ideal."""
-    if p.field != G.field or p.nvars != G.nvars:
-        raise FieldMismatchError("polynomial and basis live in different rings")
-
-    def run(pk):
-        return pk, _reduce(pk.terms(p), G.packed(pk), pk.guards, G.field.modulus)
-
-    pk, r = _widening(G.nvars, max(p.total_degree(), 0), run, G.packing)
-    return pk.poly(r, G.field)
-
-
 def is_zero_dimensional(G: GroebnerBasis) -> bool:
     """True iff the quotient ring is a finite-dimensional vector space."""
     if G.is_unit_ideal():

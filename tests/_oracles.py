@@ -3,10 +3,11 @@
 Everything here avoids the package's Groebner path on purpose: univariate
 arithmetic over GF(p) on plain coefficient lists, resultants by evaluation
 and Lagrange interpolation, counts of distinct roots through squarefree
-parts, and a criterion-free Buchberger on exponent-tuple dicts.  The
-fiber-count oracle solves the generic-fiber system of a plane polar map by
-eliminating one variable with a resultant.  Substitution has a term-by-term
-reference built on MultiPoly's own sum and product.
+parts, and the division algorithm and a criterion-free Buchberger on
+exponent-tuple dicts.  The fiber-count oracle solves the generic-fiber
+system of a plane polar map by eliminating one variable with a resultant.
+Substitution has a term-by-term reference built on MultiPoly's own sum and
+product.
 """
 
 from __future__ import annotations
@@ -292,77 +293,95 @@ def plane_map_fiber_count(components, p, seed=0) -> int:
         return affine + at_infinity
 
 
-# -- Buchberger's algorithm with no criteria ----------------------------------
+# -- the division algorithm and Buchberger's algorithm with no criteria -------
+#
+# Polynomials are dicts from exponent tuples to coefficients, under degrevlex,
+# apart from the engine's packed monomials.
+
+def _lead(p):
+    from polardeg.poly import degrevlex_key
+    return max(p, key=degrevlex_key)
+
+
+def _add_multiple(acc, p, shift, c, field):
+    """acc += c * x^shift * p, dropping cancelled terms."""
+    zero = field.zero()
+    for e, pc in p.items():
+        ne = tuple(x + y for x, y in zip(e, shift))
+        v = field.add(acc.get(ne, zero), field.mul(c, pc))
+        if v == zero:
+            acc.pop(ne, None)
+        else:
+            acc[ne] = v
+
+
+def _remainder(p, divisors, field):
+    """The remainder of p on division by monic divisors: every term is
+    reduced by the first divisor whose lead divides it, largest term first."""
+    p, out = dict(p), {}
+    while p:
+        e = _lead(p)
+        g = next((g for g in divisors if all(x <= y for x, y in zip(_lead(g), e))), None)
+        if g is None:
+            out[e] = p.pop(e)
+        else:
+            shift = tuple(x - y for x, y in zip(e, _lead(g)))
+            _add_multiple(p, g, shift, field.neg(p[e]), field)
+    return out
+
+
+def normal_form(p, G):
+    """The remainder of package MultiPoly p on division by the elements of
+    the package basis G; unique, and zero iff p lies in the ideal, when G is
+    a Groebner basis."""
+    from polardeg.poly import MultiPoly
+
+    divisors = [dict(g.terms) for g in G.basis]
+    return MultiPoly(p.field, p.nvars, _remainder(p.terms, divisors, p.field))
+
 
 def plain_reduced_basis(polys):
     """Reduced Groebner basis of package MultiPolys by plain Buchberger.
 
     No pair is skipped: the S-polynomial of every two elements, taken first
-    in first out, is reduced against every element found so far.  The work
-    is done on dicts from exponent tuples to coefficients, apart from the
-    engine's packed monomials, under degrevlex.  Returns the monic reduced
-    basis as MultiPolys, ascending by leading monomial.
+    in first out, is reduced against every element found so far.  Returns
+    the monic reduced basis as MultiPolys, ascending by leading monomial.
     """
     from polardeg.poly import MultiPoly, degrevlex_key
 
     field, nvars = polys[0].field, polys[0].nvars
-    zero = field.zero()
-
-    def lead(p):
-        return max(p, key=degrevlex_key)
 
     def monic(p):
-        inv = field.inv(p[lead(p)])
+        inv = field.inv(p[_lead(p)])
         return {e: field.mul(c, inv) for e, c in p.items()}
 
     def divides(a, b):
         return all(x <= y for x, y in zip(a, b))
-
-    def add_multiple(acc, p, shift, c):
-        """acc += c * x^shift * p, dropping cancelled terms."""
-        for e, pc in p.items():
-            ne = tuple(x + y for x, y in zip(e, shift))
-            v = field.add(acc.get(ne, zero), field.mul(c, pc))
-            if v == zero:
-                acc.pop(ne, None)
-            else:
-                acc[ne] = v
-
-    def remainder(p, basis):
-        p, out = dict(p), {}
-        while p:
-            e = lead(p)
-            g = next((g for g in basis if divides(lead(g), e)), None)
-            if g is None:
-                out[e] = p.pop(e)
-            else:
-                shift = tuple(x - y for x, y in zip(e, lead(g)))
-                add_multiple(p, g, shift, field.neg(p[e]))
-        return out
 
     basis = [monic(dict(p.terms)) for p in polys if not p.is_zero()]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
         f, g = basis[i], basis[j]
-        lcm = tuple(map(max, lead(f), lead(g)))
+        lcm = tuple(map(max, _lead(f), _lead(g)))
         s: dict = {}
-        add_multiple(s, f, tuple(x - y for x, y in zip(lcm, lead(f))), field.one())
-        add_multiple(s, g, tuple(x - y for x, y in zip(lcm, lead(g))), field.neg(field.one()))
-        r = remainder(s, basis)
+        _add_multiple(s, f, tuple(x - y for x, y in zip(lcm, _lead(f))), field.one(), field)
+        _add_multiple(s, g, tuple(x - y for x, y in zip(lcm, _lead(g))),
+                      field.neg(field.one()), field)
+        r = _remainder(s, basis, field)
         if r:
             basis.append(monic(r))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     minimal: list = []
-    for g in sorted(basis, key=lambda g: degrevlex_key(lead(g))):
-        if not any(divides(lead(k), lead(g)) for k in minimal):
+    for g in sorted(basis, key=lambda g: degrevlex_key(_lead(g))):
+        if not any(divides(_lead(k), _lead(g)) for k in minimal):
             minimal.append(g)
     out = []
     for pos, g in enumerate(minimal):
-        lm = lead(g)
-        tail = remainder({e: c for e, c in g.items() if e != lm},
-                         minimal[:pos] + minimal[pos + 1:])
+        lm = _lead(g)
+        tail = _remainder({e: c for e, c in g.items() if e != lm},
+                          minimal[:pos] + minimal[pos + 1:], field)
         out.append(MultiPoly(field, nvars, {lm: g[lm], **tail}))
     return out
 
@@ -382,7 +401,6 @@ def reduced_by_normal_forms(G, coeffs) -> bool:
     from itertools import product
 
     from polardeg.errors import DegenerateInputError
-    from polardeg.groebner import normal_form
     from polardeg.poly import MultiPoly
 
     field, nvars, leads = G.field, G.nvars, G.lead_exps
