@@ -280,16 +280,15 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False, saturate=True):
     Lambda, with the same dimension and reducedness.
 
     With saturate set, the generator u * ell0(phi) - 1 removes the base
-    points, where phi vanishes, and with them every point where ell0(phi)
-    vanishes.  At i = 0 the rank check keeps ell0 nonzero on the target
-    point; at i >= 1 a genuine point of Z meet Lambda can lie on
-    ell0(phi) = 0 and be lost, which the audit below catches.  map_degree
-    clears saturate for a map with no base points over the field, and the
-    generator u stands in its place.  Then phi vanishes nowhere, Z is
-    phi^{-1}(L), and the system has exactly the points of Z meet Lambda with
-    their local rings, including those on ell0(phi) = 0: the count is exact at
-    every level.  u is zero in the quotient, so the coefficient of ell below
-    that lands on u is inert.
+    points, where phi vanishes, and with them every point on ell0(phi) = 0.
+    At i = 0 the rank check keeps ell0 nonzero on the target point; at
+    i >= 1 a genuine point of Z meet Lambda can lie on ell0(phi) = 0 and be
+    lost (see audit).  For a map with no base points over the field,
+    map_degree clears saturate and the generator u takes its place: phi
+    vanishes nowhere, Z is phi^{-1}(L), and the system has exactly the points
+    of Z meet Lambda and their local rings, those on ell0(phi) = 0 included.
+    The count is exact at every level, and since u is zero in the quotient,
+    the coefficient of ell on u is inert.
 
     A positive count draws the coefficients of the form ell that
     is_reduced_zero_dim tests, n + 1 of them and never all zero, and puts

@@ -489,6 +489,10 @@ def test_packed_exponent_overflow_widens_or_refuses():
            qq("x0^16*x2 - x1^16*x3", 4))
     assert qq("x2^257 - x1^256*x3", 4) in G.basis
     assert G.packing.vbits == 16
+    # a query packed wider than its basis gets the basis re-packed
+    G = GB(qq("x0 - x1^300", 2))
+    pk = type(G.packing)(2, 2 * G.packing.vbits)
+    assert G.packed(pk) == [(pk.pack((0, 300)), [(pk.pack((1, 0)), QQ.neg(QQ.one()))])]
     huge = MultiPoly.from_terms(QQ, 2, [((1, 0), QQ.one()), ((0, 1 << 70), QQ.one())])
     with pytest.raises(ResourceLimitError, match="packed exponent"):
         GB(huge)
