@@ -278,6 +278,11 @@ PINNED_JSON = {
     "polar-cubic-triangle-p2": (["polar", "--poly", "x0^3 + x1^3 + x2^3 - 1498503*x0*x1*x2",
                                  "--prime", "1000003", "--json"],
                                 "1abdf8d3b612df880741887b27a06df1fd0dfcd889c8b092539829c126d413e2"),
+    # the polar map's base locus is the six coordinate lines: its fiber
+    # system is infinite at i = 0, finite with base points at i = 1 and free
+    # of them at i = 2
+    "polar-tetrahedron": (["polar", "--poly", "x0*x1*x2*x3", "--json"],
+                          "8aa176326807b5095359d9909860bf51859c0f018ee881969e5060d7f9a2c5e6"),
 }
 
 
