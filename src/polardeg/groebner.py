@@ -25,7 +25,11 @@ fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 
 Quotient queries: a zero-dimensional basis enumerates its standard monomials
 once, packed wide enough for each of them times a variable, and keeps them
-for quotient_dimension and is_reduced_zero_dim.
+for quotient_dimension and is_reduced_zero_dim.  The latter does all its
+work in one elimination over those monomials: it finds the minimal
+polynomial mu of a linear form ell, and writes given polys as polynomials in
+ell; a univariate gcd of these with mu then counts the points where not
+all the polys vanish.
 """
 
 from __future__ import annotations
@@ -353,17 +357,15 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return 0
 
 
-def common_factor(polys, G=None) -> MultiPoly:
+def common_factor(polys) -> MultiPoly:
     """gcd_many(polys), with a Groebner basis deciding whether it is constant.
 
     Over an algebraic closure the common zero set has a hypersurface
     component iff the polys share a nonconstant factor, and a gcd does not
     change under field extension.  So an ideal of dimension at most nvars - 2
-    has gcd 1, and only the other case runs the subresultant gcd.  G is the
-    polys' basis when the caller has built it.
+    has gcd 1, and only the other case runs the subresultant gcd.
     """
-    if G is None:
-        G = groebner(polys)
+    G = groebner(polys)
     if ideal_dimension(G) <= G.nvars - 2:
         return MultiPoly.one(G.field, G.nvars)
     return gcd_many(polys)
@@ -377,10 +379,10 @@ def _uni_trim(a):
     return a
 
 
-def _uni_gcd_is_unit(mu, p) -> bool:
-    """True iff gcd(mu, mu') is constant, i.e. mu is squarefree."""
-    a = _uni_trim(list(mu))
-    b = _uni_trim([c * i % p for i, c in enumerate(mu)][1:])
+def _uni_gcd(a, b, p):
+    """A gcd of two coefficient lists over GF(p), lowest degree first; its
+    length is the degree plus one."""
+    a, b = _uni_trim(list(a)), _uni_trim(list(b))
     while b:
         # a mod b
         inv = pow(b[-1], -1, p)
@@ -393,11 +395,14 @@ def _uni_gcd_is_unit(mu, p) -> bool:
             if not a:
                 break
         a, b = b, a
-    return len(a) == 1
+    return a
 
 
-def is_reduced_zero_dim(G: GroebnerBasis, coeffs) -> bool:
-    """Whether the zero-dimensional quotient is reduced with separated points.
+def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
+    """The number of points of a reduced zero-dimensional quotient that are
+    not common zeros of the polys in `off` (every point when `off` is
+    empty, 0 for the unit ideal); None when the quotient is not reduced or
+    ell does not separate its points.
 
     coeffs are the coefficients of a linear form ell, one per variable of G,
     over the prime field (QQ is refused); callers draw them at random.  The
@@ -406,9 +411,15 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs) -> bool:
     times the one before.  The quotient is reduced with ell separating its
     points iff ell's minimal polynomial has degree dim and is squarefree: iff
     1, ..., ell^(dim-1) are independent, so that sum a_k ell^k = -ell^dim
-    has one solution, and t^dim + sum a_k t^k is coprime to its derivative.
-    A non-separating form, the zero form among them once dim > 1, yields a
-    false negative; callers redraw.
+    has one solution, and mu = t^dim + sum a_k t^k is coprime to its
+    derivative.  A non-separating form, the zero form among them once
+    dim > 1, yields a false negative; callers redraw.
+
+    The quotient is then F[t]/mu with t = ell, and the same elimination
+    writes the normal form of each f in `off` as q_f(ell).  At a point P,
+    f(P) = q_f(ell(P)), and the ell(P) are the dim distinct roots of mu; so
+    the common zeros of `off` are the roots of gcd(mu, q_f for every f), and
+    the count is dim minus its degree.
     """
     p = G.field.modulus
     if p is None:
@@ -417,10 +428,12 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs) -> bool:
         raise DegenerateInputError(
             f"a linear form on {G.nvars} variables needs {G.nvars} coefficients, "
             f"got {len(coeffs)}")
+    if any(f.field != G.field or f.nvars != G.nvars for f in off):
+        raise FieldMismatchError("the polys of off live in another ring than the basis")
     pk, std = G._quotient
     dim = len(std)
     if dim == 0:
-        return True
+        return 0
     basis, index = G.packed(pk), {m: r for r, m in enumerate(std)}
     ell = [(u, a) for u, a in zip(pk.units, coeffs) if a]
     # column c of the matrix is ell * std[c] over the standard monomials; each
@@ -444,9 +457,23 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs) -> bool:
     for _ in range(dim):
         powers.append(power)
         power = [sum(map(mul, row, power)) % p for row in matrix]
-    # rows over the standard monomials: ell^0 .. ell^(dim-1), then -ell^dim
-    rref, pivots = row_reduce([[*r, -last % p] for *r, last in zip(*powers, power)],
-                              G.field)
+    forms = [[0] * dim for _ in off]
+    for form, f in zip(forms, off):
+        for t, c in _reduce(pk.terms(f), basis, pk.guards, p):
+            form[index[t]] = c
+    # columns over the standard monomials: ell^0 .. ell^(dim-1), -ell^dim,
+    # then the normal forms of off
+    rref, pivots = row_reduce(zip(*powers, [-c % p for c in power], *forms), G.field)
     if pivots != list(range(dim)):
-        return False
-    return _uni_gcd_is_unit([row[dim] for row in rref] + [1], p)
+        return None
+    mu = [row[dim] for row in rref] + [1]
+    if len(_uni_gcd(mu, [c * k % p for k, c in enumerate(mu)][1:], p)) != 1:
+        return None
+    if not off:
+        return dim
+    common = mu
+    for k in range(len(off)):
+        common = _uni_gcd(common, [row[dim + 1 + k] for row in rref], p)
+        if len(common) == 1:
+            break
+    return dim + 1 - len(common)

@@ -18,9 +18,8 @@ from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField
-from .groebner import (common_factor, groebner, ideal_dimension, is_reduced_zero_dim,
-                       quotient_dimension)
-from .linalg import rank
+from .groebner import common_factor, groebner, is_reduced_zero_dim, quotient_dimension
+from .linalg import rank, row_reduce
 from .poly import (MultiPoly, exact_divide, gradient, homogeneous_degree,
                    linear_combination)
 from .rand import SeedStream, random_vector
@@ -106,13 +105,10 @@ class RationalMapRep:
     components: tuple
     # checked reductions modulo primes, by field: each is validated once
     _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    # see base_point_free; None until decided
-    _base_point_free: bool | None = dc_field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, components, base_point_free=None) -> "RationalMapRep":
-        """Check and wrap the components.  A caller that has built their
-        Groebner basis anyway passes base_point_free, read from it."""
+    def of(cls, components) -> "RationalMapRep":
+        """Check and wrap the components."""
         components = tuple(components)
         if not components:
             raise DegenerateInputError("map needs components")
@@ -131,7 +127,7 @@ class RationalMapRep:
             raise DegenerateInputError("all components are zero")
         if len(degs) > 1:
             raise DegenerateInputError(f"component degrees differ: {sorted(degs)}")
-        return cls(components, _base_point_free=base_point_free)
+        return cls(components)
 
     @property
     def field(self):
@@ -144,15 +140,6 @@ class RationalMapRep:
     @property
     def source_dim(self) -> int:
         return len(self.components) - 1
-
-    def base_point_free(self) -> bool:
-        """The components have no common zero in P^n over the algebraic
-        closure of their field: their ideal has dimension at most 0.  Decided
-        once, from a Groebner basis of the components."""
-        if self._base_point_free is None:
-            object.__setattr__(self, "_base_point_free",
-                               ideal_dimension(groebner(self.components)) <= 0)
-        return self._base_point_free
 
     def to_field(self, field) -> "RationalMapRep":
         if field == self.field:
@@ -170,14 +157,13 @@ class RationalMapRep:
                 f"bad reduction: a component vanishes modulo {field.modulus}")
         # a common factor gained mod p changes the map and its degrees; the
         # factor over QQ is computed only when one shows up mod p
-        G = groebner(polys)
-        common = common_factor(polys, G)
+        common = common_factor(polys)
         if (not common.is_constant()
                 and common.total_degree() > common_factor(self.components).total_degree()):
             raise DegenerateInputError(
                 f"bad reduction: the components gain a common factor {common} "
                 f"modulo {field.modulus}")
-        return RationalMapRep.of(polys, base_point_free=ideal_dimension(G) <= 0)
+        return RationalMapRep.of(polys)
 
 
 @dataclass(frozen=True)
@@ -255,15 +241,16 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     return RationalMapRep.of(comps)
 
 
-def _trial_fiber_count(sub, n, i, field, stream, audit=False, saturate=True):
-    """One fiber count: (zero_dim, reduced, value), or None on a degenerate draw.
+def _trial_fiber_count(sub, n, i, field, stream, audit=False, plain=True):
+    """One fiber count: (zero_dim, reduced, value, plain), or None on a
+    degenerate draw; plain is whether the plain system gave the value.
 
     sub holds the components in the chart, as map_degree builds them.  The
-    ring has the saturation variable u as variable 0 and the chart
-    coordinates x_0 .. x_{n-1} as variables 1 .. n.  u comes first because
-    the last degrevlex variable is the special one (Bayer & Stillman, Invent.
-    Math. 1987): the benchmark workloads do 6-43% fewer reduction steps with
-    u first than with u last.
+    ring has the variable u as variable 0 and the chart coordinates x_0 ..
+    x_{n-1} as variables 1 .. n.  u comes first because the last degrevlex
+    variable is the special one (Bayer & Stillman, Invent. Math. 1987): the
+    benchmark workloads do 6-43% fewer reduction steps with u first than
+    with u last.
 
     The count runs in the fixed affine chart x_n = 1; only the target plane L
     (n-i forms, plus the auxiliary form ell0) and the source plane Lambda (i
@@ -279,20 +266,30 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False, saturate=True):
     the quotient is isomorphic to that of the fiber system restricted to
     Lambda, with the same dimension and reducedness.
 
-    With saturate set, the generator u * ell0(phi) - 1 removes the base
-    points, where phi vanishes, and with them every point on ell0(phi) = 0.
-    At i = 0 the rank check keeps ell0 nonzero on the target point; at
-    i >= 1 a genuine point of Z meet Lambda can lie on ell0(phi) = 0 and be
-    lost (see audit).  For a map with no base points over the field,
-    map_degree clears saturate and the generator u takes its place: phi
-    vanishes nowhere, Z is phi^{-1}(L), and the system has exactly the points
-    of Z meet Lambda and their local rings, those on ell0(phi) = 0 included.
-    The count is exact at every level, and since u is zero in the quotient,
-    the coefficient of ell on u is inert.
+    With plain set, the count takes the plain system first: the target
+    forms, the generator u and Lambda's forms.  Its quotient A has the points
+    of phi^{-1}(L) meet Lambda, and the base points B among them, since phi
+    vanishes there.  When A is finite and nonzero, the form ell is drawn and
+    is_reduced_zero_dim counts the points of A off B.  The target rows,
+    ell0 and the unit vectors at the non-pivot columns of their row
+    reduction are a basis of the forms on the target, and every target form
+    vanishes on phi at a point of A; so phi vanishes there iff ell0(phi) and
+    the i components at those columns do.  A generic Lambda misses Z meet B,
+    which has dimension at most i - 1, so the count is that of Z meet
+    Lambda, the points on ell0(phi) = 0 included, and it is exact at every
+    level.  u is zero in A, so ell's coefficient on u is inert there.
 
-    A positive count draws the coefficients of the form ell that
-    is_reduced_zero_dim tests, n + 1 of them and never all zero, and puts
-    the last one on u.  With audit set, an accepted count at i >= 1 is
+    When A is infinite (B meets Lambda in a curve or more) or the test
+    fails (a base point of Milnor number above 1, say), and when plain is
+    clear, the count takes the saturated system, with u * ell0(phi) - 1 in
+    place of u.  It removes B, and with it every point on ell0(phi) = 0.  At
+    i = 0 the rank check keeps ell0 nonzero on the target point; at i >= 1 a
+    genuine point of Z meet Lambda can lie on ell0(phi) = 0 and be lost (see
+    audit).
+
+    ell has n + 1 coefficients, never all zero, the last one on u.  It is
+    drawn once the first positive quotient appears, and the saturated count
+    reuses it.  With audit set, an accepted saturated count at i >= 1 is
     checked exactly for the points the saturation drops where ell0(phi)
     vanishes: i further target forms ell_1 .. ell_i are drawn, with L and
     ell0 spanning every form on the target, and for j = 1 .. i the system
@@ -305,7 +302,8 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False, saturate=True):
     # auxiliary form not vanishing on L
     target_rows = [random_vector(field, width, stream) for _ in range(n - i)]
     ell0 = random_vector(field, width, stream)
-    if rank(target_rows + [ell0], field) != n - i + 1:
+    _, pivots = row_reduce(target_rows + [ell0], field)
+    if len(pivots) != n - i + 1:
         return None
     # generic source plane Lambda as i linear forms, independent in the chart
     source_rows = [random_vector(field, width, stream) for _ in range(i)]
@@ -317,45 +315,66 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False, saturate=True):
     target = [linear_combination(row, sub) for row in target_rows]
     source = [linear_combination(row, chart) for row in source_rows]
 
+    def draw_ell():
+        while True:
+            coeffs = random_vector(field, width, stream)
+            if any(coeffs):
+                return coeffs[-1:] + coeffs[:-1]
+
     def saturated(zeros, ell):
         return groebner(target + [linear_combination(row, sub) for row in zeros]
                         + [u * linear_combination(ell, sub) - one] + source)
 
-    G = saturated([], ell0) if saturate else groebner(target + [u] + source)
+    coeffs = None
+    if plain:
+        G = groebner(target + [u] + source)
+        try:
+            value = quotient_dimension(G)
+        except DegenerateInputError:    # B meets Lambda in a curve or more
+            value = None
+        if value == 0:
+            return (True, True, 0, True)
+        if value:
+            coeffs = draw_ell()
+            off = [linear_combination(ell0, sub)] + [sub[j] for j in range(width)
+                                                     if j not in pivots]
+            value = is_reduced_zero_dim(G, coeffs, off)
+            if value is not None:
+                return (True, True, value, True)
+    G = saturated([], ell0)
     try:
         value = quotient_dimension(G)
     except DegenerateInputError:    # the fiber is not finite
-        return (False, False, None)
+        return (False, False, None, False)
     if not value:
-        return (True, True, 0)
-    while True:
-        coeffs = random_vector(field, width, stream)
-        if any(coeffs):
-            break
-    if not is_reduced_zero_dim(G, coeffs[-1:] + coeffs[:-1]):
-        return (True, False, value)
+        return (True, True, 0, False)
+    if coeffs is None:
+        coeffs = draw_ell()
+    if is_reduced_zero_dim(G, coeffs) is None:
+        return (True, False, value, False)
     if audit and i:
         forms = [ell0] + [random_vector(field, width, stream) for _ in range(i)]
         if rank(target_rows + forms, field) != width:
             return None
         if not all(saturated(forms[:j], forms[j]).is_unit_ideal() for j in range(1, i + 1)):
             return None
-    return (True, True, value)
+    return (True, True, value, False)
 
 
-def _trial(sub, n, i, field, trial_seed, audit=False, saturate=True) -> TrialOutcome:
+def _trial(sub, n, i, field, trial_seed, audit=False, plain=True):
     """A trial: fiber counts from one seeded stream until one is reduced and
-    positive, at most DEFAULT_RETRIES redraws; the last draw is kept."""
+    positive, at most DEFAULT_RETRIES redraws; the last draw is kept.
+    Returns the outcome and plain, cleared once a count left the plain system."""
     stream = SeedStream(trial_seed)
     zero_dim, reduced, value = False, False, None
     for _ in range(DEFAULT_RETRIES + 1):
-        res = _trial_fiber_count(sub, n, i, field, stream, audit, saturate)
+        res = _trial_fiber_count(sub, n, i, field, stream, audit, plain)
         if res is None:
             continue            # degenerate draw, redraw
-        zero_dim, reduced, value = res
+        zero_dim, reduced, value, plain = res
         if reduced and value:
             break
-    return TrialOutcome(trial_seed, value, zero_dim, reduced)
+    return TrialOutcome(trial_seed, value, zero_dim, reduced), plain
 
 
 def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
@@ -363,14 +382,16 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     """deg_i of the map by majority vote over exact randomized fiber counts.
 
     A trial redraws a degenerate, non-reduced or empty fiber up to
-    DEFAULT_RETRIES times and keeps its last draw.  A map with no base
-    points over the field is counted without the saturation, and its
-    reports are returned as the trials vote: there is no saturated-away
-    point to look for.  Otherwise, when the trials of a level i >= 1
-    disagree, each trial whose count differs from the vote (every counted
-    trial when there is no majority) is replayed from its seed with the
-    audit of _trial_fiber_count on, which redraws a count that lost a fiber
-    point to the saturation.  Reports whose trials agree run no audit.
+    DEFAULT_RETRIES times and keeps its last draw.  Every fiber count tries
+    the plain system of _trial_fiber_count first, until one count of the
+    level leaves it; the level's later counts take the saturation straight
+    away.  A plain count loses no fiber point, so a level whose counts all
+    stayed plain is returned as its trials vote.  Otherwise, when the trials
+    of a level i >= 1 disagree, each trial whose count differs from the vote
+    (every counted trial when there is no majority) is replayed from its
+    seed on the saturation with the audit on, which redraws a count that
+    lost a fiber point to the saturation.  Reports whose trials agree run no
+    audit.
     """
     n = m.source_dim
     if not 0 <= i <= n - 1:
@@ -382,20 +403,22 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("degree computations run over a prime field")
     m = m.to_field(field)
-    saturate = not m.base_point_free()
     # the components in the chart x_n = 1, in the ring of u and then the chart
     # coordinates x_0 .. x_{n-1}; they are homogeneous, so no two terms merge
     sub = [MultiPoly(field, n + 1, {(0,) + exp[:n]: c for exp, c in comp.terms.items()})
            for comp in m.components]
     master = SeedStream(seed)
-    report = DegreeReport.from_trials(
-        i, [_trial(sub, n, i, field, master.child_seed(), saturate=saturate)
-            for _ in range(trials)])
+    plain, outcomes = True, []
+    for _ in range(trials):
+        outcome, plain = _trial(sub, n, i, field, master.child_seed(), plain=plain)
+        outcomes.append(outcome)
+    report = DegreeReport.from_trials(i, outcomes)
     # at i = 0 the rank check keeps ell0 nonzero on the target point: no audit
-    if report.stable or not i or not saturate:
+    if report.stable or not i or plain:
         return report
     return DegreeReport.from_trials(
-        i, [t if t.value == report.value else _trial(sub, n, i, field, t.seed, audit=True)
+        i, [t if t.value == report.value
+            else _trial(sub, n, i, field, t.seed, audit=True, plain=False)[0]
             for t in report.trials])
 
 

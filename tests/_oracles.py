@@ -3,8 +3,9 @@
 Everything here avoids the package's Groebner path on purpose: univariate
 arithmetic over GF(p) on plain coefficient lists, resultants by evaluation
 and Lagrange interpolation, counts of distinct roots through squarefree
-parts, and the division algorithm and a criterion-free Buchberger on
-exponent-tuple dicts.  The fiber-count oracle solves the generic-fiber
+parts, the division algorithm and a criterion-free Buchberger on
+exponent-tuple dicts, and the ideal of explicit points by interpolation,
+with point counts by evaluation.  The fiber-count oracle solves the generic-fiber
 system of a plane polar map by eliminating one variable with a resultant.
 Substitution has a term-by-term reference built on MultiPoly's own sum and
 product.
@@ -119,6 +120,34 @@ def lagrange_interpolate(points, p):
         coeffs = [(a + (scaled[t] if t < len(scaled) else 0)) % p
                   for t, a in enumerate(coeffs)]
     return utrim(coeffs)
+
+
+def points_ideal(points, field):
+    """Generators of the ideal of distinct points over GF(p), given as int
+    tuples with distinct first coordinates: the product of x0 - a over the
+    first coordinates a, and x_v - g_v(x0) for v >= 1, with g_v the Lagrange
+    interpolant of the v-th coordinates over the first."""
+    from polardeg.poly import MultiPoly
+
+    p, nvars = field.modulus, len(points[0])
+
+    def in_x0(coeffs):
+        return MultiPoly.from_terms(field, nvars, [((k,) + (0,) * (nvars - 1), c)
+                                                   for k, c in enumerate(coeffs) if c])
+
+    vanishing = [1]
+    for point in points:
+        vanishing = umul(vanishing, [-point[0] % p, 1], p)
+    return [in_x0(vanishing)] + [
+        MultiPoly.variable(field, nvars, v)
+        - in_x0(lagrange_interpolate([(pt[0], pt[v]) for pt in points], p))
+        for v in range(1, nvars)]
+
+
+def count_points_off(points, off, p):
+    """How many of the points are not common zeros of the package MultiPolys
+    in off, by evaluation."""
+    return sum(any(eval_poly(f, point, p) for f in off) for point in points)
 
 
 # -- small helpers on the package's polynomials -------------------------------
@@ -388,8 +417,9 @@ def plain_reduced_basis(polys):
 
 # -- reducedness through normal forms of the powers of a random form ----------
 
-def reduced_by_normal_forms(G, coeffs) -> bool:
-    """The answer of is_reduced_zero_dim, by plain means on the same form.
+def reduced_by_normal_forms(G, coeffs) -> int | None:
+    """The answer of is_reduced_zero_dim with no polys to drop, by plain
+    means on the same form: the quotient dimension, or None.
 
     The standard monomials are the exponent vectors in a box that no lead
     divides.  ell has the given coefficients, each power ell^k is the normal
@@ -412,7 +442,7 @@ def reduced_by_normal_forms(G, coeffs) -> bool:
            if not any(all(a <= b for a, b in zip(lead, e)) for lead in leads)]
     dim = len(std)
     if dim == 0:
-        return True
+        return 0
     p = field.modulus
     ell = MultiPoly.from_terms(field, nvars, [(tuple(int(w == v) for w in range(nvars)), a)
                                              for v, a in enumerate(coeffs)])
@@ -425,9 +455,9 @@ def reduced_by_normal_forms(G, coeffs) -> bool:
     rows = [[col[r] for col in columns[:dim]] + [-columns[dim][r] % p] for r in range(dim)]
     rref, pivots = gauss_jordan(rows, p)
     if pivots != list(range(dim)):
-        return False
+        return None
     mu = [row[dim] for row in rref] + [1]
-    return len(ugcd(mu, uderiv(mu, p), p)) == 1
+    return dim if len(ugcd(mu, uderiv(mu, p), p)) == 1 else None
 
 
 def gauss_jordan(rows, p):

@@ -187,8 +187,8 @@ def test_foliation_requires_descent(capsys):
 
 
 def test_env_pair_cap_is_honored(capsys, monkeypatch):
-    # the squarefree check of this quartic reduces 11 S-pairs and each fiber
-    # basis 18
+    # the squarefree check of this quartic reduces 11 S-pairs, each
+    # common-factor check of its polar map 10 and each fiber basis 1
     monkeypatch.setenv("POLARDEG_MAX_PAIRS", "1")
     code, _, err = run_cli(capsys, "polar", "--poly", "x0^4+x1^4+x0*x1*x2^2", "--i", "0")
     assert code == 1
@@ -196,7 +196,7 @@ def test_env_pair_cap_is_honored(capsys, monkeypatch):
 
 
 def test_env_pair_cap_reaches_the_validation_bases(capsys, monkeypatch):
-    # every fiber basis here reduces 4 S-pairs and each common-factor check
+    # every fiber basis here reduces 1 S-pair and each common-factor check
     # of the polar map 8; the squarefree check of the input reduces 9
     monkeypatch.setenv("POLARDEG_MAX_PAIRS", "8")
     code, out, _ = run_cli(capsys, "polar", "--poly", "x0^3+x1^3+x2^3+x0*x1*x2",
@@ -229,10 +229,10 @@ def test_verify_resonance_redraws_an_empty_fiber():
     assert main(["verify", "resonance", "--seed", "77", "--prime", "1000003"]) == 0
 
 
-# at this seed the saturation u*ell0(phi) - 1 drops a genuine fiber point p
-# with ell0(phi(p)) = 0: one e_degree trial of the Fermat cubic's foliation
-# (cubic, i=1) counts 5 where the others count 6, and the audited replay
-# redraws it
+# at this seed one e_degree trial of the Fermat cubic's foliation (cubic,
+# i=1) draws a genuine fiber point p with ell0(phi(p)) = 0: the saturation
+# u*ell0(phi) - 1 would drop it and count 5 where the others count 6, and the
+# plain count, which removes the base points by a gcd, keeps it
 def test_verify_polar_relation_keeps_every_fiber_point():
     assert main(["verify", "polar-relation", "--seed", "42", "--prime", "1000003"]) == 0
 

@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from _oracles import normal_form, plain_reduced_basis, reduced_by_normal_forms
+from _oracles import (count_points_off, normal_form, plain_reduced_basis, points_ideal,
+                      reduced_by_normal_forms)
 from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
@@ -363,25 +364,58 @@ def test_common_factor_of_zero_polys_is_refused():
 
 def test_is_reduced_zero_dim_examples(Fp):
     one_point = GB(gfp("x0 - 1"), gfp("x1 - 2"), gfp("x2 - 3"))
-    assert is_reduced_zero_dim(one_point, ell(one_point, 1))
+    assert is_reduced_zero_dim(one_point, ell(one_point, 1)) == 1
     one_var = groebner([MultiPoly.from_terms(Fp, 1, [((2,), 1)])])
-    assert not is_reduced_zero_dim(one_var, ell(one_var, 1))
+    assert is_reduced_zero_dim(one_var, ell(one_var, 1)) is None
     # a fat point: dimension 3, but every form has a minimal polynomial of degree 2
     fat = GB(gfp("x0^2", 2), gfp("x0*x1", 2), gfp("x1^2", 2))
     assert quotient_dimension(fat) == 3
-    assert not is_reduced_zero_dim(fat, ell(fat, 1))
+    assert is_reduced_zero_dim(fat, ell(fat, 1)) is None
     # dimension 4 and minimal polynomial t^4: full degree, not squarefree
     nilpotent = GB(gfp("x0^2 - x1", 2), gfp("x1^2", 2))
     assert quotient_dimension(nilpotent) == 4
-    assert not is_reduced_zero_dim(nilpotent, ell(nilpotent, 1))
+    assert is_reduced_zero_dim(nilpotent, ell(nilpotent, 1)) is None
     two_points = GB(gfp("x0^2 - 1", 2), gfp("x1 - 3", 2))
     assert quotient_dimension(two_points) == 2
-    assert is_reduced_zero_dim(two_points, ell(two_points, 1))
+    assert is_reduced_zero_dim(two_points, ell(two_points, 1)) == 2
     # the test runs over a prime field only, on one coefficient per variable
     with pytest.raises(DegenerateInputError):
         is_reduced_zero_dim(GB(qq("x0^2 - 1", 2), qq("x1 - 3", 2)), [1, 1])
     with pytest.raises(DegenerateInputError):
         is_reduced_zero_dim(two_points, [1, 1, 1])
+
+
+def test_is_reduced_zero_dim_counts_the_points_off_the_common_zeros_of_off(Fp):
+    p = DEFAULT_PRIME
+    points = [(1, 2, 3), (2, 5, 7), (4, 0, 1), (6, 6, 6), (9, 3, p - 8)]
+    G = groebner(points_ideal(points, Fp))
+    assert quotient_dimension(G) == 5
+    x0, x1, x2 = (MultiPoly.variable(Fp, 3, v) for v in range(3))
+    one = MultiPoly.one(Fp, 3)
+    offs = [
+        (),                                             # every point
+        (one,),                                         # no common zero
+        (MultiPoly.zero(Fp, 3),),                       # every point a common zero
+        (x1 * (x0 - one.scale(2)),),                    # zero at the 2nd and 3rd
+        (x1 * (x0 - one.scale(2)), (x0 - one) * (x0 - one.scale(4))),   # the 3rd
+        (x1 - x2, x0 - one.scale(6), x1 * x2 - one.scale(36)),          # the 4th
+        (x0 - one.scale(4), x1, x2 - one),              # the 3rd, found last
+    ]
+    counts = []
+    for k, off in enumerate(offs):
+        want = count_points_off(points, off, p) if off else len(points)
+        for seed in range(3):
+            assert is_reduced_zero_dim(G, ell(G, 10 * k + seed), off) == want, (k, seed)
+        counts.append(want)
+    assert counts == [5, 5, 0, 3, 4, 4, 4]
+    # a fat point is refused whatever off holds, and the unit ideal has no point
+    fat = GB(gfp("x0^2", 2), gfp("x0*x1", 2), gfp("x1^2", 2))
+    for off in ((), (gfp("x0", 2),), (gfp("x0 + 1", 2),)):
+        assert is_reduced_zero_dim(fat, ell(fat, 1), off) is None
+    unit = GB(gfp("x0", 2), gfp("x0 - 1", 2))
+    assert is_reduced_zero_dim(unit, ell(unit, 1), (gfp("x1", 2),)) == 0
+    with pytest.raises(FieldMismatchError):
+        is_reduced_zero_dim(G, ell(G, 1), (gfp("x0", 2),))
 
 
 # zero-dimensional GF(p) systems for the reducedness oracle, as (nvars, texts)
@@ -437,12 +471,12 @@ def test_is_reduced_zero_dim_matches_the_normal_form_oracle():
         coeffs = ell(G, k)
         want = reduced_by_normal_forms(G, coeffs)
         assert is_reduced_zero_dim(G, coeffs) == want, k
-        answers.add(want)
+        answers.add(want is None)
     assert answers == {True, False}
     # a form that does not separate the two points (1, 1), (2, 2), then one
     # that does
     G = GB(gfp("x0 - x1", 2), gfp("x1^2 - 3*x1 + 2", 2))
-    for coeffs, want in (([1, DEFAULT_PRIME - 1], False), (ell(G, 5), True)):
+    for coeffs, want in (([1, DEFAULT_PRIME - 1], None), (ell(G, 5), 2)):
         assert reduced_by_normal_forms(G, coeffs) == want
         assert is_reduced_zero_dim(G, coeffs) == want
     # both refuse an infinite quotient

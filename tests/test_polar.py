@@ -163,16 +163,81 @@ def test_chart_hyperplane_as_a_component(text, nvars, profile, prime):
 
 
 @pytest.mark.parametrize("prime, profile", [(SECOND_PRIME, (1, 2)), (DEFAULT_PRIME, (4, 2))])
-def test_base_points_are_decided_over_the_trial_field(prime, profile):
+def test_base_points_are_decided_over_the_trial_field(prime, profile, monkeypatch):
     # smooth over QQ, but 499501 is a cube root of 1 mod 1000003 and
     # 1498503 = 3 * 499501: there the cubic is a triangle of lines, and its
     # polar map has base points at the three vertices
     W = WeightedFunction.of([qq("x0^3 + x1^3 + x2^3 - 1498503*x0*x1*x2")], [1])
+    dropped = _record_base_points(monkeypatch)
     for seed in range(3):
         reports = polar_degrees_profile(W, seed=seed, field=GF(prime))
         assert tuple(r.value for r in reports) == profile
         assert all(r.stable for r in reports)
-    assert weighted_polar_map(W).to_field(GF(prime)).base_point_free() == (prime != SECOND_PRIME)
+    # every count is plain; at i = 0 the fiber meets the three vertices, all
+    # in the chart, only at the prime where they are base points
+    assert set(dropped) == ({(0, 3), (1, 0)} if prime == SECOND_PRIME else {(0, 0), (1, 0)})
+
+
+def _record_base_points(monkeypatch):
+    """Wrap the reducedness test so that each plain count appends (i, the
+    number of base points it dropped) to the list returned; a count that
+    leaves the plain system fails the test."""
+    dropped, level = [], []
+    real_count, real_check = polar._trial_fiber_count, polar.is_reduced_zero_dim
+
+    def count(sub, n, i, *args, **kwargs):
+        level[:] = [i]
+        res = real_count(sub, n, i, *args, **kwargs)
+        assert res is None or res[3]
+        return res
+
+    def check(G, coeffs, off=()):
+        value = real_check(G, coeffs, off)
+        if off:
+            dropped.append((level[0], polar.quotient_dimension(G) - value))
+        return value
+
+    monkeypatch.setattr(polar, "_trial_fiber_count", count)
+    monkeypatch.setattr(polar, "is_reduced_zero_dim", check)
+    return dropped
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("text, profile, base_points", [
+    # the A3 point (1 : 0 : 0) lies off the chart and off a generic line
+    ("x2*(x1^2 - x0*x2)", (1, 2), {(0, 0), (1, 0)}),
+    # the node (0 : 0 : 1), Milnor number 1, is a reduced point of each fiber
+    ("x0^3 + x1^3 - x0*x1*x2", (3, 2), {(0, 1), (1, 0)}),
+], ids=["conic-tangent-line", "nodal-cubic"])
+def test_plain_counts_drop_the_base_points_by_a_gcd(text, profile, base_points, prime,
+                                                    monkeypatch):
+    W = WeightedFunction.of([qq(text)], [1])
+    dropped = _record_base_points(monkeypatch)
+    for seed in range(3):
+        reports = polar_degrees_profile(W, seed=seed, field=GF(prime))
+        assert tuple(r.value for r in reports) == profile
+        assert all(r.stable for r in reports)
+    assert set(dropped) == base_points
+
+
+def test_a_level_with_an_infinite_plain_system_builds_one_plain_basis(Fp, monkeypatch):
+    # the base locus of the tetrahedron's polar map is the six coordinate
+    # lines: the plain fiber at i = 0 contains the three in the chart
+    m = polar_map(qq("x0*x1*x2*x3", 4))
+    u = MultiPoly.variable(Fp, 4, 0)
+    kinds = []
+    real_groebner = polar.groebner
+
+    def capture(polys):
+        kinds.append("plain" if u in polys else "saturated")
+        return real_groebner(polys)
+
+    monkeypatch.setattr(polar, "groebner", capture)
+    for i, value, want in ((0, 1, ["plain"] + ["saturated"] * 5), (1, 3, ["plain"] * 5),
+                           (2, 3, ["plain"] * 5)):
+        kinds.clear()
+        assert map_degree(m, i, field=Fp).value == value
+        assert kinds == want, i
 
 
 def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
@@ -184,16 +249,15 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     u = MultiPoly.variable(Fp, n + 1, 0)
     chart = ([MultiPoly.variable(Fp, n + 1, a + 1) for a in range(n)]
              + [MultiPoly.one(Fp, n + 1)])
-    # the first map has base points, (1 : 0 : 0) among them, and keeps the
-    # saturation; the Fermat cubic's polar map has none and puts u there.
-    # Both came through to_field, which decided that: the first basis
-    # map_degree builds is the first trial's fiber system
+    # the first map has a base point at (1 : 0 : 0), the Fermat cubic's polar
+    # map has none; both came through to_field, so the first basis map_degree
+    # builds is the first trial's plain fiber system, with u in it.  The
+    # saturated system of the same draws has u * ell0(phi) - 1 there
     cases = []
-    for text, values, saturated in (("x2*(x1^2 - x0*x2)", (1, 2), True),
-                                    ("x0^3 + x1^3 + x2^3", (4, 2), False)):
+    for text, values in (("x2*(x1^2 - x0*x2)", (1, 2)), ("x0^3 + x1^3 + x2^3", (4, 2))):
         m = polar_map(qq(text)).to_field(Fp)
         dehom = [c.substitute(chart) for c in m.components]
-        cases.append((m, dehom, values, saturated))
+        cases.append((m, dehom, values))
 
     def combination(row, polys):
         return sum((p.scale(r) for r, p in zip(row, polys)), MultiPoly.zero(Fp, n + 1))
@@ -212,16 +276,20 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     monkeypatch.setattr(MultiPoly, "substitute", refuse)
     monkeypatch.setattr(poly, "substitute_all", refuse)
     monkeypatch.setattr(linalg, "solve_affine", refuse)
-    for m, dehom, values, saturated in cases:
+    for m, dehom, values in cases:
         for i, value in enumerate(values):
+            target, ell0, source = rows[:n - i], rows[n - i], rows[n - i + 1:]
+            saturation = u * combination(ell0, dehom) - MultiPoly.one(Fp, n + 1)
             ideals.clear()
             assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
-            target, ell0, source = rows[:n - i], rows[n - i], rows[n - i + 1:]
-            middle = u * combination(ell0, dehom) - MultiPoly.one(Fp, n + 1) if saturated else u
-            expected = ([combination(row, dehom) for row in target] + [middle]
-                        + [combination(row, chart) for row in source])
-            assert list(ideals[0]) == expected
-            assert all(g.nvars == n + 1 for g in ideals[0])
+            stream = SeedStream(SeedStream(seed).child_seed())
+            assert polar._trial_fiber_count(dehom, n, i, Fp, stream, plain=False) == \
+                (True, True, value, False)
+            for middle, polys in ((u, ideals[0]), (saturation, ideals[-1])):
+                expected = ([combination(row, dehom) for row in target] + [middle]
+                            + [combination(row, chart) for row in source])
+                assert list(polys) == expected
+                assert all(g.nvars == n + 1 for g in polys)
 
 
 class ScriptedStream(SeedStream):
@@ -241,9 +309,9 @@ def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch
     passed, streams = [], []
     real_check = polar.is_reduced_zero_dim
 
-    def capture(G, coeffs):
+    def capture(G, coeffs, off=()):
         passed.append(list(coeffs))
-        return real_check(G, coeffs)
+        return real_check(G, coeffs, off)
 
     def counting(zeros):
         def make(seed):
@@ -267,10 +335,27 @@ def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch
             # the last draw goes on u, variable 0
             assert passed == [draws[-1:] + draws[:-1]]
             assert streams[-1].calls == linear + len(zeros) + n + 1
-    # a count of 0 draws nothing after the linear data, in each of its redraws
+    # the cusp (0 : 0 : 1) of this cubic has Milnor number 2: the plain fiber
+    # is not reduced there, and the saturated count reuses the form
     passed.clear()
     monkeypatch.setattr(polar, "SeedStream", counting(()))
+    m = polar_map(qq("x1^2*x2 - x0^3")).to_field(Fp)
+    assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 2
+    assert passed == [draws[-1:] + draws[:-1]] * 2
+    assert streams[-1].calls == linear + n + 1
+    # the three concurrent lines: the plain fiber is the base point (0 : 0 : 1)
+    # with Milnor number 4, so the first draw draws the form and falls back
+    # to the saturation, which reuses it; a saturated count of 0 draws nothing
+    # after the linear data, in the first draw and in each of its redraws
+    passed.clear()
     m = polar_map(qq("x0*x1*(x0 + x1)")).to_field(Fp)
+    assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 0
+    assert passed == [draws[-1:] + draws[:-1]]
+    assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * linear + n + 1
+    # the image of this map is the line y0 = y1 and its base points lie off
+    # the chart: a plain count of 0 draws nothing after the linear data either
+    passed.clear()
+    m = RationalMapRep.of([qq("x2^2"), qq("x2^2"), qq("x0^2 + x1^2 + x2^2")]).to_field(Fp)
     assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 0
     assert passed == []
     assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * linear
@@ -286,45 +371,53 @@ def test_audit_redraws_a_count_that_lost_a_fiber_point(Fp):
     sub = [MultiPoly(Fp, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
            for comp in m.components]
     script = dict(enumerate([1, 0, p - 1] + [4, p - 1, 0] + [1, 1, p - 3]))
-    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script)) == (True, True, 1)
-    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script), audit=True) is None
+
+    def saturated(stream, audit=False):
+        return polar._trial_fiber_count(sub, n, 1, Fp, stream, audit, plain=False)
+
+    assert saturated(ScriptedStream(3, script)) == (True, True, 1, False)
+    assert saturated(ScriptedStream(3, script), audit=True) is None
     # generic draws pass the audit
     for seed in range(3):
-        assert polar._trial_fiber_count(sub, n, 1, Fp, SeedStream(seed), audit=True) == \
-            (True, True, 2)
+        assert saturated(SeedStream(seed), audit=True) == (True, True, 2, False)
 
 
 def test_count_without_the_saturation_keeps_the_point_on_ell0(Fp):
-    # the scripted draws of the audit test above: without base points the
-    # generator u replaces the saturation, and the fiber point (1 : 2 : 1)
-    # on ell0(phi) = 0 is counted with the other one
+    # the scripted draws of the audit test above: the plain system, with the
+    # generator u in place of the saturation, counts the fiber point
+    # (1 : 2 : 1) on ell0(phi) = 0 with the other one, and the audit has
+    # nothing to check
     m = polar_map(qq("x0^3 + x1^3 + x2^3")).to_field(Fp)
     n, p = m.source_dim, DEFAULT_PRIME
-    assert m.base_point_free()
     sub = [MultiPoly(Fp, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
            for comp in m.components]
     script = dict(enumerate([1, 0, p - 1] + [4, p - 1, 0] + [1, 1, p - 3]))
-    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script),
-                                    saturate=False) == (True, True, 2)
+    for audit in (False, True):
+        assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script),
+                                        audit) == (True, True, 2, True)
 
 
-def test_only_a_map_with_base_points_replays_trials_with_the_audit(Fp, monkeypatch):
-    audited = []
+def test_only_a_level_that_left_the_plain_system_replays_trials_with_the_audit(
+        Fp, monkeypatch):
+    calls, leaves = [], []
 
-    def trial(sub, n, i, field, trial_seed, audit=False, saturate=True):
-        audited.append(audit)
-        value = 1 if len(audited) == 2 else 2
-        return polar.TrialOutcome(trial_seed, value, True, True)
+    def trial(sub, n, i, field, trial_seed, audit=False, plain=True):
+        calls.append((audit, plain))
+        value = 1 if len(calls) == 2 else 2
+        return polar.TrialOutcome(trial_seed, value, True, True), plain and not leaves
 
     monkeypatch.setattr(polar, "_trial", trial)
-    # the Fermat cubic's polar map has no base points: its disagreeing level
-    # is returned as voted
-    rep = map_degree(polar_map(qq("x0^3 + x1^3 + x2^3")), 1, trials=3, field=Fp)
+    m = polar_map(qq("x0^3 + x1^3 + x2^3"))
+    # every count stayed plain: the disagreeing level is returned as voted
+    rep = map_degree(m, 1, trials=3, field=Fp)
     assert ([t.value for t in rep.trials], rep.stable) == ([2, 1, 2], False)
-    assert audited == [False] * 3
-    audited.clear()
-    rep = map_degree(polar_map(qq("x2*(x1^2 - x0*x2)")), 1, trials=3, field=Fp)
-    assert audited == [False] * 3 + [True]
+    assert calls == [(False, True)] * 3
+    # the first trial leaves the plain system: the later ones start on the
+    # saturation, and the trial off the vote is replayed there with the audit
+    calls.clear()
+    leaves.append(True)
+    rep = map_degree(m, 1, trials=3, field=Fp)
+    assert calls == [(False, True), (False, False), (False, False), (True, False)]
     assert [t.value for t in rep.trials] == [2, 2, 2] and rep.stable
 
 
