@@ -74,7 +74,9 @@ def _collect_input(args):
     if len(weights) != len(polys):
         raise PolardegError(
             f"{len(polys)} polynomials but {len(weights)} weights")
-    nvars = args.nvars or _infer_nvars(polys)
+    nvars = _infer_nvars(polys) if args.nvars is None else args.nvars
+    if nvars < 1:
+        raise PolardegError(f"--nvars must be at least 1, got {nvars}")
     factors = [parse_poly(text, nvars, QQ) for text in polys]
     source = {"polys": polys, "weights": [str(w) for w in weights], "nvars": nvars}
     return factors, weights, source

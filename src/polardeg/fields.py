@@ -58,9 +58,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -111,9 +108,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
 
     def mul(self, a, b):
         return a * b % self.modulus

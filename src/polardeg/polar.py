@@ -134,10 +134,6 @@ class RationalMapRep:
         return self.components[0].field
 
     @property
-    def nvars(self) -> int:
-        return self.components[0].nvars
-
-    @property
     def source_dim(self) -> int:
         return len(self.components) - 1
 
@@ -241,7 +237,7 @@ def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     return RationalMapRep.of(comps)
 
 
-def _trial_fiber_count(sub, n, i, field, stream, audit=False, plain=True):
+def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     """One fiber count: (zero_dim, reduced, value, plain), or None on a
     degenerate draw; plain is whether the plain system gave the value.
 
@@ -266,36 +262,37 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False, plain=True):
     the quotient is isomorphic to that of the fiber system restricted to
     Lambda, with the same dimension and reducedness.
 
+    Both systems below are counted by one step: the quotient dimension, then
+    the form ell, drawn once the first positive quotient appears, then
+    is_reduced_zero_dim.  ell has n + 1 coefficients, never all zero, the
+    last one on u.
+
     With plain set, the count takes the plain system first: the target
     forms, the generator u and Lambda's forms.  Its quotient A has the points
     of phi^{-1}(L) meet Lambda, and the base points B among them, since phi
-    vanishes there.  When A is finite and nonzero, the form ell is drawn and
-    is_reduced_zero_dim counts the points of A off B.  The target rows,
-    ell0 and the unit vectors at the non-pivot columns of their row
-    reduction are a basis of the forms on the target, and every target form
-    vanishes on phi at a point of A; so phi vanishes there iff ell0(phi) and
-    the i components at those columns do.  A generic Lambda misses Z meet B,
-    which has dimension at most i - 1, so the count is that of Z meet
-    Lambda, the points on ell0(phi) = 0 included, and it is exact at every
-    level.  u is zero in A, so ell's coefficient on u is inert there.
+    vanishes there.  When A is finite and nonzero, is_reduced_zero_dim
+    counts the points of A off B.  The target rows, ell0 and the unit
+    vectors at the non-pivot columns of their row reduction are a basis of
+    the forms on the target, and every target form vanishes on phi at a
+    point of A; so phi vanishes there iff ell0(phi) and the i components at
+    those columns do.  A generic Lambda misses Z meet B, which has dimension
+    at most i - 1, so the count is that of Z meet Lambda, the points on
+    ell0(phi) = 0 included, and it is exact at every level.  u is zero in A,
+    so ell's coefficient on u is inert there.
 
     When A is infinite (B meets Lambda in a curve or more) or the test
     fails (a base point of Milnor number above 1, say), and when plain is
     clear, the count takes the saturated system, with u * ell0(phi) - 1 in
-    place of u.  It removes B, and with it every point on ell0(phi) = 0.  At
-    i = 0 the rank check keeps ell0 nonzero on the target point; at i >= 1 a
-    genuine point of Z meet Lambda can lie on ell0(phi) = 0 and be lost (see
-    audit).
-
-    ell has n + 1 coefficients, never all zero, the last one on u.  It is
-    drawn once the first positive quotient appears, and the saturated count
-    reuses it.  With audit set, an accepted saturated count at i >= 1 is
-    checked exactly for the points the saturation drops where ell0(phi)
-    vanishes: i further target forms ell_1 .. ell_i are drawn, with L and
-    ell0 spanning every form on the target, and for j = 1 .. i the system
-    with ell0(phi) .. ell_{j-1}(phi) = 0 and u * ell_j(phi) = 1 in place of
-    the saturation must be the unit ideal.  A failed check is a degenerate
-    draw.
+    place of u, and the same ell.  It removes B, and with it every point on
+    ell0(phi) = 0.  At i = 0 the rank check keeps ell0 nonzero on the target
+    point.  At i >= 1 a genuine point of Z meet Lambda can lie on
+    ell0(phi) = 0 and be lost, so every positive reduced saturated count
+    there is audited exactly: i further target forms ell_1 .. ell_i are
+    drawn, with L and ell0 spanning every form on the target, and for
+    j = 1 .. i the system with ell0(phi) .. ell_{j-1}(phi) = 0 and
+    u * ell_j(phi) = 1 in place of the saturation must be the unit ideal.
+    A failed audit is a degenerate draw.  A passed audit draws after the
+    count, so the count and every later draw of the stream stay the same.
     """
     width = n + 1
     # generic target plane L of dimension i as n-i linear forms, plus an
@@ -314,84 +311,60 @@ def _trial_fiber_count(sub, n, i, field, stream, audit=False, plain=True):
     chart = [MultiPoly.variable(field, width, a + 1) for a in range(n)] + [one]
     target = [linear_combination(row, sub) for row in target_rows]
     source = [linear_combination(row, chart) for row in source_rows]
+    ell = None
 
-    def draw_ell():
-        while True:
-            coeffs = random_vector(field, width, stream)
-            if any(coeffs):
-                return coeffs[-1:] + coeffs[:-1]
-
-    def saturated(zeros, ell):
-        return groebner(target + [linear_combination(row, sub) for row in zeros]
-                        + [u * linear_combination(ell, sub) - one] + source)
-
-    coeffs = None
-    if plain:
-        G = groebner(target + [u] + source)
+    def count(G, off):
+        """(dim, points off the common zeros of off()) of G's quotient: dim
+        is None when the quotient is infinite, the count None when the
+        reducedness test fails."""
+        nonlocal ell
         try:
-            value = quotient_dimension(G)
-        except DegenerateInputError:    # B meets Lambda in a curve or more
-            value = None
-        if value == 0:
-            return (True, True, 0, True)
-        if value:
-            coeffs = draw_ell()
-            off = [linear_combination(ell0, sub)] + [sub[j] for j in range(width)
-                                                     if j not in pivots]
-            value = is_reduced_zero_dim(G, coeffs, off)
-            if value is not None:
-                return (True, True, value, True)
-    G = saturated([], ell0)
-    try:
-        value = quotient_dimension(G)
-    except DegenerateInputError:    # the fiber is not finite
+            dim = quotient_dimension(G)
+        except DegenerateInputError:
+            return None, None
+        if not dim:
+            return 0, 0
+        if ell is None:
+            while not any(ell := random_vector(field, width, stream)):
+                pass
+            ell = ell[-1:] + ell[:-1]
+        return dim, is_reduced_zero_dim(G, ell, off())
+
+    def saturated(zeros, inverted):
+        return groebner(target + [linear_combination(row, sub) for row in zeros]
+                        + [u * linear_combination(inverted, sub) - one] + source)
+
+    if plain:
+        _, value = count(groebner(target + [u] + source),
+                         lambda: [linear_combination(ell0, sub)]
+                         + [sub[j] for j in range(width) if j not in pivots])
+        if value is not None:
+            return (True, True, value, True)
+    dim, value = count(saturated([], ell0), lambda: ())
+    if dim is None:             # the fiber is not finite
         return (False, False, None, False)
-    if not value:
-        return (True, True, 0, False)
-    if coeffs is None:
-        coeffs = draw_ell()
-    if is_reduced_zero_dim(G, coeffs) is None:
-        return (True, False, value, False)
-    if audit and i:
+    if value is None:
+        return (True, False, dim, False)
+    if value and i:
         forms = [ell0] + [random_vector(field, width, stream) for _ in range(i)]
-        if rank(target_rows + forms, field) != width:
-            return None
-        if not all(saturated(forms[:j], forms[j]).is_unit_ideal() for j in range(1, i + 1)):
+        if rank(target_rows + forms, field) != width or not all(
+                saturated(forms[:j], forms[j]).is_unit_ideal() for j in range(1, i + 1)):
             return None
     return (True, True, value, False)
-
-
-def _trial(sub, n, i, field, trial_seed, audit=False, plain=True):
-    """A trial: fiber counts from one seeded stream until one is reduced and
-    positive, at most DEFAULT_RETRIES redraws; the last draw is kept.
-    Returns the outcome and plain, cleared once a count left the plain system."""
-    stream = SeedStream(trial_seed)
-    zero_dim, reduced, value = False, False, None
-    for _ in range(DEFAULT_RETRIES + 1):
-        res = _trial_fiber_count(sub, n, i, field, stream, audit, plain)
-        if res is None:
-            continue            # degenerate draw, redraw
-        zero_dim, reduced, value, plain = res
-        if reduced and value:
-            break
-    return TrialOutcome(trial_seed, value, zero_dim, reduced), plain
 
 
 def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
                seed: int = 0, field=None) -> DegreeReport:
     """deg_i of the map by majority vote over exact randomized fiber counts.
 
-    A trial redraws a degenerate, non-reduced or empty fiber up to
-    DEFAULT_RETRIES times and keeps its last draw.  Every fiber count tries
-    the plain system of _trial_fiber_count first, until one count of the
-    level leaves it; the level's later counts take the saturation straight
-    away.  A plain count loses no fiber point, so a level whose counts all
-    stayed plain is returned as its trials vote.  Otherwise, when the trials
-    of a level i >= 1 disagree, each trial whose count differs from the vote
-    (every counted trial when there is no majority) is replayed from its
-    seed on the saturation with the audit on, which redraws a count that
-    lost a fiber point to the saturation.  Reports whose trials agree run no
-    audit.
+    Each trial draws fiber counts from its own seeded stream, redrawing a
+    degenerate, non-reduced or empty fiber up to DEFAULT_RETRIES times, and
+    keeps its last draw.  Every count tries the plain system of
+    _trial_fiber_count first, until one count of the level leaves it; the
+    level's later counts take the saturation straight away.  A plain count
+    loses no fiber point, and an accepted saturated count at i >= 1 has
+    passed the audit, so every accepted count is exact on its own and the
+    vote only guards against genericity failures; no trial is replayed.
     """
     n = m.source_dim
     if not 0 <= i <= n - 1:
@@ -410,16 +383,18 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     master = SeedStream(seed)
     plain, outcomes = True, []
     for _ in range(trials):
-        outcome, plain = _trial(sub, n, i, field, master.child_seed(), plain=plain)
-        outcomes.append(outcome)
-    report = DegreeReport.from_trials(i, outcomes)
-    # at i = 0 the rank check keeps ell0 nonzero on the target point: no audit
-    if report.stable or not i or plain:
-        return report
-    return DegreeReport.from_trials(
-        i, [t if t.value == report.value
-            else _trial(sub, n, i, field, t.seed, audit=True, plain=False)[0]
-            for t in report.trials])
+        trial_seed = master.child_seed()
+        stream = SeedStream(trial_seed)
+        zero_dim, reduced, value = False, False, None
+        for _ in range(DEFAULT_RETRIES + 1):
+            res = _trial_fiber_count(sub, n, i, field, stream, plain)
+            if res is None:
+                continue            # degenerate draw, redraw
+            zero_dim, reduced, value, plain = res
+            if reduced and value:
+                break
+        outcomes.append(TrialOutcome(trial_seed, value, zero_dim, reduced))
+    return DegreeReport.from_trials(i, outcomes)
 
 
 def polar_degrees_profile(W: WeightedFunction, trials: int = DEFAULT_TRIALS,

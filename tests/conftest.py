@@ -5,6 +5,7 @@ import pytest
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.parse import parse_poly
 from polardeg.poly import MultiPoly
+from polardeg.rand import SeedStream
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,16 @@ def random_poly(field, nvars, max_degree, n_terms, rng: random.Random) -> MultiP
             exp[rng.randrange(nvars)] += 1
         items.append((tuple(exp), field.from_int(rng.randrange(-9, 10))))
     return MultiPoly.from_terms(field, nvars, items)
+
+
+class ScriptedStream(SeedStream):
+    """A SeedStream that counts its below() calls and answers those in
+    `script`, {call number: field element}, without drawing."""
+
+    def __init__(self, seed, script=None):
+        super().__init__(seed)
+        self.script, self.calls = script or {}, 0
+
+    def below(self, m):
+        k, self.calls = self.calls, self.calls + 1
+        return self.script[k] if k in self.script else super().below(m)

@@ -110,6 +110,8 @@ def test_polar_without_a_trial_to_run_is_an_error(capsys, argv):
 BAD_INPUTS = {
     "unparsable": ["--poly", "x0 x1"],
     "wrong-nvars": ["--poly", "x0*x1*x2", "--nvars", "2"],
+    "nvars-zero": ["--poly", "x0*x1*x2", "--nvars", "0"],
+    "nvars-negative": ["--poly", "x0*x1*x2", "--nvars", "-2"],
     "not-homogeneous": ["--poly", "x0^2 + x1"],
     "prime-below-min": ["--poly", "x0*x1*x2", "--prime", "7"],
     "zero-weight": ["--poly", "x0", "--poly", "x1", "--poly", "x2", "--weights", "1,0,1"],
@@ -142,6 +144,12 @@ def test_bad_input_never_leaks_an_exception(capsys, monkeypatch, case, verb, jso
     out = capsys.readouterr()
     assert code in (1, 2)
     assert "Traceback" not in out.out + out.err
+
+
+def test_nvars_below_one_is_refused_by_name(capsys):
+    code, _, err = run_cli(capsys, "polar", "--poly", "x0*x1*x2", "--nvars", "0")
+    assert code == 1
+    assert err == "error: --nvars must be at least 1, got 0\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import qq
+from conftest import ScriptedStream, qq
 from polardeg import foliations
 from polardeg.errors import DegenerateInputError, FieldMismatchError, GenericityError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
@@ -184,6 +184,31 @@ def test_restriction_preserves_degree(Fp):
         r = restrict_to_generic_subspace(fol, 2, seed)
         assert r.degree == fol.degree == 2
         assert euler_contraction(r.coeffs).is_zero()
+
+
+def test_restriction_redraws_a_degenerate_embedding(Fp, monkeypatch):
+    streams = []
+
+    def scripted(script):
+        def make(seed):
+            streams.append(ScriptedStream(seed, script))
+            return streams[-1]
+        return make
+
+    fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])).to_field(Fp)
+    monkeypatch.setattr(foliations, "SeedStream", scripted({}))
+    want = restrict_to_generic_subspace(fol, 2, seed=5)
+    assert streams[-1].calls == 12
+    # an embedding with a zero x0 row maps P^2 into the invariant plane
+    # x0 = 0; the stream's next 12 draws are the embedding that is kept
+    monkeypatch.setattr(foliations, "SeedStream", scripted(dict.fromkeys(range(3), 0)))
+    got = restrict_to_generic_subspace(fol, 2, seed=5)
+    assert streams[-1].calls == 24
+    assert got.degree == fol.degree and got != want
+    # every draw zero: no embedding has full rank
+    monkeypatch.setattr(foliations, "SeedStream", scripted(dict.fromkeys(range(1000), 0)))
+    with pytest.raises(GenericityError, match="rank-deficient embedding matrix$"):
+        restrict_to_generic_subspace(fol, 2, seed=5)
 
 
 def test_restriction_to_line_gives_unique_foliation(Fp):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import plane_map_fiber_count
-from conftest import gfp, qq
+from conftest import ScriptedStream, gfp, qq
 from polardeg import linalg, polar, poly
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
@@ -285,24 +285,13 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
             stream = SeedStream(SeedStream(seed).child_seed())
             assert polar._trial_fiber_count(dehom, n, i, Fp, stream, plain=False) == \
                 (True, True, value, False)
-            for middle, polys in ((u, ideals[0]), (saturation, ideals[-1])):
+            # the saturated count's audit at i = 1 builds one more basis
+            assert len(ideals) == 2 + i
+            for middle, polys in ((u, ideals[0]), (saturation, ideals[1])):
                 expected = ([combination(row, dehom) for row in target] + [middle]
                             + [combination(row, chart) for row in source])
                 assert list(polys) == expected
                 assert all(g.nvars == n + 1 for g in polys)
-
-
-class ScriptedStream(SeedStream):
-    """A SeedStream that counts its below() calls and answers those in
-    `script`, {call number: field element}, without drawing."""
-
-    def __init__(self, seed, script=None):
-        super().__init__(seed)
-        self.script, self.calls = script or {}, 0
-
-    def below(self, m):
-        k, self.calls = self.calls, self.calls + 1
-        return self.script[k] if k in self.script else super().below(m)
 
 
 def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch):
@@ -361,64 +350,130 @@ def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch
     assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * linear
 
 
+LOST_POINT_SCRIPT = dict(enumerate([1, 0, DEFAULT_PRIME - 1] + [4, DEFAULT_PRIME - 1, 0]
+                                    + [1, 1, DEFAULT_PRIME - 3]))
+
+
+def _in_the_chart(m):
+    """(n, sub): the components in the chart x_n = 1, as map_degree builds
+    them, with u as variable 0."""
+    n = m.source_dim
+    return n, [MultiPoly(m.field, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
+               for comp in m.components]
+
+
+def _fermat_cubic(Fp):
+    return polar_map(qq("x0^3 + x1^3 + x2^3")).to_field(Fp)
+
+
 def test_audit_redraws_a_count_that_lost_a_fiber_point(Fp):
     # deg_1 of the Fermat cubic's polar map is 2.  The scripted draws put the
     # fiber point (1 : 2 : 1) on ell0(phi) = 0: the target line L is
     # y0 = y2, ell0 = 4*y0 - y1, and Lambda is x0 + x1 = 3*x2, which meets
-    # L(phi) = 3*x0^2 - 3*x2^2 in (1 : 2 : 1) and (-1 : 4 : 1)
-    m = polar_map(qq("x0^3 + x1^3 + x2^3")).to_field(Fp)
-    n, p = m.source_dim, DEFAULT_PRIME
-    sub = [MultiPoly(Fp, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
-           for comp in m.components]
-    script = dict(enumerate([1, 0, p - 1] + [4, p - 1, 0] + [1, 1, p - 3]))
+    # L(phi) = 3*x0^2 - 3*x2^2 in (1 : 2 : 1) and (-1 : 4 : 1).  The
+    # saturation counts 1, and the audit refuses that count as a degenerate
+    # draw
+    n, sub = _in_the_chart(_fermat_cubic(Fp))
 
-    def saturated(stream, audit=False):
-        return polar._trial_fiber_count(sub, n, 1, Fp, stream, audit, plain=False)
+    def saturated(stream):
+        return polar._trial_fiber_count(sub, n, 1, Fp, stream, plain=False)
 
-    assert saturated(ScriptedStream(3, script)) == (True, True, 1, False)
-    assert saturated(ScriptedStream(3, script), audit=True) is None
+    assert saturated(ScriptedStream(3, LOST_POINT_SCRIPT)) is None
     # generic draws pass the audit
     for seed in range(3):
-        assert saturated(SeedStream(seed), audit=True) == (True, True, 2, False)
+        assert saturated(SeedStream(seed)) == (True, True, 2, False)
 
 
 def test_count_without_the_saturation_keeps_the_point_on_ell0(Fp):
     # the scripted draws of the audit test above: the plain system, with the
     # generator u in place of the saturation, counts the fiber point
-    # (1 : 2 : 1) on ell0(phi) = 0 with the other one, and the audit has
-    # nothing to check
-    m = polar_map(qq("x0^3 + x1^3 + x2^3")).to_field(Fp)
-    n, p = m.source_dim, DEFAULT_PRIME
-    sub = [MultiPoly(Fp, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
-           for comp in m.components]
-    script = dict(enumerate([1, 0, p - 1] + [4, p - 1, 0] + [1, 1, p - 3]))
-    for audit in (False, True):
-        assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, script),
-                                        audit) == (True, True, 2, True)
+    # (1 : 2 : 1) on ell0(phi) = 0 with the other one, and there is nothing
+    # to audit
+    n, sub = _in_the_chart(_fermat_cubic(Fp))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, LOST_POINT_SCRIPT)) == \
+        (True, True, 2, True)
 
 
-def test_only_a_level_that_left_the_plain_system_replays_trials_with_the_audit(
-        Fp, monkeypatch):
-    calls, leaves = [], []
+@pytest.mark.parametrize("trials", [1, 3, 5])
+def test_a_saturated_level_audits_every_count_it_accepts(Fp, monkeypatch, trials):
+    # every trial of a level kept on the saturation first draws the lost-point
+    # script: the audit redraws each of those counts, whatever the vote
+    real_count = polar._trial_fiber_count
 
-    def trial(sub, n, i, field, trial_seed, audit=False, plain=True):
-        calls.append((audit, plain))
-        value = 1 if len(calls) == 2 else 2
-        return polar.TrialOutcome(trial_seed, value, True, True), plain and not leaves
+    def saturated(sub, n, i, field, stream, *_):
+        return real_count(sub, n, i, field, stream, plain=False)
 
-    monkeypatch.setattr(polar, "_trial", trial)
-    m = polar_map(qq("x0^3 + x1^3 + x2^3"))
-    # every count stayed plain: the disagreeing level is returned as voted
-    rep = map_degree(m, 1, trials=3, field=Fp)
-    assert ([t.value for t in rep.trials], rep.stable) == ([2, 1, 2], False)
-    assert calls == [(False, True)] * 3
-    # the first trial leaves the plain system: the later ones start on the
-    # saturation, and the trial off the vote is replayed there with the audit
-    calls.clear()
-    leaves.append(True)
-    rep = map_degree(m, 1, trials=3, field=Fp)
-    assert calls == [(False, True), (False, False), (False, False), (True, False)]
-    assert [t.value for t in rep.trials] == [2, 2, 2] and rep.stable
+    monkeypatch.setattr(polar, "_trial_fiber_count", saturated)
+    monkeypatch.setattr(polar, "SeedStream",
+                        lambda seed: ScriptedStream(seed, LOST_POINT_SCRIPT))
+    rep = map_degree(_fermat_cubic(Fp), 1, trials=trials, field=Fp)
+    assert rep.value == 2 and rep.stable
+    assert [t.value for t in rep.trials] == [2] * trials
+
+
+def test_a_degenerate_linear_draw_is_refused(Fp):
+    n, sub = _in_the_chart(_fermat_cubic(Fp))
+    # L and ell0 all zero: their rank is below n - i + 1
+    stream = ScriptedStream(0, dict.fromkeys(range(100), 0))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, stream) is None
+    assert stream.calls == 2 * (n + 1)
+    # Lambda = 5*x2 is no line of the chart
+    stream = ScriptedStream(0, {6: 0, 7: 0, 8: 5})
+    assert polar._trial_fiber_count(sub, n, 1, Fp, stream) is None
+    assert stream.calls == 3 * (n + 1)
+
+
+def test_an_infinite_saturated_fiber_is_not_zero_dimensional(Fp):
+    # L: y0 = y2 pulls back to x0^2 = x1^2, which holds on all of Lambda:
+    # x0 = x1, and ell0 = y1 pulls back to x0*x1, which vanishes at one
+    # point of it: the saturation keeps the rest of the line
+    p = DEFAULT_PRIME
+    m = RationalMapRep.of([gfp("x0^2"), gfp("x0*x1"), gfp("x1^2")])
+    n, sub = _in_the_chart(m)
+    script = dict(enumerate([1, 0, p - 1] + [0, 1, 0] + [1, p - 1, 0]))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(0, script)) == \
+        (False, False, None, False)
+
+
+def test_a_non_reduced_fiber_is_refused(Fp):
+    # the fiber of the point (0 : 1 : 1) is x0^2 = 0, x1^2 = x2^2: two double
+    # points, on the plain system and on the saturation alike
+    m = RationalMapRep.of([gfp("x0^2"), gfp("x1^2"), gfp("x2^2")])
+    n, sub = _in_the_chart(m)
+    script = dict(enumerate([1, 0, 0] + [0, 1, DEFAULT_PRIME - 1]))
+    assert polar._trial_fiber_count(sub, n, 0, Fp, ScriptedStream(0, script)) == \
+        (True, False, 4, False)
+
+
+def test_an_audit_whose_forms_miss_the_target_redraws(Fp):
+    n, sub = _in_the_chart(_fermat_cubic(Fp))
+    # draws: the target row, ell0, Lambda's row, ell, then the audit form
+    ell0 = dict(enumerate([1, 2, 3], start=n + 1))
+    stream = ScriptedStream(0, ell0)
+    assert polar._trial_fiber_count(sub, n, 1, Fp, stream, plain=False) == \
+        (True, True, 2, False)
+    assert stream.calls == 5 * (n + 1)
+    # the audit form equal to ell0: L and the forms span two of the three
+    # dimensions of forms on the target
+    stream = ScriptedStream(0, ell0 | dict(enumerate([1, 2, 3], start=4 * (n + 1))))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, stream, plain=False) is None
+    assert stream.calls == 5 * (n + 1)
+
+
+def test_a_trial_of_degenerate_draws_counts_nothing(Fp, monkeypatch):
+    streams = []
+
+    def zeros(seed):
+        streams.append(ScriptedStream(seed, dict.fromkeys(range(100), 0)))
+        return streams[-1]
+
+    monkeypatch.setattr(polar, "SeedStream", zeros)
+    rep = map_degree(_fermat_cubic(Fp), 0, trials=1, seed=3, field=Fp)
+    trial_seed = SeedStream(3).child_seed()
+    assert rep.trials == (polar.TrialOutcome(trial_seed, None, False, False),)
+    assert rep.value is None and not rep.stable
+    # each draw stops at the rank check of L and ell0: 3 forms on the target
+    assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * 3 * 3
 
 
 def test_rational_map_rep_validation():
