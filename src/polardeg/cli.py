@@ -185,7 +185,7 @@ def _cmd_foliation(args) -> int:
 def _cmd_verify(args) -> int:
     field = GF(args.prime)
     kwargs = dict(trials=args.trials, seed=args.seed, field=field)
-    if args.suite == "resonance" and args.k is not None:
+    if args.k is not None:
         kwargs["ks"] = (args.k,)
     outcomes = SUITES[args.suite](**kwargs)
     passed = all(o.passed for o in outcomes)
@@ -244,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "verify" and args.k is not None and args.suite != "resonance":
+        parser.error(f"verify --k applies to the resonance suite only, not {args.suite}")
     try:
         return args.func(args)
     except PolardegError as exc:

@@ -8,76 +8,56 @@ Polynomial grammar (explicit `*` between factors, no juxtaposition):
     base     := rational | var | '(' expr ')'
     var      := 'x' nat
     rational := nat ('/' nat)?
+    nat      := decimal digits
 
+Parentheses nest at most 200 deep.
 Weights are comma-separated nonzero rationals like "1,-1,2/3".
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ParseError
 from .fields import PrimeField
 from .poly import MultiPoly
 
-_OPS = set("+-*^()/,")
+# One group per token kind; blanks are skipped and any other character refused.
+_TOKEN = re.compile(r"(?P<nat>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()/,])"
+                    r"|(?P<newline>\n)|[^\S\n]+|(?P<bad>.)")
+_MAX_DEPTH = 200    # parentheses; each level is four frames of the recursive descent
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind:
+            tokens.append(_Token(m.group() if kind == "op" else kind, m.group(), line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _int(digits: str, tok: _Token) -> int:
+    try:
+        return int(digits)
+    except ValueError:      # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"number too long ({len(digits)} digits)", tok.line, tok.col) from None
 
 
 class _Parser:
     def __init__(self, text: str, nvars: int, field):
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.pos = self.depth = 0
         self.nvars = nvars
         self.field = field
 
@@ -100,11 +80,9 @@ class _Parser:
         return p
 
     def expr(self) -> MultiPoly:
-        negate = False
-        if self.peek().kind in "+-":
-            negate = self.take().kind == "-"
+        sign = self.take().kind if self.peek().kind in "+-" else "+"
         p = self.term()
-        if negate:
+        if sign == "-":
             p = -p
         while self.peek().kind in "+-":
             op = self.take().kind
@@ -123,8 +101,7 @@ class _Parser:
         p = self.base()
         if self.peek().kind == "^":
             self.take()
-            e = self.nat("exponent")
-            p = p ** e
+            p = p ** self.nat("exponent")
         nxt = self.peek()
         if nxt.kind in ("name", "nat", "("):
             raise ParseError("missing '*' between factors (juxtaposition is not allowed)",
@@ -136,19 +113,21 @@ class _Parser:
         if tok.kind == "-":
             raise ParseError(f"{what} must be non-negative", tok.line, tok.col)
         tok = self.take("nat")
-        return int(tok.text)
+        return _int(tok.text, tok)
 
     def base(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {_MAX_DEPTH}", tok.line, tok.col)
             self.take()
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             self.take(")")
             return p
         if tok.kind == "nat":
-            self.take()
-            num = int(tok.text)
-            den = 1
+            num, den = self.nat("number"), 1
             if self.peek().kind == "/":
                 self.take()
                 dtok = self.peek()
@@ -170,10 +149,8 @@ class _Parser:
 
     def var_index(self, tok: _Token) -> int:
         name = tok.text
-        if name.startswith("x") and name[1:].isdigit():
-            k = int(name[1:])
-            if k < self.nvars:
-                return k
+        if name.startswith("x") and name[1:].isdecimal() and _int(name[1:], tok) < self.nvars:
+            return int(name[1:])
         raise ParseError(f"unknown variable {name!r} (expected x0..x{self.nvars - 1})",
                          tok.line, tok.col)
 

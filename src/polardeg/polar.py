@@ -228,6 +228,10 @@ def weighted_gradient(W: WeightedFunction) -> list:
 
 def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
     """Polar map of the weighted product, common polynomial factor removed."""
+    if W.total_degree == 0:
+        raise DegenerateInputError(
+            "total weighted degree is zero: the polar map degenerates to a "
+            "Gauss map of a foliation of the same space")
     comps = weighted_gradient(W)
     if all(c.is_zero() for c in comps):
         raise DegenerateInputError("weights annihilate the differential")
@@ -400,10 +404,6 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
 def polar_degrees_profile(W: WeightedFunction, trials: int = DEFAULT_TRIALS,
                           seed: int = 0, field=None) -> tuple:
     """(deg_0, ..., deg_{n-1}) of the weighted polar map."""
-    if W.total_degree == 0:
-        raise DegenerateInputError(
-            "total weighted degree is zero: the polar map degenerates to a "
-            "Gauss map of a foliation of the same space")
     m = weighted_polar_map(W)
     n = m.source_dim
     master = SeedStream(seed)

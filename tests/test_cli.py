@@ -43,6 +43,13 @@ def test_polar_rejects_zero_total_degree(capsys):
     assert "total weighted degree" in err
 
 
+def test_polar_single_level_rejects_zero_total_degree(capsys):
+    code, out, err = run_cli(capsys, "polar", "--poly", "x0", "--poly", "x1",
+                             "--poly", "x0+x1", "--weights", "1,1,-2", "--i", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: total weighted degree is zero: ")
+
+
 def test_polar_rejects_nonreduced_factors(capsys):
     # powers of variables violate the squarefree-factor contract up front
     code, _, err = run_cli(capsys, "polar", "--poly", "x0^2", "--poly", "x1^3",
@@ -124,6 +131,9 @@ BAD_INPUTS = {
     "pair-cap-not-a-number": ["--poly", "x0^4 + x1^4 + x2^4"],
     "pair-cap-superscript": ["--poly", "x0^4 + x1^4 + x2^4"],
     "too-few-lines": ["--k", "1"],
+    "superscript-exponent": ["--poly", "x0^\u00b2+x1^2+x2^2"],
+    "superscript-variable": ["--poly", "x0*x1*x\u00b2"],
+    "deep-nesting": ["--poly", "(" * 10000 + "x0" + ")" * 10000 + "*x1*x2"],
 }
 BAD_ENV = {"pair-cap": "1", "pair-cap-not-a-number": "many",
            "pair-cap-superscript": "\u00b2"}
@@ -159,6 +169,13 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-verb"])
     assert exc.value.code == 2
+
+
+def test_verify_k_outside_resonance_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "dolgachev", "--k", "3"])
+    assert exc.value.code == 2
+    assert "--k applies to the resonance suite only" in capsys.readouterr().err
 
 
 def test_gauss_defaults_and_k(capsys):

@@ -86,6 +86,49 @@ def test_parse_print_round_trip_random():
             assert poly_str(q) == text
 
 
+def test_parse_superscripts_are_refused_with_a_position():
+    with pytest.raises(ParseError, match="expected nat, found '\u00b2'") as err:
+        parse_poly("x0^\u00b2+x1^2+x2^2", 3, QQ)
+    assert (err.value.line, err.value.col) == (1, 4)
+    with pytest.raises(ParseError, match="unknown variable") as err:
+        parse_poly("x0*x1*x\u00b2", 3, QQ)
+    assert (err.value.line, err.value.col) == (1, 7)
+
+
+def test_parse_decimal_digits_of_any_script():
+    assert parse_poly("x\u0663 + \u0662*x0", 4, QQ) == parse_poly("x3 + 2*x0", 4, QQ)
+
+
+def test_parse_nesting_bound():
+    assert parse_poly("(" * 200 + "x0" + ")" * 200, 1, QQ) == parse_poly("x0", 1, QQ)
+    with pytest.raises(ParseError, match="nest deeper than 200") as err:
+        parse_poly("\n" + "(" * 10000 + "x0" + ")" * 10000, 1, QQ)
+    assert (err.value.line, err.value.col) == (2, 201)
+
+
+def test_parse_number_past_the_digit_limit_is_refused():
+    for text in ("x0 + " + "1" * 5000, "x0^" + "1" * 5000, "x" + "1" * 5000):
+        with pytest.raises(ParseError, match="number too long"):
+            parse_poly(text, 1, QQ)
+
+
+# pieces of random input: the grammar's characters, blanks of several kinds,
+# and names, numbers and characters that the grammar refuses
+PIECES = list("x0123+-*^()/,") + [" ", "\t", "\n", "\u2003", "x1", "x2", "y", "_a",
+                                  "\u00e9", "$", "12", "/0", "\u00b2", "\u0663", "x\u00b2"]
+
+
+def test_random_text_parses_or_raises_parse_error():
+    rng = random.Random(18)
+    for field in (QQ, GF(1000003)):
+        for _ in range(1000):
+            text = "".join(rng.choice(PIECES) for _ in range(rng.randint(1, 11)))
+            try:
+                parse_poly(text, 3, field)
+            except ParseError:
+                pass
+
+
 def test_parse_weights_examples():
     assert parse_weights("1,1,1") == (1, 1, 1)
     w = parse_weights("1,-1,2/3")
