@@ -20,19 +20,22 @@ from .errors import PolardegError
 from .fields import DEFAULT_PRIME, GF, QQ
 from .foliations import (associated_foliation, e_degree, foliation_from_form,
                          logarithmic_form, singular_scheme_degree_p2)
-from .parse import parse_poly, parse_weights
+from .parse import _int, _tokenize, parse_poly, parse_weights
 from .polar import (DEFAULT_TRIALS, WeightedFunction, map_degree,
                     polar_degrees_profile, weighted_polar_map)
 from .verify import SUITES
 
-_VAR_RE = re.compile(r"x(\d+)")
+# most variables an input may have, inferred or given by --nvars
+MAX_NVARS = 100
 
 
 def _infer_nvars(texts) -> int:
+    """One more than the largest index of a variable x<index> in the texts."""
     top = -1
     for text in texts:
-        for m in _VAR_RE.finditer(text):
-            top = max(top, int(m.group(1)))
+        for tok in _tokenize(text):
+            if tok.kind == "name" and tok.text[0] == "x" and tok.text[1:].isdecimal():
+                top = max(top, _int(tok.text[1:], tok))
     if top < 0:
         raise PolardegError("no variables found in the input polynomials")
     return top + 1
@@ -77,6 +80,8 @@ def _collect_input(args):
     nvars = _infer_nvars(polys) if args.nvars is None else args.nvars
     if nvars < 1:
         raise PolardegError(f"--nvars must be at least 1, got {nvars}")
+    if nvars > MAX_NVARS:
+        raise PolardegError(f"{nvars} variables exceed the limit of {MAX_NVARS}")
     factors = [parse_poly(text, nvars, QQ) for text in polys]
     source = {"polys": polys, "weights": [str(w) for w in weights], "nvars": nvars}
     return factors, weights, source

@@ -26,10 +26,10 @@ fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 Quotient queries: a zero-dimensional basis enumerates its standard monomials
 once, packed wide enough for each of them times a variable, and keeps them
 for quotient_dimension and is_reduced_zero_dim.  The latter does all its
-work in one elimination over those monomials: it finds the minimal
-polynomial mu of a linear form ell, and writes given polys as polynomials in
-ell; a univariate gcd of these with mu then counts the points where not
-all the polys vanish.
+work in one elimination of packed rows (linalg) over those monomials: it
+finds the minimal polynomial mu of a linear form ell, and writes given polys
+as polynomials in ell; a univariate gcd of these with mu then counts the
+points where not all the polys vanish.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import mul
 
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
-from .linalg import row_reduce
+from .linalg import pack, row_reduce, slot_width, unpack
 from .poly import MultiPoly, gcd_many
 
 DEFAULT_MAX_PAIRS = 200000
@@ -408,12 +407,14 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
     over the prime field (QQ is refused); callers draw them at random.  The
     test writes 1, ell, ..., ell^dim over the standard monomials, each power
     as ell's multiplication matrix (Faugere, Gianni, Lazard & Mora, JSC 1993)
-    times the one before.  The quotient is reduced with ell separating its
-    points iff ell's minimal polynomial has degree dim and is squarefree: iff
-    1, ..., ell^(dim-1) are independent, so that sum a_k ell^k = -ell^dim
-    has one solution, and mu = t^dim + sum a_k t^k is coprime to its
-    derivative.  A non-separating form, the zero form among them once
-    dim > 1, yields a false negative; callers redraw.
+    times the one before: M's columns are packed with row r in slot r
+    (linalg.pack), so M * v is the sum of v[c] times column c, unpacked mod p.
+    The quotient is reduced with ell separating its points iff ell's minimal
+    polynomial has degree dim and is squarefree: iff 1, ..., ell^(dim-1) are
+    independent, so that sum a_k ell^k = -ell^dim has one solution, and
+    mu = t^dim + sum a_k t^k is coprime to its derivative.  A non-separating
+    form, the zero form among them once dim > 1, yields a false negative;
+    callers redraw.
 
     The quotient is then F[t]/mu with t = ell, and the same elimination
     writes the normal form of each f in `off` as q_f(ell).  At a point P,
@@ -439,9 +440,11 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
     # column c of the matrix is ell * std[c] over the standard monomials; each
     # border monomial x_v * std[c] is reduced once, and the basis is reduced,
     # so a lead's normal form is minus its tail
-    cols = [[0] * dim for _ in range(dim)]
+    width = slot_width(p, dim)
+    cols = []
     border = {lm: [(t, -c) for t, c in tail] for lm, tail in basis}
-    for col, s in zip(cols, std):
+    for s in std:
+        col = [0] * dim
         for u, a in ell:
             m = s + u
             if m in index:
@@ -451,12 +454,13 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
                 border[m] = _reduce([(m, 1)], basis, pk.guards, p)
             for t, b in border[m]:
                 col[index[t]] += a * b
-    matrix = [[c % p for c in row] for row in zip(*cols)]
+        cols.append(pack(col, p, width))
+    # ell * v is the sum of v[c] * cols[c]: each slot sums dim products
     power = [1] + [0] * (dim - 1)   # std[0] is the monomial 1
     powers = []
     for _ in range(dim):
         powers.append(power)
-        power = [sum(map(mul, row, power)) % p for row in matrix]
+        power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
     forms = [[0] * dim for _ in off]
     for form, f in zip(forms, off):
         for t, c in _reduce(pk.terms(f), basis, pk.guards, p):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from polardeg.cli import main
+from polardeg.cli import MAX_NVARS, main
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,9 @@ BAD_INPUTS = {
     "superscript-exponent": ["--poly", "x0^\u00b2+x1^2+x2^2"],
     "superscript-variable": ["--poly", "x0*x1*x\u00b2"],
     "deep-nesting": ["--poly", "(" * 10000 + "x0" + ")" * 10000 + "*x1*x2"],
+    "variable-index-too-long": ["--poly", "x0*x1*x" + "1" * 5000],
+    "variable-index-too-large": ["--poly", "x0*x1*x" + "2" * 30],
+    "nvars-too-large": ["--poly", "x0*x1*x2", "--nvars", "2" * 30],
 }
 BAD_ENV = {"pair-cap": "1", "pair-cap-not-a-number": "many",
            "pair-cap-superscript": "\u00b2"}
@@ -160,6 +163,17 @@ def test_nvars_below_one_is_refused_by_name(capsys):
     code, _, err = run_cli(capsys, "polar", "--poly", "x0*x1*x2", "--nvars", "0")
     assert code == 1
     assert err == "error: --nvars must be at least 1, got 0\n"
+
+
+def test_variable_count_above_the_limit_is_refused_by_name(capsys):
+    code, _, err = run_cli(capsys, "polar", "--poly", f"x0*x1*x{MAX_NVARS}")
+    assert (code, err) == (1, f"error: {MAX_NVARS + 1} variables exceed the limit "
+                              f"of {MAX_NVARS}\n")
+    code, _, err = run_cli(capsys, "polar", "--poly", "x0*x1*x2", "--nvars", "10" * 15)
+    assert (code, err) == (1, f"error: {'10' * 15} variables exceed the limit "
+                              f"of {MAX_NVARS}\n")
+    code, _, err = run_cli(capsys, "polar", "--poly", "x0*x1*x" + "1" * 5000)
+    assert (code, err) == (1, "error: number too long (5000 digits) (line 1, column 7)\n")
 
 
 def test_usage_error_exits_2(capsys):

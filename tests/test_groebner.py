@@ -418,6 +418,33 @@ def test_is_reduced_zero_dim_counts_the_points_off_the_common_zeros_of_off(Fp):
         is_reduced_zero_dim(G, ell(G, 1), (gfp("x0", 2),))
 
 
+def test_is_reduced_zero_dim_counts_more_points_than_a_slot_width_step(Fp):
+    """66 points on a parabola: the packed vectors of dim 66 pass the step
+    of the slot width at 64 rows, and the count off each set of polys is
+    checked point by point."""
+    p = Fp.modulus
+    rng = random.Random(66)
+    points = [(a, (a * a + 3 * a) % p) for a in rng.sample(range(p), 66)]
+    G = groebner(points_ideal(points, Fp))
+    assert quotient_dimension(G) == 66
+    x0, x1 = (MultiPoly.variable(Fp, 2, v) for v in range(2))
+    one = MultiPoly.one(Fp, 2)
+
+    def vanishing(pts):
+        out = one
+        for a, _ in pts:
+            out = out * (x0 - one.scale(a))
+        return out
+
+    offs = [(), (vanishing(points[:10]),),
+            (vanishing(points[5:40]), x1 - one.scale(points[7][1])),
+            (vanishing(points),)]
+    counts = [count_points_off(points, off, p) if off else 66 for off in offs]
+    assert counts == [66, 56, 65, 0]
+    for k, (off, want) in enumerate(zip(offs, counts)):
+        assert is_reduced_zero_dim(G, ell(G, k), off) == want, k
+
+
 # zero-dimensional GF(p) systems for the reducedness oracle, as (nvars, texts)
 REDUCEDNESS_SYSTEMS = {
     "one-point": (3, ["x0 - 1", "x1 - 2", "x2 - 3"]),

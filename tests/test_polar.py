@@ -1,6 +1,8 @@
 """Polar maps, weighted polar maps, and the randomized degree protocol."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -474,6 +476,18 @@ def test_a_trial_of_degenerate_draws_counts_nothing(Fp, monkeypatch):
     assert rep.value is None and not rep.stable
     # each draw stops at the rank check of L and ell0: 3 forms on the target
     assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * 3 * 3
+
+
+def test_one_trial_of_the_dense_sextic_in_p3_counts_125():
+    """deg_0 = (d - 1)^n for a dense form of degree d on P^n: a 125-point
+    fiber, the scale at which the reducedness test's packed rows pay off."""
+    field = GF(2**31 - 1)
+    rng = random.Random(7)
+    terms = [(e, rng.randrange(field.modulus))
+             for e in product(range(6, -1, -1), repeat=4) if sum(e) == 6]
+    report = map_degree(polar_map(MultiPoly.from_terms(field, 4, terms)), 0,
+                        trials=1, seed=5, field=field)
+    assert (report.value, report.stable) == (125, True)
 
 
 def test_rational_map_rep_validation():
