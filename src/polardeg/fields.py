@@ -91,13 +91,17 @@ class PrimeField:
     kind = "prime-field"
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise DegenerateInputError(f"modulus {p} is not prime")
+        # the range first: Miller-Rabin on a huge modulus takes seconds
+        if not isinstance(p, int):
+            raise DegenerateInputError(f"modulus {p!r} is not an integer")
         if p < MIN_PRIME:
             raise DegenerateInputError(
                 f"modulus {p} too small: need p >= {MIN_PRIME} for genericity headroom")
         if p >= MAX_PRIME:
-            raise DegenerateInputError(f"modulus {p} does not fit in 62 bits")
+            raise DegenerateInputError(
+                f"modulus of {p.bit_length()} bits does not fit in 62 bits")
+        if not is_prime(p):
+            raise DegenerateInputError(f"modulus {p} is not prime")
         self.modulus = p
 
     def zero(self):

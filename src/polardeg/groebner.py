@@ -29,7 +29,10 @@ for quotient_dimension and is_reduced_zero_dim.  The latter does all its
 work in one elimination of packed rows (linalg) over those monomials: it
 finds the minimal polynomial mu of a linear form ell, and writes given polys
 as polynomials in ell; a univariate gcd of these with mu then counts the
-points where not all the polys vanish.
+points where not all the polys vanish.  Given a grading d, it runs on the
+monomials of degree divisible by d and on ell^d instead: that part of the
+quotient of an affine cone over finitely many points is their coordinate
+ring.
 """
 
 from __future__ import annotations
@@ -397,30 +400,40 @@ def _uni_gcd(a, b, p):
     return a
 
 
-def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
+def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=(), d=1) -> int | None:
     """The number of points of a reduced zero-dimensional quotient that are
     not common zeros of the polys in `off` (every point when `off` is
     empty, 0 for the unit ideal); None when the quotient is not reduced or
     ell does not separate its points.
 
+    With a grading d >= 1, every generator of G has all its terms in one
+    degree class mod d; so do the elements of the reduced basis, and the
+    quotient A splits by degree mod d.  Its part A_0, spanned by the
+    standard monomials of degree divisible by d, is the ring counted: it
+    must have dimension dim A / d, and the test runs on ell^d, which maps
+    A_0 to itself.  On the affine cone over a fiber (polar) A_0 is the
+    coordinate ring of the fiber points.  At d = 1, A_0 is A.
+
     coeffs are the coefficients of a linear form ell, one per variable of G,
     over the prime field (QQ is refused); callers draw them at random.  The
-    test writes 1, ell, ..., ell^dim over the standard monomials, each power
-    as ell's multiplication matrix (Faugere, Gianni, Lazard & Mora, JSC 1993)
-    times the one before: M's columns are packed with row r in slot r
-    (linalg.pack), so M * v is the sum of v[c] times column c, unpacked mod p.
-    The quotient is reduced with ell separating its points iff ell's minimal
-    polynomial has degree dim and is squarefree: iff 1, ..., ell^(dim-1) are
-    independent, so that sum a_k ell^k = -ell^dim has one solution, and
-    mu = t^dim + sum a_k t^k is coprime to its derivative.  A non-separating
-    form, the zero form among them once dim > 1, yields a false negative;
-    callers redraw.
+    test writes 1, ell^d, ..., ell^(d*dim0) over the standard monomials,
+    dim0 = dim A_0, each power as d products of ell's multiplication matrix
+    (Faugere, Gianni, Lazard & Mora, JSC 1993) with the one before: M's
+    columns are packed with row r in slot r (linalg.pack), so M * v is the
+    sum of v[c] times column c, unpacked mod p.  A_0 is reduced with ell^d
+    separating its points iff the minimal polynomial mu of ell^d on A_0 has
+    degree dim0 and is squarefree: iff 1, ..., ell^(d*(dim0-1)) are
+    independent, so that sum a_k ell^(dk) = -ell^(d*dim0) has one solution
+    over A_0's monomials, and mu = t^dim0 + sum a_k t^k is coprime to its
+    derivative.  A non-separating form, the zero form among them once
+    dim0 > 1, yields a false negative; callers redraw.
 
-    The quotient is then F[t]/mu with t = ell, and the same elimination
-    writes the normal form of each f in `off` as q_f(ell).  At a point P,
-    f(P) = q_f(ell(P)), and the ell(P) are the dim distinct roots of mu; so
-    the common zeros of `off` are the roots of gcd(mu, q_f for every f), and
-    the count is dim minus its degree.
+    A_0 is then F[t]/mu with t = ell^d, and the same elimination writes the
+    normal form of each f in `off`, whose degrees must be divisible by d,
+    as q_f(ell^d).  At a point P, f(P) = q_f(ell^d(P)), and the ell^d(P) are
+    the dim0 distinct roots of mu; so the common zeros of `off` are the
+    roots of gcd(mu, q_f for every f), and the count is dim0 minus its
+    degree.
     """
     p = G.field.modulus
     if p is None:
@@ -431,10 +444,17 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
             f"got {len(coeffs)}")
     if any(f.field != G.field or f.nvars != G.nvars for f in off):
         raise FieldMismatchError("the polys of off live in another ring than the basis")
+    if d < 1:
+        raise DegenerateInputError(f"the grading must be at least 1, got {d}")
     pk, std = G._quotient
     dim = len(std)
     if dim == 0:
         return 0
+    top = (pk.vbits + 1) * (2 * pk.nvars - 1)      # m >> top: deg m
+    graded = [r for r, m in enumerate(std) if not (m >> top) % d]   # A_0's monomials
+    dim0 = len(graded)
+    if dim0 * d != dim:
+        return None
     basis, index = G.packed(pk), {m: r for r, m in enumerate(std)}
     ell = [(u, a) for u, a in zip(pk.units, coeffs) if a]
     # column c of the matrix is ell * std[c] over the standard monomials; each
@@ -458,26 +478,28 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
     # ell * v is the sum of v[c] * cols[c]: each slot sums dim products
     power = [1] + [0] * (dim - 1)   # std[0] is the monomial 1
     powers = []
-    for _ in range(dim):
+    for _ in range(dim0):
         powers.append(power)
-        power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
+        for _ in range(d):
+            power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
     forms = [[0] * dim for _ in off]
     for form, f in zip(forms, off):
         for t, c in _reduce(pk.terms(f), basis, pk.guards, p):
             form[index[t]] = c
-    # columns over the standard monomials: ell^0 .. ell^(dim-1), -ell^dim,
+    # columns over A_0's monomials: ell^0 .. ell^(d*(dim0-1)), -ell^(d*dim0),
     # then the normal forms of off
-    rref, pivots = row_reduce(zip(*powers, [-c % p for c in power], *forms), G.field)
-    if pivots != list(range(dim)):
+    rows = list(zip(*powers, [-c % p for c in power], *forms))
+    rref, pivots = row_reduce([rows[r] for r in graded], G.field)
+    if pivots != list(range(dim0)):
         return None
-    mu = [row[dim] for row in rref] + [1]
+    mu = [row[dim0] for row in rref] + [1]
     if len(_uni_gcd(mu, [c * k % p for k, c in enumerate(mu)][1:], p)) != 1:
         return None
     if not off:
-        return dim
+        return dim0
     common = mu
     for k in range(len(off)):
-        common = _uni_gcd(common, [row[dim + 1 + k] for row in rref], p)
+        common = _uni_gcd(common, [row[dim0 + 1 + k] for row in rref], p)
         if len(common) == 1:
             break
-    return dim + 1 - len(common)
+    return dim0 + 1 - len(common)

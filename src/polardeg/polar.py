@@ -245,34 +245,26 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     """One fiber count: (zero_dim, reduced, value, plain), or None on a
     degenerate draw; plain is whether the plain system gave the value.
 
-    sub holds the components in the chart, as map_degree builds them.  The
-    ring has the variable u as variable 0 and the chart coordinates x_0 ..
-    x_{n-1} as variables 1 .. n.  u comes first because the last degrevlex
-    variable is the special one (Bayer & Stillman, Invent. Math. 1987): the
-    benchmark workloads do 6-43% fewer reduction steps with u first than
-    with u last.
+    sub is the pair (phi, chart) that map_degree builds: the components as
+    forms on P^n, in x_0 .. x_n, and the same components in the fixed affine
+    chart x_n = 1, in x_0 .. x_{n-1}.  Only the target plane L (n-i forms,
+    plus the auxiliary form ell0) and the source plane Lambda (i forms) are
+    random.  Both systems below are counted by one step: the quotient
+    dimension, then the form ell, drawn once the first positive quotient
+    appears, then is_reduced_zero_dim.  ell has n + 1 coefficients, never
+    all zero; the chart system reads the first n.
 
-    The count runs in the fixed affine chart x_n = 1; only the target plane L
-    (n-i forms, plus the auxiliary form ell0) and the source plane Lambda (i
-    forms) are random.  No point is lost off the chart.  Let Z be the closure
-    of phi^{-1}(L) away from the base locus; for generic L it has dimension
-    i.  Stratify phi(H), H = {x_n = 0}, by the fiber dimension k of phi
-    restricted to H: each stratum Y_k has dim Y_k + k <= n - 1.  A generic L
-    meets Y_k in dimension <= dim Y_k + i - n, so Z meets H in dimension
-    <= i - 1.  So a generic Lambda of codimension i misses Z meet H: every
-    point of Z meet Lambda lies in the chart, and at i = 0 the finite fiber
-    misses H.  Lambda's i affine forms join the generators: being independent
-    and affine-linear in the chart coordinates, they eliminate i of them, so
-    the quotient is isomorphic to that of the fiber system restricted to
-    Lambda, with the same dimension and reducedness.
-
-    Both systems below are counted by one step: the quotient dimension, then
-    the form ell, drawn once the first positive quotient appears, then
-    is_reduced_zero_dim.  ell has n + 1 coefficients, never all zero, the
-    last one on u.
-
-    With plain set, the count takes the plain system first: the target
-    forms, the generator u and Lambda's forms.  Its quotient A has the points
+    With plain set, the count takes the plain system first, in the chart:
+    the target forms L(phi) and Lambda's i affine forms.  Being independent
+    in the chart coordinates, these eliminate i of them, so the quotient is
+    that of the fiber system restricted to Lambda.  No point is lost off
+    the chart.
+    Let Z be the closure of phi^{-1}(L) away from the base locus; for
+    generic L it has dimension i.  Stratify phi(H), H = {x_n = 0}, by the
+    fiber dimension k of phi restricted to H: each stratum Y_k has
+    dim Y_k + k <= n - 1.  A generic L meets Y_k in dimension
+    <= dim Y_k + i - n, so Z meets H in dimension <= i - 1, and a generic
+    Lambda of codimension i misses Z meet H.  The quotient A has the points
     of phi^{-1}(L) meet Lambda, and the base points B among them, since phi
     vanishes there.  When A is finite and nonzero, is_reduced_zero_dim
     counts the points of A off B.  The target rows, ell0 and the unit
@@ -281,21 +273,27 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     point of A; so phi vanishes there iff ell0(phi) and the i components at
     those columns do.  A generic Lambda misses Z meet B, which has dimension
     at most i - 1, so the count is that of Z meet Lambda, the points on
-    ell0(phi) = 0 included, and it is exact at every level.  u is zero in A,
-    so ell's coefficient on u is inert there.
+    ell0(phi) = 0 included, and it is exact at every level.
 
     When A is infinite (B meets Lambda in a curve or more) or the test
     fails (a base point of Milnor number above 1, say), and when plain is
-    clear, the count takes the saturated system, with u * ell0(phi) - 1 in
-    place of u, and the same ell.  It removes B, and with it every point on
-    ell0(phi) = 0.  At i = 0 the rank check keeps ell0 nonzero on the target
-    point.  At i >= 1 a genuine point of Z meet Lambda can lie on
-    ell0(phi) = 0 and be lost, so every positive reduced saturated count
-    there is audited exactly: i further target forms ell_1 .. ell_i are
-    drawn, with L and ell0 spanning every form on the target, and for
-    j = 1 .. i the system with ell0(phi) .. ell_{j-1}(phi) = 0 and
-    u * ell_j(phi) = 1 in place of the saturation must be the unit ideal.
-    A failed audit is a degenerate draw.  A passed audit draws after the
+    clear, the count takes the affine cone over the fiber: in x_0 .. x_n,
+    the target forms L(phi), ell0(phi) - 1 and Lambda's i linear forms.
+    phi is homogeneous of degree d < p, so each fiber point P off
+    ell0(phi) = 0, on the chart or not, gives exactly d points x of the
+    cone, the multiples of one by the d-th roots of unity, and the base
+    points drop out, since phi(x) != 0.  Every generator has its terms in
+    one degree class mod d, so is_reduced_zero_dim with the grading d
+    counts the points P on the quotient's part of degree 0 mod d; a
+    non-reduced count reports that part's dimension.  The cone removes
+    every point on ell0(phi) = 0.  At i = 0 the rank check keeps ell0
+    nonzero on the target point.  At i >= 1 a genuine point of Z meet
+    Lambda can lie on ell0(phi) = 0 and be lost, so every positive reduced
+    cone count there is audited exactly: i further target forms ell_1 ..
+    ell_i are drawn, with L and ell0 spanning every form on the target, and
+    for j = 1 .. i the cone with ell0(phi) .. ell_{j-1}(phi) = 0 and
+    ell_j(phi) = 1 in place of ell0(phi) = 1 must be the unit ideal.  A
+    failed audit is a degenerate draw.  A passed audit draws after the
     count, so the count and every later draw of the stream stay the same.
     """
     width = n + 1
@@ -310,41 +308,45 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     source_rows = [random_vector(field, width, stream) for _ in range(i)]
     if rank([row[:n] for row in source_rows], field) != i:
         return None
-    one = MultiPoly.one(field, width)
-    u = MultiPoly.variable(field, width, 0)
-    chart = [MultiPoly.variable(field, width, a + 1) for a in range(n)] + [one]
-    target = [linear_combination(row, sub) for row in target_rows]
-    source = [linear_combination(row, chart) for row in source_rows]
+    phi, chart = sub
     ell = None
 
-    def count(G, off):
-        """(dim, points off the common zeros of off()) of G's quotient: dim
-        is None when the quotient is infinite, the count None when the
-        reducedness test fails."""
+    def count(gens, off, d=1):
+        """(dim, points off the common zeros of off()) of the quotient of
+        gens on its degrees divisible by d: dim is None when the quotient is
+        infinite, the count None when the reducedness test fails."""
         nonlocal ell
         try:
+            G = groebner(gens)
             dim = quotient_dimension(G)
-        except DegenerateInputError:
+        except DegenerateInputError:    # infinite, or no nonzero generator
             return None, None
         if not dim:
             return 0, 0
         if ell is None:
             while not any(ell := random_vector(field, width, stream)):
                 pass
-            ell = ell[-1:] + ell[:-1]
-        return dim, is_reduced_zero_dim(G, ell, off())
-
-    def saturated(zeros, inverted):
-        return groebner(target + [linear_combination(row, sub) for row in zeros]
-                        + [u * linear_combination(inverted, sub) - one] + source)
+        return dim // d, is_reduced_zero_dim(G, ell[:G.nvars], off(), d)
 
     if plain:
-        _, value = count(groebner(target + [u] + source),
-                         lambda: [linear_combination(ell0, sub)]
-                         + [sub[j] for j in range(width) if j not in pivots])
+        # x_0 .. x_{n-1} and x_n = 1
+        affine = [MultiPoly.variable(field, n, a) for a in range(n)] + [MultiPoly.one(field, n)]
+        _, value = count([linear_combination(row, chart) for row in target_rows]
+                         + [linear_combination(row, affine) for row in source_rows],
+                         lambda: [linear_combination(ell0, chart)]
+                         + [chart[j] for j in range(width) if j not in pivots])
         if value is not None:
             return (True, True, value, True)
-    dim, value = count(saturated([], ell0), lambda: ())
+    one = MultiPoly.one(field, width)
+    coords = [MultiPoly.variable(field, width, a) for a in range(width)]
+    target = [linear_combination(row, phi) for row in target_rows]
+    source = [linear_combination(row, coords) for row in source_rows]
+
+    def cone(zeros, unit):
+        return (target + [linear_combination(row, phi) for row in zeros]
+                + [linear_combination(unit, phi) - one] + source)
+
+    dim, value = count(cone([], ell0), lambda: (), max(c.total_degree() for c in phi))
     if dim is None:             # the fiber is not finite
         return (False, False, None, False)
     if value is None:
@@ -352,7 +354,7 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     if value and i:
         forms = [ell0] + [random_vector(field, width, stream) for _ in range(i)]
         if rank(target_rows + forms, field) != width or not all(
-                saturated(forms[:j], forms[j]).is_unit_ideal() for j in range(1, i + 1)):
+                groebner(cone(forms[:j], forms[j])).is_unit_ideal() for j in range(1, i + 1)):
             return None
     return (True, True, value, False)
 
@@ -365,10 +367,10 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     degenerate, non-reduced or empty fiber up to DEFAULT_RETRIES times, and
     keeps its last draw.  Every count tries the plain system of
     _trial_fiber_count first, until one count of the level leaves it; the
-    level's later counts take the saturation straight away.  A plain count
-    loses no fiber point, and an accepted saturated count at i >= 1 has
-    passed the audit, so every accepted count is exact on its own and the
-    vote only guards against genericity failures; no trial is replayed.
+    level's later counts take the cone straight away.  A plain count loses
+    no fiber point, and an accepted cone count at i >= 1 has passed the
+    audit, so every accepted count is exact on its own and the vote only
+    guards against genericity failures; no trial is replayed.
     """
     n = m.source_dim
     if not 0 <= i <= n - 1:
@@ -380,10 +382,10 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("degree computations run over a prime field")
     m = m.to_field(field)
-    # the components in the chart x_n = 1, in the ring of u and then the chart
-    # coordinates x_0 .. x_{n-1}; they are homogeneous, so no two terms merge
-    sub = [MultiPoly(field, n + 1, {(0,) + exp[:n]: c for exp, c in comp.terms.items()})
-           for comp in m.components]
+    # the components, and the same in the chart x_n = 1: they are
+    # homogeneous, so no two terms merge
+    sub = (m.components, [MultiPoly(field, n, {exp[:n]: c for exp, c in comp.terms.items()})
+                          for comp in m.components])
     master = SeedStream(seed)
     plain, outcomes = True, []
     for _ in range(trials):

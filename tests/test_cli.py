@@ -121,6 +121,7 @@ BAD_INPUTS = {
     "nvars-negative": ["--poly", "x0*x1*x2", "--nvars", "-2"],
     "not-homogeneous": ["--poly", "x0^2 + x1"],
     "prime-below-min": ["--poly", "x0*x1*x2", "--prime", "7"],
+    "prime-huge": ["--poly", "x0^2+x1^2+x2^2", "--prime", str(10**4000 + 1)],
     "zero-weight": ["--poly", "x0", "--poly", "x1", "--poly", "x2", "--weights", "1,0,1"],
     "level-out-of-range": ["--poly", "x0*x1*x2", "--i", "7"],
     "section-out-of-range": ["--poly", "x0*x1*x2", "--k", "9"],
@@ -174,6 +175,13 @@ def test_variable_count_above_the_limit_is_refused_by_name(capsys):
                               f"of {MAX_NVARS}\n")
     code, _, err = run_cli(capsys, "polar", "--poly", "x0*x1*x" + "1" * 5000)
     assert (code, err) == (1, "error: number too long (5000 digits) (line 1, column 7)\n")
+
+
+def test_a_huge_prime_is_refused_by_its_bit_length(capsys):
+    code, out, err = run_cli(capsys, "polar", "--poly", "x0^2+x1^2+x2^2",
+                             "--prime", str(10**4000 + 1))
+    assert (code, out) == (1, "")
+    assert err == "error: modulus of 13288 bits does not fit in 62 bits\n"
 
 
 def test_usage_error_exits_2(capsys):
@@ -269,8 +277,8 @@ def test_verify_resonance_redraws_an_empty_fiber():
 
 
 # at this seed one e_degree trial of the Fermat cubic's foliation (cubic,
-# i=1) draws a genuine fiber point p with ell0(phi(p)) = 0: the saturation
-# u*ell0(phi) - 1 would drop it and count 5 where the others count 6, and the
+# i=1) draws a genuine fiber point p with ell0(phi(p)) = 0: the cone with
+# ell0(phi) = 1 would drop it and count 5 where the others count 6, and the
 # plain count, which removes the base points by a gcd, keeps it
 def test_verify_polar_relation_keeps_every_fiber_point():
     assert main(["verify", "polar-relation", "--seed", "42", "--prime", "1000003"]) == 0

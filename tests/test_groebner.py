@@ -445,6 +445,75 @@ def test_is_reduced_zero_dim_counts_more_points_than_a_slot_width_step(Fp):
         assert is_reduced_zero_dim(G, ell(G, k), off) == want, k
 
 
+def _cone_and_chart(form, i, seed):
+    """The fiber systems of form's polar map for one set of draws at level
+    i: the affine cone (target forms, ell0(phi) - 1 and Lambda's forms in
+    x0, x1, x2) and the chart x2 = 1 (target forms and Lambda's forms)."""
+    field = form.field
+    rows = [random_vector(field, 3, SeedStream(seed + k)) for k in range(4)]
+    target, ell0, source = rows[:2 - i], rows[2], rows[3:3 + i]
+    phi = gradient(form)
+    chart = [MultiPoly.variable(field, 2, 0), MultiPoly.variable(field, 2, 1),
+             MultiPoly.one(field, 2)]
+
+    def combo(row, polys):
+        return sum((p.scale(c) for c, p in zip(row, polys)),
+                   MultiPoly.zero(field, polys[0].nvars))
+
+    coords = [MultiPoly.variable(field, 3, v) for v in range(3)]
+    cone = ([combo(row, phi) for row in target] + [combo(ell0, phi) - MultiPoly.one(field, 3)]
+            + [combo(row, coords) for row in source])
+    dehom = [c.substitute(chart) for c in phi]
+    plain = [combo(row, dehom) for row in target] + [combo(row, chart) for row in source]
+    return groebner(cone), groebner(plain)
+
+
+@pytest.mark.parametrize("degree, profile", [(3, (4, 2)), (4, (9, 3))])
+def test_graded_count_on_the_cone_equals_the_chart_count(Fp, degree, profile):
+    # a dense random smooth plane curve of this degree: its polar map has
+    # degree d = degree - 1 and no base points, and every fiber point of
+    # generic draws lies in the chart and off ell0(phi) = 0
+    rng = random.Random(degree)
+    form = MultiPoly.from_terms(Fp, 3, [((a, b, degree - a - b), rng.randrange(1, Fp.modulus))
+                                        for a in range(degree + 1)
+                                        for b in range(degree + 1 - a)])
+    d = degree - 1
+    for i, points in enumerate(profile):
+        for seed in (0, 10, 20):
+            cone, chart = _cone_and_chart(form, i, seed)
+            assert quotient_dimension(cone) == d * quotient_dimension(chart) == d * points
+            coeffs = ell(cone, seed)
+            assert is_reduced_zero_dim(cone, coeffs, d=d) == points
+            assert is_reduced_zero_dim(chart, coeffs[:2]) == points
+            # the ungraded test sees the d cone points over each fiber point
+            assert is_reduced_zero_dim(cone, coeffs) == d * points
+
+
+def test_graded_count_refuses_a_non_reduced_cone(Fp):
+    # the fiber of (x0^2 : x1^2 : x2^2) over (0 : 1 : 1) is x0^2 = 0,
+    # x1^2 = x2^2: two double points.  With ell0 = y1 the cone has 8
+    # dimensions, 4 of degree divisible by 2
+    p = DEFAULT_PRIME
+    cone = GB(gfp("x0^2"), gfp("x1^2 - x2^2"), gfp("x1^2 - 1"))
+    assert quotient_dimension(cone) == 8
+    for seed in range(3):
+        assert is_reduced_zero_dim(cone, ell(cone, seed), d=2) is None
+    # the reduced fiber over (1 : 1 : 1): four points, eight on the cone
+    cone = GB(gfp("x0^2 - x2^2"), gfp("x1^2 - x2^2"), gfp(f"x0^2 + {p - 1}"))
+    assert quotient_dimension(cone) == 8
+    assert is_reduced_zero_dim(cone, ell(cone, 1), d=2) == 4
+
+
+def test_graded_count_refuses_a_part_of_the_wrong_dimension(Fp):
+    # the origin is fixed by the roots of unity: its quotient has 1
+    # dimension, not a multiple of d
+    origin = GB(gfp("x0", 2), gfp("x1", 2))
+    assert is_reduced_zero_dim(origin, [1, 2]) == 1
+    assert is_reduced_zero_dim(origin, [1, 2], d=2) is None
+    with pytest.raises(DegenerateInputError, match="grading"):
+        is_reduced_zero_dim(origin, [1, 2], d=0)
+
+
 # zero-dimensional GF(p) systems for the reducedness oracle, as (nvars, texts)
 REDUCEDNESS_SYSTEMS = {
     "one-point": (3, ["x0 - 1", "x1 - 2", "x2 - 3"]),

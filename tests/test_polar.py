@@ -193,8 +193,8 @@ def _record_base_points(monkeypatch):
         assert res is None or res[3]
         return res
 
-    def check(G, coeffs, off=()):
-        value = real_check(G, coeffs, off)
+    def check(G, coeffs, off=(), d=1):
+        value = real_check(G, coeffs, off, d)
         if off:
             dropped.append((level[0], polar.quotient_dimension(G) - value))
         return value
@@ -226,12 +226,12 @@ def test_a_level_with_an_infinite_plain_system_builds_one_plain_basis(Fp, monkey
     # the base locus of the tetrahedron's polar map is the six coordinate
     # lines: the plain fiber at i = 0 contains the three in the chart
     m = polar_map(qq("x0*x1*x2*x3", 4))
-    u = MultiPoly.variable(Fp, 4, 0)
     kinds = []
     real_groebner = polar.groebner
 
     def capture(polys):
-        kinds.append("plain" if u in polys else "saturated")
+        # the plain system lives in the chart's 3 coordinates, the cone in 4
+        kinds.append("plain" if polys[0].nvars == 3 else "saturated")
         return real_groebner(polys)
 
     monkeypatch.setattr(polar, "groebner", capture)
@@ -247,14 +247,14 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     # replay the first trial's stream: n - i target rows, ell0, i source rows
     stream = SeedStream(SeedStream(seed).child_seed())
     rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
-    # u is variable 0, the chart coordinates x_0 .. x_{n-1} are variables 1 .. n
-    u = MultiPoly.variable(Fp, n + 1, 0)
-    chart = ([MultiPoly.variable(Fp, n + 1, a + 1) for a in range(n)]
-             + [MultiPoly.one(Fp, n + 1)])
+    # the plain system lives in the chart coordinates x_0 .. x_{n-1}, the
+    # cone in the homogeneous coordinates x_0 .. x_n
+    chart = [MultiPoly.variable(Fp, n, a) for a in range(n)] + [MultiPoly.one(Fp, n)]
+    coords = [MultiPoly.variable(Fp, n + 1, a) for a in range(n + 1)]
     # the first map has a base point at (1 : 0 : 0), the Fermat cubic's polar
     # map has none; both came through to_field, so the first basis map_degree
-    # builds is the first trial's plain fiber system, with u in it.  The
-    # saturated system of the same draws has u * ell0(phi) - 1 there
+    # builds is the first trial's plain fiber system.  The cone of the same
+    # draws has the components themselves, ell0(phi) - 1 and Lambda's forms
     cases = []
     for text, values in (("x2*(x1^2 - x0*x2)", (1, 2)), ("x0^3 + x1^3 + x2^3", (4, 2))):
         m = polar_map(qq(text)).to_field(Fp)
@@ -262,7 +262,7 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
         cases.append((m, dehom, values))
 
     def combination(row, polys):
-        return sum((p.scale(r) for r, p in zip(row, polys)), MultiPoly.zero(Fp, n + 1))
+        return sum((p.scale(r) for r, p in zip(row, polys)), MultiPoly.zero(Fp, polys[0].nvars))
 
     ideals = []
     real_groebner = polar.groebner
@@ -281,28 +281,29 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     for m, dehom, values in cases:
         for i, value in enumerate(values):
             target, ell0, source = rows[:n - i], rows[n - i], rows[n - i + 1:]
-            saturation = u * combination(ell0, dehom) - MultiPoly.one(Fp, n + 1)
             ideals.clear()
             assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
             stream = SeedStream(SeedStream(seed).child_seed())
-            assert polar._trial_fiber_count(dehom, n, i, Fp, stream, plain=False) == \
-                (True, True, value, False)
-            # the saturated count's audit at i = 1 builds one more basis
+            assert polar._trial_fiber_count((m.components, dehom), n, i, Fp, stream,
+                                            plain=False) == (True, True, value, False)
+            # the cone count's audit at i = 1 builds one more basis
             assert len(ideals) == 2 + i
-            for middle, polys in ((u, ideals[0]), (saturation, ideals[1])):
-                expected = ([combination(row, dehom) for row in target] + [middle]
-                            + [combination(row, chart) for row in source])
-                assert list(polys) == expected
-                assert all(g.nvars == n + 1 for g in polys)
+            plain = ([combination(row, dehom) for row in target]
+                     + [combination(row, chart) for row in source])
+            cone = ([combination(row, m.components) for row in target]
+                    + [combination(ell0, m.components) - MultiPoly.one(Fp, n + 1)]
+                    + [combination(row, coords) for row in source])
+            assert list(ideals[0]) == plain and all(g.nvars == n for g in plain)
+            assert list(ideals[1]) == cone and all(g.nvars == n + 1 for g in cone)
 
 
 def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch):
     passed, streams = [], []
     real_check = polar.is_reduced_zero_dim
 
-    def capture(G, coeffs, off=()):
+    def capture(G, coeffs, off=(), d=1):
         passed.append(list(coeffs))
-        return real_check(G, coeffs, off)
+        return real_check(G, coeffs, off, d)
 
     def counting(zeros):
         def make(seed):
@@ -323,25 +324,25 @@ def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch
             passed.clear()
             monkeypatch.setattr(polar, "SeedStream", counting(zeros))
             assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
-            # the last draw goes on u, variable 0
-            assert passed == [draws[-1:] + draws[:-1]]
+            # the plain system in the chart reads the first n coefficients
+            assert passed == [draws[:n]]
             assert streams[-1].calls == linear + len(zeros) + n + 1
     # the cusp (0 : 0 : 1) of this cubic has Milnor number 2: the plain fiber
-    # is not reduced there, and the saturated count reuses the form
+    # is not reduced there, and the cone count reuses the form, all of it
     passed.clear()
     monkeypatch.setattr(polar, "SeedStream", counting(()))
     m = polar_map(qq("x1^2*x2 - x0^3")).to_field(Fp)
     assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 2
-    assert passed == [draws[-1:] + draws[:-1]] * 2
+    assert passed == [draws[:n], draws]
     assert streams[-1].calls == linear + n + 1
     # the three concurrent lines: the plain fiber is the base point (0 : 0 : 1)
     # with Milnor number 4, so the first draw draws the form and falls back
-    # to the saturation, which reuses it; a saturated count of 0 draws nothing
-    # after the linear data, in the first draw and in each of its redraws
+    # to the cone, which reuses it; a cone count of 0 draws nothing after the
+    # linear data, in the first draw and in each of its redraws
     passed.clear()
     m = polar_map(qq("x0*x1*(x0 + x1)")).to_field(Fp)
     assert map_degree(m, 0, trials=1, seed=seed, field=Fp).value == 0
-    assert passed == [draws[-1:] + draws[:-1]]
+    assert passed == [draws[:n]]
     assert streams[-1].calls == (polar.DEFAULT_RETRIES + 1) * linear + n + 1
     # the image of this map is the line y0 = y1 and its base points lie off
     # the chart: a plain count of 0 draws nothing after the linear data either
@@ -357,11 +358,11 @@ LOST_POINT_SCRIPT = dict(enumerate([1, 0, DEFAULT_PRIME - 1] + [4, DEFAULT_PRIME
 
 
 def _in_the_chart(m):
-    """(n, sub): the components in the chart x_n = 1, as map_degree builds
-    them, with u as variable 0."""
+    """(n, sub): the components on P^n and in the chart x_n = 1, as
+    map_degree builds them."""
     n = m.source_dim
-    return n, [MultiPoly(m.field, n + 1, {(0,) + e[:n]: c for e, c in comp.terms.items()})
-               for comp in m.components]
+    return n, (m.components, [MultiPoly(m.field, n, {e[:n]: c for e, c in comp.terms.items()})
+                              for comp in m.components])
 
 
 def _fermat_cubic(Fp):
@@ -387,13 +388,25 @@ def test_audit_redraws_a_count_that_lost_a_fiber_point(Fp):
 
 
 def test_count_without_the_saturation_keeps_the_point_on_ell0(Fp):
-    # the scripted draws of the audit test above: the plain system, with the
-    # generator u in place of the saturation, counts the fiber point
+    # the scripted draws of the audit test above: the plain system in the
+    # chart, which has no ell0(phi) = 1, counts the fiber point
     # (1 : 2 : 1) on ell0(phi) = 0 with the other one, and there is nothing
     # to audit
     n, sub = _in_the_chart(_fermat_cubic(Fp))
     assert polar._trial_fiber_count(sub, n, 1, Fp, ScriptedStream(3, LOST_POINT_SCRIPT)) == \
         (True, True, 2, True)
+
+
+def test_the_cone_count_sees_a_fiber_point_off_the_chart(Fp):
+    # the conic's polar map is 2*(x0 : x1 : x2).  The scripted target point
+    # L = {y0 = y1, y2 = 0} has the fiber (1 : 1 : 0) on x2 = 0, where
+    # ell0 = y0 is nonzero: the cone over the fiber has the one point
+    # (1/2, 1/2, 0), which the chart x2 = 1 does not see
+    p = DEFAULT_PRIME
+    n, sub = _in_the_chart(polar_map(qq("x0^2 + x1^2 + x2^2")).to_field(Fp))
+    script = dict(enumerate([1, p - 1, 0] + [0, 0, 1] + [1, 0, 0]))
+    assert polar._trial_fiber_count(sub, n, 0, Fp, ScriptedStream(0, script),
+                                    plain=False) == (True, True, 1, False)
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5])

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import eval_poly, is_homogeneous, substitute_termwise
 from conftest import gfp, qq, random_poly
+from polardeg import fields
 from polardeg.errors import DegenerateInputError, FieldMismatchError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.parse import parse_poly
@@ -22,6 +23,30 @@ def test_field_spec_rejects_bad_moduli():
     with pytest.raises(DegenerateInputError):
         GF(65537)              # prime but too small
     assert GF(DEFAULT_PRIME).modulus == DEFAULT_PRIME
+
+
+def test_field_range_is_checked_before_primality(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"primality test run on an out-of-range modulus {n}")
+
+    monkeypatch.setattr(fields, "is_prime", refuse)
+    huge = 10**4000 + 1
+    with pytest.raises(DegenerateInputError,
+                       match="^modulus of 13288 bits does not fit in 62 bits$"):
+        fields.PrimeField(huge)
+    with pytest.raises(DegenerateInputError, match="^modulus of 63 bits does not fit"):
+        fields.PrimeField(fields.MAX_PRIME)
+    for small in (65537, 1000000, -5):
+        with pytest.raises(DegenerateInputError, match="too small"):
+            fields.PrimeField(small)
+
+
+def test_field_range_boundaries():
+    with pytest.raises(DegenerateInputError, match="does not fit in 62 bits"):
+        fields.PrimeField(2**62)
+    largest = 4611686018427387847       # the largest prime below 2^62
+    assert fields.PrimeField(largest).modulus == largest
+    assert fields.PrimeField(fields.MIN_PRIME).modulus == fields.MIN_PRIME
 
 
 def test_add_cancellation_and_identity():
