@@ -20,8 +20,8 @@ from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField
 from .groebner import common_factor, groebner, is_reduced_zero_dim, quotient_dimension
 from .linalg import rank, row_reduce
-from .poly import (MultiPoly, exact_divide, gradient, homogeneous_degree,
-                   linear_combination)
+from .poly import (MultiPoly, euler_contraction, exact_divide, gradient,
+                   homogeneous_degree, linear_combination)
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
@@ -245,9 +245,10 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     """One fiber count: (zero_dim, reduced, value, plain), or None on a
     degenerate draw; plain is whether the plain system gave the value.
 
-    sub is the pair (phi, chart) that map_degree builds: the components as
-    forms on P^n, in x_0 .. x_n, and the same components in the fixed affine
-    chart x_n = 1, in x_0 .. x_{n-1}.  Only the target plane L (n-i forms,
+    sub is the triple (phi, chart, radial) that map_degree builds: the
+    components as forms on P^n, in x_0 .. x_n, the same components in the
+    fixed affine chart x_n = 1, in x_0 .. x_{n-1}, and whether
+    sum x_j phi_j = 0 over the field.  Only the target plane L (n-i forms,
     plus the auxiliary form ell0) and the source plane Lambda (i forms) are
     random.  Both systems below are counted by one step: the quotient
     dimension, then the form ell, drawn once the first positive quotient
@@ -295,20 +296,32 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     ell_j(phi) = 1 in place of ell0(phi) = 1 must be the unit ideal.  A
     failed audit is a degenerate draw.  A passed audit draws after the
     count, so the count and every later draw of the stream stay the same.
+
+    At i = 0 with radial set, as for a Gauss map, phi(x) is a hyperplane
+    through x, and both systems take the linear form c.x as well (in the
+    chart, c.x with x_n = 1), c the target point: L(c) = 0, ell0(c) = 1.
+    The cone's ideal is unchanged: L and ell0 span the forms on the target,
+    so it is (phi_j - c_j), which holds c.x = sum x_j (c_j - phi_j).  In the
+    chart ell0(phi) * c.x lies in (L(phi)), so the local rings at the fiber
+    points are unchanged and only base points are cut away, the rest still
+    removed by the gcd; a plain system that met a base curve becomes finite.
     """
     width = n + 1
     # generic target plane L of dimension i as n-i linear forms, plus an
-    # auxiliary form not vanishing on L
+    # auxiliary form not vanishing on L; the column (0, .., 0, 1) solves
+    # for c with L(c) = 0 and ell0(c) = 1, the target point at i = 0
     target_rows = [random_vector(field, width, stream) for _ in range(n - i)]
     ell0 = random_vector(field, width, stream)
-    _, pivots = row_reduce(target_rows + [ell0], field)
-    if len(pivots) != n - i + 1:
+    reduced, pivots = row_reduce([row + [0] for row in target_rows] + [ell0 + [1]], field)
+    if len(pivots) != n - i + 1 or pivots[-1] == width:
         return None
     # generic source plane Lambda as i linear forms, independent in the chart
     source_rows = [random_vector(field, width, stream) for _ in range(i)]
     if rank([row[:n] for row in source_rows], field) != i:
         return None
-    phi, chart = sub
+    phi, chart, radial = sub
+    # a Gauss map's fiber over c lies on the hyperplane c.x = 0
+    hyper = [[row[width] for row in reduced]] if radial and not i else []
     ell = None
 
     def count(gens, off, d=1):
@@ -332,7 +345,7 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         # x_0 .. x_{n-1} and x_n = 1
         affine = [MultiPoly.variable(field, n, a) for a in range(n)] + [MultiPoly.one(field, n)]
         _, value = count([linear_combination(row, chart) for row in target_rows]
-                         + [linear_combination(row, affine) for row in source_rows],
+                         + [linear_combination(row, affine) for row in source_rows + hyper],
                          lambda: [linear_combination(ell0, chart)]
                          + [chart[j] for j in range(width) if j not in pivots])
         if value is not None:
@@ -340,7 +353,7 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     one = MultiPoly.one(field, width)
     coords = [MultiPoly.variable(field, width, a) for a in range(width)]
     target = [linear_combination(row, phi) for row in target_rows]
-    source = [linear_combination(row, coords) for row in source_rows]
+    source = [linear_combination(row, coords) for row in source_rows + hyper]
 
     def cone(zeros, unit):
         return (target + [linear_combination(row, phi) for row in zeros]
@@ -370,7 +383,9 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     level's later counts take the cone straight away.  A plain count loses
     no fiber point, and an accepted cone count at i >= 1 has passed the
     audit, so every accepted count is exact on its own and the vote only
-    guards against genericity failures; no trial is replayed.
+    guards against genericity failures; no trial is replayed.  Whether the
+    components have zero radial contraction, so that the fibers at level 0
+    lie on hyperplanes, is decided once, exactly, over the trial field.
     """
     n = m.source_dim
     if not 0 <= i <= n - 1:
@@ -385,7 +400,7 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     # the components, and the same in the chart x_n = 1: they are
     # homogeneous, so no two terms merge
     sub = (m.components, [MultiPoly(field, n, {exp[:n]: c for exp, c in comp.terms.items()})
-                          for comp in m.components])
+                          for comp in m.components], euler_contraction(m.components).is_zero())
     master = SeedStream(seed)
     plain, outcomes = True, []
     for _ in range(trials):

@@ -332,7 +332,8 @@ def euler_contraction(forms) -> MultiPoly:
     """Contract the 1-form sum(a_i dx_i) with the radial vector field.
 
     Returns sum(x_i * a_i); it vanishes exactly when the form descends to
-    projective space.
+    projective space.  The shifted terms are summed as plain numbers and
+    brought into the field once each, zeros dropped.
     """
     polys = list(forms)
     if not polys:
@@ -341,13 +342,18 @@ def euler_contraction(forms) -> MultiPoly:
     if nvars != len(polys):
         raise FieldMismatchError(
             f"need exactly {nvars} coefficients for {nvars} variables, got {len(polys)}")
+    if any(p.field != field or p.nvars != nvars for p in polys):
+        raise FieldMismatchError("coefficients live in different rings")
     degs = {p.total_degree() for p in polys if not p.is_zero()}
     if len(degs) > 1:
         raise ValueError(f"coefficient degrees differ: {sorted(degs)}")
-    total = MultiPoly.zero(field, nvars)
+    zero, acc = field.zero(), {}
     for i, p in enumerate(polys):
-        total = total + p.shift(tuple(1 if j == i else 0 for j in range(nvars)), field.one())
-    return total
+        for exp, c in p.terms.items():
+            exp = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+            acc[exp] = acc.get(exp, 0) + c
+    return MultiPoly(field, nvars, {exp: r for exp, c in acc.items()
+                                    if (r := field.add(c, zero)) != zero})
 
 
 def gradient(p: MultiPoly) -> list[MultiPoly]:

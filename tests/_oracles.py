@@ -8,7 +8,7 @@ exponent-tuple dicts, and the ideal of explicit points by interpolation,
 with point counts by evaluation.  The fiber-count oracle solves the generic-fiber
 system of a plane polar map by eliminating one variable with a resultant.
 Substitution has a term-by-term reference built on MultiPoly's own sum and
-product.
+product, and the radial contraction one built on its shift and sum.
 """
 
 from __future__ import annotations
@@ -191,6 +191,17 @@ def substitute_termwise(poly, images):
             if e:
                 term = term * pows[i][e]
         out = out + term
+    return out
+
+
+def euler_contraction_by_shifts(forms):
+    """sum(x_i * a_i) as MultiPoly sums of each a_i shifted by x_i."""
+    from polardeg.poly import MultiPoly
+
+    field, nv = forms[0].field, forms[0].nvars
+    out = MultiPoly.zero(field, nv)
+    for i, a in enumerate(forms):
+        out = out + a.shift(tuple(int(j == i) for j in range(nv)), field.one())
     return out
 
 

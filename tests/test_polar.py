@@ -8,7 +8,7 @@ import pytest
 
 from _oracles import plane_map_fiber_count
 from conftest import ScriptedStream, gfp, qq
-from polardeg import linalg, polar, poly
+from polardeg import foliations, linalg, polar, poly
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import MultiPoly
@@ -284,7 +284,7 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
             ideals.clear()
             assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
             stream = SeedStream(SeedStream(seed).child_seed())
-            assert polar._trial_fiber_count((m.components, dehom), n, i, Fp, stream,
+            assert polar._trial_fiber_count((m.components, dehom, False), n, i, Fp, stream,
                                             plain=False) == (True, True, value, False)
             # the cone count's audit at i = 1 builds one more basis
             assert len(ideals) == 2 + i
@@ -358,11 +358,12 @@ LOST_POINT_SCRIPT = dict(enumerate([1, 0, DEFAULT_PRIME - 1] + [4, DEFAULT_PRIME
 
 
 def _in_the_chart(m):
-    """(n, sub): the components on P^n and in the chart x_n = 1, as
-    map_degree builds them."""
+    """(n, sub): the components on P^n and in the chart x_n = 1, and
+    whether their radial contraction vanishes, as map_degree builds them."""
     n = m.source_dim
     return n, (m.components, [MultiPoly(m.field, n, {e[:n]: c for e, c in comp.terms.items()})
-                              for comp in m.components])
+                              for comp in m.components],
+               poly.euler_contraction(m.components).is_zero())
 
 
 def _fermat_cubic(Fp):
@@ -409,6 +410,82 @@ def test_the_cone_count_sees_a_fiber_point_off_the_chart(Fp):
                                     plain=False) == (True, True, 1, False)
 
 
+def _fermat_quartic_section(Fp, seed=1):
+    """The Gauss map of the Fermat quartic's foliation of P^4 cut to a
+    generic P^3, as the sections benchmark builds it: a map of degree 4
+    whose 1-form has zero radial contraction, with a base curve."""
+    W = WeightedFunction.of([qq("x0^4 + x1^4 + x2^4 + x3^4", 4)], [1])
+    fol = foliations.associated_foliation(W).to_field(Fp)
+    return foliations.gauss_map(foliations.restrict_to_generic_subspace(fol, 3, seed))
+
+
+def test_a_gauss_map_counts_its_level_0_fiber_on_the_hyperplane(Fp):
+    # e_0^3 = 9.  The base curve meets the chart's plain system L(phi) in a
+    # curve; the hyperplane c.x = 0 through the fiber over the target point c
+    # cuts it to finitely many base points, which the gcd removes, so the
+    # plain system counts the fiber that the cone counts
+    n, sub = _in_the_chart(_fermat_quartic_section(Fp))
+    assert sub[2]
+    assert polar._trial_fiber_count(sub, n, 0, Fp, SeedStream(2)) == (True, True, 9, True)
+    assert polar._trial_fiber_count(sub, n, 0, Fp, SeedStream(2), plain=False) == \
+        (True, True, 9, False)
+
+
+def test_the_hyperplane_leaves_the_cone_basis_as_it_was(Fp, monkeypatch):
+    # the target forms and ell0 span the forms on the target, so the cone's
+    # ideal is (phi_j - c_j), and c.x = sum x_j (c_j - phi_j) lies in it
+    m = _fermat_quartic_section(Fp)
+    n, sub = _in_the_chart(m)
+    stream = SeedStream(2)
+    rows = [random_vector(Fp, n + 1, stream) for _ in range(n + 1)]
+    reduced, _ = linalg.row_reduce([row + [0] for row in rows[:n]] + [rows[n] + [1]], Fp)
+    c = [row[n + 1] for row in reduced]
+    assert [sum(a * b for a, b in zip(c, row)) % Fp.modulus for row in rows] == [0] * n + [1]
+    coords = [MultiPoly.variable(Fp, n + 1, a) for a in range(n + 1)]
+    cone = ([poly.linear_combination(row, m.components) for row in rows[:n]]
+            + [poly.linear_combination(rows[n], m.components) - MultiPoly.one(Fp, n + 1)])
+    ideals = []
+    real_groebner = polar.groebner
+
+    def capture(polys):
+        ideals.append(polys)
+        return real_groebner(polys)
+
+    monkeypatch.setattr(polar, "groebner", capture)
+    assert polar._trial_fiber_count(sub, n, 0, Fp, SeedStream(2), plain=False) == \
+        (True, True, 9, False)
+    assert ideals == [cone + [poly.linear_combination(c, coords)]]
+    with_c, without = real_groebner(ideals[0]), real_groebner(cone)
+    assert with_c.lead_exps == without.lead_exps and with_c.elems == without.elems
+
+
+@pytest.mark.parametrize("texts, weights", [
+    (("x0^2 + x1^2 + x2^2", "x2"), (1, "-2/3")),
+    (("x0", "x1", "x2"), (1, -1, 1)),
+    (("x0*x1 + x2^2", "x0 + x1"), (2, 3)),
+])
+def test_a_weighted_polar_map_has_a_nonzero_radial_contraction(Fp, monkeypatch, texts,
+                                                                weights):
+    # sum x_a phi_a = (sum mu_j deg F_j) * F for the product F, which is
+    # nonzero mod p: a polar map's fibers keep the plain systems they had
+    W = WeightedFunction.of([qq(t) for t in texts], weights)
+    m = weighted_polar_map(W).to_field(Fp)
+    total = sum(mu * f.total_degree() for mu, f in zip(W.integer_weights(), W.factors))
+    assert total % Fp.modulus
+    assert poly.euler_contraction(m.components) == W.product().to_field(Fp).scale(total)
+    radial = []
+    real_count = polar._trial_fiber_count
+
+    def count(sub, *args):
+        radial.append(sub[2])
+        return real_count(sub, *args)
+
+    monkeypatch.setattr(polar, "_trial_fiber_count", count)
+    map_degree(m, 0, trials=1, field=Fp)
+    map_degree(_fermat_quartic_section(Fp), 0, trials=1, field=Fp)
+    assert radial[0] is False and radial[-1] is True
+
+
 @pytest.mark.parametrize("trials", [1, 3, 5])
 def test_a_saturated_level_audits_every_count_it_accepts(Fp, monkeypatch, trials):
     # every trial of a level kept on the saturation first draws the lost-point
@@ -436,6 +513,15 @@ def test_a_degenerate_linear_draw_is_refused(Fp):
     stream = ScriptedStream(0, {6: 0, 7: 0, 8: 5})
     assert polar._trial_fiber_count(sub, n, 1, Fp, stream) is None
     assert stream.calls == 3 * (n + 1)
+
+
+def test_an_ell0_in_the_span_of_the_target_forms_is_refused(Fp):
+    # L: y0 = 0 and ell0 = 2*y0 have rank 1; with the column that solves for
+    # the target point appended they have rank 2, the pivot in that column
+    n, sub = _in_the_chart(_fermat_cubic(Fp))
+    stream = ScriptedStream(0, dict(enumerate([1, 0, 0] + [2, 0, 0])))
+    assert polar._trial_fiber_count(sub, n, 1, Fp, stream) is None
+    assert stream.calls == 2 * (n + 1)
 
 
 def test_an_infinite_saturated_fiber_is_not_zero_dimensional(Fp):

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from _oracles import eval_poly, is_homogeneous, substitute_termwise
+from _oracles import (euler_contraction_by_shifts, eval_poly, is_homogeneous,
+                      substitute_termwise)
 from conftest import gfp, qq, random_poly
 from polardeg import fields
 from polardeg.errors import DegenerateInputError, FieldMismatchError
@@ -128,6 +130,34 @@ def test_euler_contraction_errors():
         euler_contraction([qq("x0"), qq("x1^2"), qq("x2")])
     with pytest.raises(FieldMismatchError):
         euler_contraction([qq("x0", 2)])
+
+
+def test_euler_contraction_matches_shift_and_add():
+    # coefficients in -2..2 over few monomials cancel often, so zero results
+    # and zero terms come up; mod p the large ones overflow p when summed
+    rng = random.Random(11)
+    for field in (QQ, GF(DEFAULT_PRIME)):
+        top = 3 if field == QQ else DEFAULT_PRIME
+        zeros = 0
+        for _ in range(60):
+            nv, d = rng.randrange(2, 5), rng.randrange(3)
+            monos = [e for e in product(range(d + 1), repeat=nv) if sum(e) == d]
+            forms = [MultiPoly.from_terms(field, nv, [
+                (rng.choice(monos), field.from_int(rng.randrange(-top + 1, top)))
+                for _ in range(rng.randrange(4))]) for _ in range(nv)]
+            got = euler_contraction(forms)
+            assert got == euler_contraction_by_shifts(forms)
+            assert all(c != field.zero() for c in got.terms.values())
+            zeros += got.is_zero()
+        # a form that descends: x1*g dx0 - x0*g dx1 + 0 dx2
+        g = qq("x0^2 + 3*x1*x2").to_field(field)
+        x0, x1 = (MultiPoly.variable(field, 3, v) for v in (0, 1))
+        assert euler_contraction([x1 * g, -(x0 * g), MultiPoly.zero(field, 3)]).is_zero()
+        assert zeros
+    with pytest.raises(FieldMismatchError):
+        euler_contraction([qq("x0", 2), gfp("x1", 2)])
+    with pytest.raises(FieldMismatchError):
+        euler_contraction([qq("x0", 2), qq("x1", 3)])
 
 
 def test_ring_axioms_on_random_triples():
