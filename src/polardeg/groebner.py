@@ -39,14 +39,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import prod
 
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
+from .fields import DEFAULT_PRIME
 from .linalg import pack, row_reduce, slot_width, unpack
 from .poly import MultiPoly, gcd_many
+from .rand import SeedStream
 
 DEFAULT_MAX_PAIRS = 200000
 DEFAULT_MAX_BASIS = 5000
@@ -303,6 +306,16 @@ def _buchberger(gens, pk, field):
             for pos, (lm, tail) in enumerate(kept)]
 
 
+def _generators(polys) -> list:
+    """The nonzero polys; refused when there are none or their rings differ."""
+    gens = [g for g in polys if not g.is_zero()]
+    if not gens:
+        raise DegenerateInputError("ideal needs at least one nonzero generator")
+    if any(g.field != gens[0].field or g.nvars != gens[0].nvars for g in gens):
+        raise FieldMismatchError("generators live in different rings")
+    return gens
+
+
 def groebner(polys) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the ideal the polys generate.
 
@@ -312,12 +325,8 @@ def groebner(polys) -> GroebnerBasis:
     POLARDEG_MAX_PAIRS reduced S-pairs (DEFAULT_MAX_PAIRS when unset) or
     DEFAULT_MAX_BASIS elements built.
     """
-    gens = [g for g in polys if not g.is_zero()]
-    if not gens:
-        raise DegenerateInputError("ideal needs at least one nonzero generator")
+    gens = _generators(polys)
     field, nvars = gens[0].field, gens[0].nvars
-    if any(g.field != field or g.nvars != nvars for g in gens):
-        raise FieldMismatchError("generators live in different rings")
 
     def run(pk):
         return pk, _buchberger([pk.terms(g) for g in gens], pk, field)
@@ -360,20 +369,56 @@ def ideal_dimension(G: GroebnerBasis) -> int:
 
 
 def common_factor(polys) -> MultiPoly:
-    """gcd_many(polys), with a Groebner basis deciding whether it is constant.
+    """gcd_many(polys), run only when one line does not prove the gcd is 1.
 
-    Over an algebraic closure the common zero set has a hypersurface
-    component iff the polys share a nonconstant factor, and a gcd does not
-    change under field extension.  So an ideal of dimension at most nvars - 2
-    has gcd 1, and only the other case runs the subresultant gcd.
+    Every nonzero f is restricted to a fixed line P + sQ over GF(p), p the
+    field's modulus or 2^31-1 over QQ.  If g of degree >= 1 divides every f,
+    g(P+sQ) divides every f(P+sQ); where f(P+sQ) keeps deg f, its top
+    coefficient f_top(Q) = g_top(Q) * h_top(Q) is nonzero, so g(P+sQ) keeps
+    deg g.  A constant gcd of the restrictions, one of them of full degree,
+    thus proves the polys coprime.  Over QQ, g scaled primitive over Z_(p)
+    divides every f there by Gauss's lemma, so the argument runs mod p.
+    Otherwise, or with a denominator divisible by p, gcd_many decides.
     """
-    G = groebner(polys)
-    if ideal_dimension(G) <= G.nvars - 2:
-        return MultiPoly.one(G.field, G.nvars)
-    return gcd_many(polys)
+    gens = _generators(polys)
+    p = gens[0].field.modulus or DEFAULT_PRIME
+    if all(c.denominator % p for f in gens for c in f.terms.values()):
+        images = _restrict_to_line(gens, p)
+        if (any(image[-1] for image in images)
+                and len(reduce(lambda a, b: _uni_gcd(a, b, p), images)) == 1):
+            return MultiPoly.one(gens[0].field, gens[0].nvars)
+    return gcd_many(gens)
 
 
-# -- univariate helpers on coefficient lists over GF(p) (for the reducedness test)
+@cache
+def _line(p: int, nvars: int) -> tuple:
+    """(P_v, Q_v) for each variable: the line P + sQ of common_factor."""
+    stream = SeedStream(0)
+    return tuple((stream.below(p), stream.below(p)) for _ in range(nvars))
+
+
+def _restrict_to_line(polys, p: int) -> list:
+    """Each f(P + sQ) mod p as deg f + 1 coefficients, lowest first; no
+    denominator may be divisible by p.  Each (P_v + sQ_v)^e that occurs is
+    reduced mod p and packed (linalg) once, and a term is one int product
+    with coefficients below (n p)^(nvars + 1), n - 1 the top degree."""
+    nvars, n = polys[0].nvars, 1 + max(f.total_degree() for f in polys)
+    w = (nvars + 1) * (n * p).bit_length() + max(len(f.terms) for f in polys).bit_length()
+    powers, exps = [], map(set, zip(*(exp for f in polys for exp in f.terms)))
+    for (a, b), exps_v in zip(_line(p, nvars), exps):
+        power, powers_v = [1], {}
+        for e in range(max(exps_v) + 1):
+            if e in exps_v:
+                powers_v[e] = pack(power, p, w)     # power = (P_v + sQ_v)^e
+            power = [(a * x + b * y) % p for x, y in zip(power + [0], [0] + power)]
+        powers.append(powers_v)
+    return [unpack(sum(c.numerator * pow(c.denominator, -1, p) % p
+                       * prod(pw[e] for pw, e in zip(powers, exp))
+                       for exp, c in f.terms.items()), f.total_degree() + 1, p, w)
+            for f in polys]
+
+
+# -- univariate helpers on coefficient lists over GF(p), lowest degree first
 
 def _uni_trim(a):
     while a and not a[-1]:

@@ -31,13 +31,13 @@ DEFAULT_RETRIES = 3
 def _is_squarefree(F: MultiPoly) -> bool:
     """F and all its partial derivatives have no common factor.
 
-    common_factor decides it from a Groebner basis of (F, dF/dx0, ...); the
-    gcd runs only when F has a repeated factor.  Exact when the
-    characteristic is 0 or exceeds deg F: a repeated factor G^2 divides F,
-    so G divides every partial; an irreducible G dividing F and every
-    partial of F = G*H divides H, because some partial of G is nonzero of
-    lower degree.  Every prime field here has p >= MIN_PRIME, far above the
-    degree of any form the engine can handle.
+    common_factor decides it on a line; the gcd runs only when F has a
+    repeated factor or that line meets the singular points of F.  Exact
+    when the characteristic is 0 or exceeds deg F: a repeated factor G^2
+    divides F, so G divides every partial; an irreducible G dividing F and
+    every partial of F = G*H divides H, because some partial of G is
+    nonzero of lower degree.  Every prime field here has p >= MIN_PRIME, far
+    above the degree of any form the engine can handle.
     """
     return common_factor([F, *gradient(F)]).is_constant()
 

@@ -8,7 +8,9 @@ exponent-tuple dicts, and the ideal of explicit points by interpolation,
 with point counts by evaluation.  The fiber-count oracle solves the generic-fiber
 system of a plane polar map by eliminating one variable with a resultant.
 Substitution has a term-by-term reference built on MultiPoly's own sum and
-product, and the radial contraction one built on its shift and sum.
+product, and the radial contraction one built on its shift and sum.  The
+restriction of a poly to a line comes from its values at points of the line,
+interpolated.
 """
 
 from __future__ import annotations
@@ -162,6 +164,27 @@ def eval_poly(poly, point, p):
                 v = v * pow(x, e, p) % p
         total = (total + v) % p
     return total
+
+
+def line_restriction(poly, line, p):
+    """poly(P + tQ) over GF(p) as deg poly + 1 coefficients, lowest first,
+    by evaluation at t = 0 .. deg and Lagrange interpolation.  line holds
+    the pairs (P_v, Q_v); no denominator of poly may be divisible by p."""
+    from fractions import Fraction
+
+    deg, values = poly.total_degree(), []
+    for t in range(deg + 1):
+        point = [(a + t * b) % p for a, b in line]
+        total = 0
+        for exp, c in poly.terms.items():
+            c = Fraction(c)
+            v = c.numerator * pow(c.denominator, -1, p)
+            for x, e in zip(point, exp):
+                v = v * pow(x, e, p) % p
+            total += v
+        values.append((t, total % p))
+    coeffs = lagrange_interpolate(values, p)
+    return coeffs + [0] * (deg + 1 - len(coeffs))
 
 
 def is_homogeneous(poly) -> bool:

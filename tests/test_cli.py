@@ -128,7 +128,7 @@ BAD_INPUTS = {
     "component-vanishes": ["--poly", "x0^2 + x1^2 + 1000003*x2^2", "--prime", "1000003"],
     "common-factor": ["--poly", "x0*x2^2 + x1*x2^2 + 1000003*x0^3", "--prime", "1000003"],
     "denominator": ["--poly", "1/1000003*x0^2 + x1^2 + x2^2", "--prime", "1000003"],
-    "pair-cap": ["--poly", "x0^4 + x1^4 + x0*x1*x2^2"],
+    "pair-cap": ["--poly", "x0^3+x1^3+x2^3+x3^3"],
     "pair-cap-not-a-number": ["--poly", "x0^4 + x1^4 + x2^4"],
     "pair-cap-superscript": ["--poly", "x0^4 + x1^4 + x2^4"],
     "too-few-lines": ["--k", "1"],
@@ -234,24 +234,24 @@ def test_foliation_requires_descent(capsys):
 
 
 def test_env_pair_cap_is_honored(capsys, monkeypatch):
-    # the squarefree check of this quartic reduces 11 S-pairs, each
-    # common-factor check of its polar map 10 and each fiber basis 1
+    # validation builds no basis; a fiber basis of this cubic's polar map
+    # reduces more than 1 S-pair
     monkeypatch.setenv("POLARDEG_MAX_PAIRS", "1")
-    code, _, err = run_cli(capsys, "polar", "--poly", "x0^4+x1^4+x0*x1*x2^2", "--i", "0")
+    code, _, err = run_cli(capsys, "polar", "--poly", "x0^3+x1^3+x2^3+x3^3", "--i", "0")
     assert code == 1
     assert "cap" in err
 
 
 def test_env_pair_cap_reaches_the_validation_bases(capsys, monkeypatch):
-    # every fiber basis here reduces 1 S-pair and each common-factor check
-    # of the polar map 8; the squarefree check of the input reduces 9
-    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "8")
-    code, out, _ = run_cli(capsys, "polar", "--poly", "x0^3+x1^3+x2^3+x0*x1*x2",
-                           "--i", "1", "--json")
+    # the squarefree and common-factor checks build no basis, so the cap
+    # trips in a fiber basis of the polar map, which reduces more than 1
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "1")
+    code, out, _ = run_cli(capsys, "polar", "--poly", "x0^3+x1^3+x2^3+x3^3",
+                           "--i", "0", "--json")
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "error"
-    assert "S-pair cap exceeded (8)" in doc["message"]
+    assert "S-pair cap exceeded (1)" in doc["message"]
 
 
 def test_verify_dolgachev(capsys):

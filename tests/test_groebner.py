@@ -1,21 +1,22 @@
 """Groebner engine: bases, queries, reducedness."""
 
 import hashlib
+import importlib
 import random
 from itertools import product
 
 import pytest
 
-from _oracles import (count_points_off, normal_form, plain_reduced_basis, points_ideal,
-                      reduced_by_normal_forms)
+from _oracles import (count_points_off, line_restriction, normal_form, plain_reduced_basis,
+                      points_ideal, reduced_by_normal_forms)
 from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.groebner import (common_factor, groebner, ideal_dimension,
-                               is_reduced_zero_dim, is_zero_dimensional,
-                               quotient_dimension)
+from polardeg.groebner import (_line, _restrict_to_line, common_factor, groebner,
+                               ideal_dimension, is_reduced_zero_dim,
+                               is_zero_dimensional, quotient_dimension)
 from polardeg.parse import parse_poly
-from polardeg.poly import MultiPoly, gcd_many, gradient
+from polardeg.poly import MultiPoly, gcd_many, gradient, substitute_all
 from polardeg.rand import SeedStream, random_vector
 
 
@@ -360,6 +361,127 @@ def test_common_factor_equals_gcd_many(name):
 def test_common_factor_of_zero_polys_is_refused():
     with pytest.raises(DegenerateInputError):
         common_factor([qq("0"), qq("0")])
+    with pytest.raises(DegenerateInputError):
+        common_factor([])
+
+
+def test_common_factor_refuses_mixed_rings_before_any_arithmetic():
+    # x0 and x1 restrict to coprime lines, so only the ring check refuses
+    with pytest.raises(FieldMismatchError):
+        common_factor([qq("x0"), gfp("x1")])
+    with pytest.raises(FieldMismatchError):
+        common_factor([qq("x0", 2), qq("x1", 3)])
+
+
+def _counting_gcd_many(monkeypatch):
+    calls = []
+
+    def count(polys):
+        calls.append(polys)
+        return gcd_many(polys)
+
+    monkeypatch.setattr(importlib.import_module("polardeg.groebner"), "gcd_many", count)
+    return calls
+
+
+def test_common_factor_builds_no_groebner_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Groebner basis was built")
+
+    monkeypatch.setattr(importlib.import_module("polardeg.groebner"), "_buchberger", refuse)
+    calls = _counting_gcd_many(monkeypatch)
+    for field, nvars, texts, coprime in COMMON_FACTOR_CASES.values():
+        g = common_factor([parse_poly(t, nvars, field) for t in texts])
+        assert g.is_constant() == coprime
+    # the line proves every coprime case; only the shared factors run the gcd
+    assert len(calls) == sum(not case[3] for case in COMMON_FACTOR_CASES.values())
+
+
+CERTIFICATE_FIELDS = [QQ, GF(1000003), GF(DEFAULT_PRIME)]
+
+
+def _nonzero(field, nvars, max_degree, rng, homogeneous):
+    """A random nonzero poly; with `homogeneous`, only its top-degree part."""
+    while True:
+        f = random_poly(field, nvars, max_degree, 4, rng)
+        if homogeneous:
+            top = f.total_degree()
+            f = MultiPoly(field, nvars, {e: c for e, c in f.terms.items() if sum(e) == top})
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["forms", "affine"])
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS, ids=repr)
+def test_a_planted_factor_is_never_certified(field, homogeneous):
+    rng = random.Random(23)
+    for _ in range(12):
+        nvars = rng.randrange(2, 5)
+        g = _nonzero(field, nvars, 2, rng, homogeneous)
+        while g.is_constant():
+            g = _nonzero(field, nvars, 2, rng, homogeneous)
+        polys = [g * _nonzero(field, nvars, 2, rng, homogeneous)
+                 for _ in range(rng.randrange(1, 4))]
+        common = common_factor(polys + [MultiPoly.zero(field, nvars)])
+        assert common == gcd_many(polys) and not common.is_constant()
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS, ids=repr)
+def test_the_line_restriction_is_substitution_mod_p(field):
+    p, rng = field.modulus or DEFAULT_PRIME, random.Random(5)
+    for nvars in (1, 2, 3, 5):
+        polys = [_nonzero(field, nvars, 5, rng, False) for _ in range(3)]
+        polys[0] = polys[0].scale(field.inv(field.from_int(7)))
+        line = _line(p, nvars)
+        images = [MultiPoly.from_terms(field, 1, [((0,), field.from_int(a)),
+                                                  ((1,), field.from_int(b))])
+                  for a, b in line]
+        expected = []
+        for f, image in zip(polys, substitute_all(polys, images)):
+            image = image.to_field(GF(p))
+            expected.append([image.terms.get((k,), 0) for k in range(f.total_degree() + 1)])
+        assert _restrict_to_line(polys, p) == expected
+        assert expected == [line_restriction(f, line, p) for f in polys]
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS, ids=repr)
+def test_a_factor_constant_on_the_line_is_not_certified(field):
+    # g = Q1*x0 - Q0*x1 vanishes at Q, so g(P + sQ) is the constant g(P) and
+    # the restrictions of g*x0, g*x1 have a constant gcd; none keeps degree 2
+    p = field.modulus or DEFAULT_PRIME
+    (_, q0), (_, q1), _ = _line(p, 3)
+    g = MultiPoly.from_terms(field, 3, [((1, 0, 0), field.from_int(q1)),
+                                        ((0, 1, 0), field.from_int(-q0))])
+    polys = [g * MultiPoly.variable(field, 3, v) for v in (0, 1)]
+    images = _restrict_to_line(polys, p)
+    assert [len(image) for image in images] == [3, 3] and not any(i[-1] for i in images)
+    assert common_factor(polys) == gcd_many(polys) == gcd_many([g])
+
+
+def test_forms_vanishing_on_the_line_fall_back_to_gcd_many(monkeypatch):
+    # two independent linear forms with l(P) = l(Q) = 0, their coefficients
+    # of x0, x1 solved by Cramer's rule
+    p = DEFAULT_PRIME
+    field = GF(p)
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _line(p, 4)
+    inv = pow(a0 * b1 - a1 * b0, -1, p)
+    forms = []
+    for l2, l3 in ((1, 0), (0, 1)):
+        r0, r1 = -(l2 * a2 + l3 * a3), -(l2 * b2 + l3 * b3)
+        coeffs = [(r0 * b1 - a1 * r1) * inv % p, (a0 * r1 - r0 * b0) * inv % p, l2, l3]
+        forms.append(MultiPoly.from_terms(field, 4, [(tuple(int(j == v) for j in range(4)), c)
+                                                     for v, c in enumerate(coeffs)]))
+    assert _restrict_to_line(forms, p) == [[0, 0], [0, 0]]
+    calls = _counting_gcd_many(monkeypatch)
+    assert common_factor(forms) == gcd_many(forms) == MultiPoly.one(field, 4)
+    assert len(calls) == 1
+
+
+def test_a_denominator_divisible_by_p_falls_back_to_gcd_many(monkeypatch):
+    polys = [qq(f"1/{DEFAULT_PRIME}*x0 + x1"), qq("x2")]
+    calls = _counting_gcd_many(monkeypatch)
+    assert common_factor(polys) == gcd_many(polys) == qq("1")
+    assert len(calls) == 1
 
 
 def test_is_reduced_zero_dim_examples(Fp):

@@ -9,7 +9,7 @@ import pytest
 from _oracles import plane_map_fiber_count
 from conftest import ScriptedStream, gfp, qq
 from polardeg import foliations, linalg, polar, poly
-from polardeg.errors import DegenerateInputError, ResourceLimitError
+from polardeg.errors import DegenerateInputError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import MultiPoly
 from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
@@ -64,11 +64,11 @@ def test_weighted_function_validation():
         WeightedFunction.of([qq("2")], [1])
 
 
-def test_pair_cap_reaches_the_validation_bases(monkeypatch):
-    # the squarefree check of this cubic reduces 9 S-pairs
-    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "8")
-    with pytest.raises(ResourceLimitError, match=r"S-pair cap exceeded \(8\)"):
-        WeightedFunction.of([qq("x0^3 + x1^3 + x2^3 + x0*x1*x2")], [1])
+def test_validation_builds_no_groebner_basis(monkeypatch):
+    # the squarefree check decides on a line, so no S-pair cap trips in it
+    monkeypatch.setenv("POLARDEG_MAX_PAIRS", "1")
+    W = WeightedFunction.of([qq("x0^3 + x1^3 + x2^3 + x0*x1*x2")], [1])
+    assert W.factors == (qq("x0^3 + x1^3 + x2^3 + x0*x1*x2"),)
 
 
 def test_weighted_total_degree_recorded_exactly():
