@@ -18,7 +18,7 @@ from .fields import PrimeField
 from .groebner import common_factor, groebner, ideal_dimension
 from .linalg import rank
 from .poly import (MultiPoly, euler_contraction, exact_divide, homogeneous_degree,
-                   linear_combination, linear_images, substitute_all)
+                   linear_combination, substitute_all)
 from .polar import (DEFAULT_TRIALS, DegreeReport, RationalMapRep,
                     WeightedFunction, map_degree, weighted_gradient)
 from .rand import SeedStream, random_scalar
@@ -180,6 +180,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFol
     stream = SeedStream(seed)
     polys = fol.coeffs
     failure = "no draw accepted"
+    variables = [MultiPoly.variable(field, k + 1, j) for j in range(k + 1)]
     for _ in range(_RESTRICT_BUDGET):
         matrix = [[random_scalar(field, stream) for _ in range(k + 1)]
                   for _ in range(n + 1)]
@@ -189,7 +190,7 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFol
             continue
         # the coefficient of dz_j is sum_r M[r][j] a_r, pulled back
         restricted = substitute_all([linear_combination(col, polys) for col in cols],
-                                    linear_images(matrix, field))
+                                    [linear_combination(row, variables) for row in matrix])
         if all(p.is_zero() for p in restricted):
             failure = "subspace is invariant"
             continue

@@ -18,8 +18,12 @@ twice the guard, so a product never carries into the next field, and m
 divides t iff (t - m) & guards == 0, since a field with t < m borrows into
 its guard bit.
 
+Generators come as polys or as coefficient rows over fixed polys, each row
+the combination it weights: polar's fiber systems of drawn linear data.
+Each poly is packed once and each combination summed on packed monomials.
+
 Overflow rule: each field is at most the total degree, so widths are sized
-from the input degree.  A monomial that does not fit (an input or lcm of too
+from the degree of the input polys.  A monomial that does not fit (an input or lcm of too
 high degree, a product with a guard bit set) restarts the computation with
 fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 
@@ -91,11 +95,8 @@ class _Packing:
         return tuple(m >> (width * (self.nvars - 1 - v)) & mask for v in range(self.nvars))
 
     def terms(self, p: MultiPoly) -> list:
-        """p's terms as (packed monomial, coefficient), descending."""
-        return sorted(((self.pack(e), c) for e, c in p.terms.items()), reverse=True)
-
-    def poly(self, terms, field) -> MultiPoly:
-        return MultiPoly(field, self.nvars, {self.unpack(m): c for m, c in terms})
+        """p's terms as (packed monomial, coefficient)."""
+        return [(self.pack(e), c) for e, c in p.terms.items()]
 
 
 # one packing per (nvars, vbits), shared by every basis and query
@@ -129,8 +130,9 @@ class GroebnerBasis:
     @cached_property
     def basis(self) -> tuple:
         """The elements as monic MultiPolys, ascending by leading monomial."""
-        one = self.field.one()
-        return tuple(self.packing.poly([(lm, one), *tail], self.field)
+        one, unpack = self.field.one(), self.packing.unpack
+        return tuple(MultiPoly(self.field, self.nvars,
+                               {unpack(m): c for m, c in [(lm, one), *tail]})
                      for lm, tail in self.elems)
 
     @cached_property
@@ -169,7 +171,9 @@ class GroebnerBasis:
         """The basis in the engine form of packing pk."""
         if pk is self.packing:
             return self.elems
-        return [(t[0][0], t[1:]) for t in map(pk.terms, self.basis)]
+        unpack = self.packing.unpack
+        return [(pk.pack(unpack(lm)), [(pk.pack(unpack(m)), c) for m, c in tail])
+                for lm, tail in self.elems]
 
 
 def _monic(terms, field):
@@ -316,22 +320,45 @@ def _generators(polys) -> list:
     return gens
 
 
-def groebner(polys) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis of the ideal the polys generate.
+def _combination(row, packed, prime) -> list:
+    """sum row[j] * packed[j] over packed terms, descending; [] when it is zero."""
+    acc: dict = {}
+    for a, terms in zip(row, packed):
+        if a:
+            for m, c in terms:
+                acc[m] = acc.get(m, 0) + a * c
+    return sorted(((m, r) for m, c in acc.items() if (r := c % prime if prime else c)),
+                  reverse=True)
 
-    Zero generators are dropped; deterministic for fixed input.  Raises
-    DegenerateInputError when every generator is zero, FieldMismatchError
-    when they live in different rings, and ResourceLimitError past
-    POLARDEG_MAX_PAIRS reduced S-pairs (DEFAULT_MAX_PAIRS when unset) or
-    DEFAULT_MAX_BASIS elements built.
+
+def groebner(polys, rows=None) -> GroebnerBasis:
+    """Reduced degrevlex Groebner basis of the ideal the polys generate or,
+    given coefficient rows, of the combinations sum_j row[j] * polys[j], one
+    per row, a short row padded with zeros (module docstring).
+
+    Zero generators and zero combinations are dropped; deterministic for
+    fixed input.  Raises DegenerateInputError when every generator is zero
+    or a row is longer than polys, FieldMismatchError when the polys live in
+    different rings, and ResourceLimitError past POLARDEG_MAX_PAIRS reduced
+    S-pairs (DEFAULT_MAX_PAIRS when unset) or DEFAULT_MAX_BASIS elements
+    built.
     """
+    polys = tuple(polys)
     gens = _generators(polys)
     field, nvars = gens[0].field, gens[0].nvars
+    if rows is None:            # each nonzero poly on its own
+        polys, rows = gens, [[0] * k + [1] for k in range(len(gens))]
+    if any(len(row) > len(polys) for row in rows):
+        raise DegenerateInputError(f"a row has more coefficients than the {len(polys)} polys")
 
     def run(pk):
-        return pk, _buchberger([pk.terms(g) for g in gens], pk, field)
+        packed = [pk.terms(p) for p in polys]
+        combos = [t for row in rows if (t := _combination(row, packed, field.modulus))]
+        if not combos:
+            raise DegenerateInputError("ideal needs at least one nonzero generator")
+        return pk, _buchberger(combos, pk, field)
 
-    pk, elems = _widening(nvars, max(g.total_degree() for g in gens), run)
+    pk, elems = _widening(nvars, max(p.total_degree() for p in polys), run)
     return GroebnerBasis(field, nvars, tuple(pk.unpack(lm) for lm, _ in elems), pk,
                          tuple(elems))
 

@@ -245,15 +245,17 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     """One fiber count: (zero_dim, reduced, value, plain), or None on a
     degenerate draw; plain is whether the plain system gave the value.
 
-    sub is the triple (phi, chart, radial) that map_degree builds: the
-    components as forms on P^n, in x_0 .. x_n, the same components in the
-    fixed affine chart x_n = 1, in x_0 .. x_{n-1}, and whether
+    sub is the triple (cone, chart, radial) that map_degree builds: the cone
+    span phi_0 .. phi_n, x_0 .. x_n, 1 in x_0 .. x_n, the chart span, the
+    same in the fixed affine chart x_n = 1, in x_0 .. x_{n-1}, and whether
     sum x_j phi_j = 0 over the field.  Only the target plane L (n-i forms,
     plus the auxiliary form ell0) and the source plane Lambda (i forms) are
-    random.  Both systems below are counted by one step: the quotient
-    dimension, then the form ell, drawn once the first positive quotient
-    appears, then is_reduced_zero_dim.  ell has n + 1 coefficients, never
-    all zero; the chart system reads the first n.
+    random: every generator below is a combination of a span, passed to
+    groebner as the row of its drawn coefficients.  Both systems below are
+    counted by one step: the quotient dimension, then the form ell, drawn
+    once the first positive quotient appears, then is_reduced_zero_dim.
+    ell has n + 1 coefficients, never all zero; the chart system reads the
+    first n.
 
     With plain set, the count takes the plain system first, in the chart:
     the target forms L(phi) and Lambda's i affine forms.  Being independent
@@ -319,18 +321,20 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     source_rows = [random_vector(field, width, stream) for _ in range(i)]
     if rank([row[:n] for row in source_rows], field) != i:
         return None
-    phi, chart, radial = sub
-    # a Gauss map's fiber over c lies on the hyperplane c.x = 0
+    cone, chart, radial = sub
+    # Lambda's forms, and a Gauss map's hyperplane c.x = 0 through the fiber
+    # over c, as rows on either span: x_n is 1 in the chart
     hyper = [[row[width] for row in reduced]] if radial and not i else []
+    source = [[0] * width + row for row in source_rows + hyper]
     ell = None
 
-    def count(gens, off, d=1):
+    def count(span, rows, off, d=1):
         """(dim, points off the common zeros of off()) of the quotient of
-        gens on its degrees divisible by d: dim is None when the quotient is
-        infinite, the count None when the reducedness test fails."""
+        span's row combinations on its degrees divisible by d: dim is None
+        when it is infinite, the count None when the reducedness test fails."""
         nonlocal ell
         try:
-            G = groebner(gens)
+            G = groebner(span, rows)
             dim = quotient_dimension(G)
         except DegenerateInputError:    # infinite, or no nonzero generator
             return None, None
@@ -342,24 +346,18 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         return dim // d, is_reduced_zero_dim(G, ell[:G.nvars], off(), d)
 
     if plain:
-        # x_0 .. x_{n-1} and x_n = 1
-        affine = [MultiPoly.variable(field, n, a) for a in range(n)] + [MultiPoly.one(field, n)]
-        _, value = count([linear_combination(row, chart) for row in target_rows]
-                         + [linear_combination(row, affine) for row in source_rows + hyper],
+        _, value = count(chart, target_rows + source,
                          lambda: [linear_combination(ell0, chart)]
                          + [chart[j] for j in range(width) if j not in pivots])
         if value is not None:
             return (True, True, value, True)
-    one = MultiPoly.one(field, width)
-    coords = [MultiPoly.variable(field, width, a) for a in range(width)]
-    target = [linear_combination(row, phi) for row in target_rows]
-    source = [linear_combination(row, coords) for row in source_rows + hyper]
 
-    def cone(zeros, unit):
-        return (target + [linear_combination(row, phi) for row in zeros]
-                + [linear_combination(unit, phi) - one] + source)
+    def cone_rows(zeros, unit):
+        """L(phi), zeros(phi), unit(phi) - 1 and Lambda's forms."""
+        return target_rows + zeros + [unit + [0] * width + [-1]] + source
 
-    dim, value = count(cone([], ell0), lambda: (), max(c.total_degree() for c in phi))
+    dim, value = count(cone, cone_rows([], ell0), lambda: (),
+                       max(c.total_degree() for c in cone[:width]))
     if dim is None:             # the fiber is not finite
         return (False, False, None, False)
     if value is None:
@@ -367,7 +365,8 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     if value and i:
         forms = [ell0] + [random_vector(field, width, stream) for _ in range(i)]
         if rank(target_rows + forms, field) != width or not all(
-                groebner(cone(forms[:j], forms[j])).is_unit_ideal() for j in range(1, i + 1)):
+                groebner(cone, cone_rows(forms[:j], forms[j])).is_unit_ideal()
+                for j in range(1, i + 1)):
             return None
     return (True, True, value, False)
 
@@ -397,10 +396,12 @@ def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("degree computations run over a prime field")
     m = m.to_field(field)
-    # the components, and the same in the chart x_n = 1: they are
-    # homogeneous, so no two terms merge
-    sub = (m.components, [MultiPoly(field, n, {exp[:n]: c for exp, c in comp.terms.items()})
-                          for comp in m.components], euler_contraction(m.components).is_zero())
+    # the cone span phi_0 .. phi_n, x_0 .. x_n, 1 and, but for the 1, the same
+    # in the chart x_n = 1, where x_n is 1; no two terms of a form merge
+    cone = [*m.components, *(MultiPoly.variable(field, n + 1, a) for a in range(n + 1)),
+            MultiPoly.one(field, n + 1)]
+    sub = (cone, [MultiPoly(field, n, {exp[:n]: c for exp, c in p.terms.items()})
+                  for p in cone[:-1]], euler_contraction(m.components).is_zero())
     master = SeedStream(seed)
     plain, outcomes = True, []
     for _ in range(trials):

@@ -360,16 +360,6 @@ def gradient(p: MultiPoly) -> list[MultiPoly]:
     return [p.diff(i) for i in range(p.nvars)]
 
 
-def linear_images(matrix, field) -> list:
-    """The linear forms sum_c M[r][c] z_c, one per row r: the images of x = M z."""
-    width = len(matrix[0])
-    if any(len(row) != width for row in matrix):
-        raise FieldMismatchError("ragged matrix")
-    return [MultiPoly.from_terms(field, width, ((tuple(int(j == k) for j in range(width)), c)
-                                                for k, c in enumerate(row)))
-            for row in matrix]
-
-
 def linear_combination(scalars, polys) -> MultiPoly:
     """sum(c_i * p_i) over the nonzero scalars; the polys share one ring."""
     field = polys[0].field

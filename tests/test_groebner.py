@@ -16,7 +16,7 @@ from polardeg.groebner import (_line, _restrict_to_line, common_factor, groebner
                                ideal_dimension, is_reduced_zero_dim,
                                is_zero_dimensional, quotient_dimension)
 from polardeg.parse import parse_poly
-from polardeg.poly import MultiPoly, gcd_many, gradient, substitute_all
+from polardeg.poly import MultiPoly, gcd_many, gradient, linear_combination, substitute_all
 from polardeg.rand import SeedStream, random_vector
 
 
@@ -748,3 +748,66 @@ def test_packed_exponent_overflow_widens_or_refuses():
     huge = MultiPoly.from_terms(QQ, 2, [((1, 0), QQ.one()), ((0, 1 << 70), QQ.one())])
     with pytest.raises(ResourceLimitError, match="packed exponent"):
         GB(huge)
+
+
+ROW_FIELDS = [QQ, GF(1000003), GF(DEFAULT_PRIME)]
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_rows_give_the_basis_of_their_combinations(field):
+    # a fiber system's shape: fixed polys, some of them zero, and rows of
+    # drawn coefficients, some shorter than the polys, one entry a literal -1
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(12):
+        polys = [random_poly(field, 3, 3, 3, rng) for _ in range(5)] + [MultiPoly.one(field, 3)]
+        rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 7))]
+                for _ in range(3)] + [[0] * 5 + [-1]]
+        combos = [linear_combination(row, polys) for row in rows]
+        G, H = groebner(polys, rows), groebner(combos)
+        assert G.lead_exps == H.lead_exps and G.elems == H.elems
+        checked += not G.is_unit_ideal()
+    # the combinations without the unit
+    for _ in range(12):
+        polys = [random_poly(field, 3, 3, 3, rng) for _ in range(4)]
+        rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)]
+        combos = [linear_combination(row, polys) for row in rows]
+        if all(c.is_zero() for c in combos):
+            continue
+        G, H = groebner(polys, rows), groebner(combos)
+        assert G.lead_exps == H.lead_exps and G.elems == H.elems
+        checked += not G.is_unit_ideal()
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_rows_drop_a_zero_combination(field):
+    f, g = (parse_poly(t, 3, field) for t in ("x0^2 - x1*x2", "x1^3 + 2*x2^3 - x0*x1*x2"))
+    minus_one = field.neg(field.one())
+    G = groebner([f, g, f], [[1, 0, minus_one], [0, 1], [0, 0, 0]])
+    assert G == groebner([g])
+    # a row that sums to zero only after the field's reduction
+    half = field.inv(field.from_int(2))
+    assert groebner([f, f, g], [[half, field.neg(half)], [0, 0, 1]]) == groebner([g])
+
+
+def test_rows_widen_the_packing_as_the_polys_do():
+    # Mora's example through rows, the identity and a sum: a basis element
+    # of degree 257 is past the first field width
+    polys = [qq("x0^17 - x1*x2^15*x3", 4), qq("x0*x1^15 - x2^16", 4),
+             qq("x0^16*x2 - x1^16*x3", 4)]
+    G = groebner(polys, [[1], [0, 1, 1], [0, 0, 1]])
+    assert G == groebner(polys) and G.packing.vbits == 16
+
+
+def test_rows_refuse_an_all_zero_system_and_mixed_rings(Fp):
+    f, zero = gfp("x0*x1 - x2^2"), MultiPoly.zero(Fp, 3)
+    for polys, rows in (([f, f], [[1, Fp.neg(Fp.one())]]), ([f], [[0], []]),
+                        ([f], []), ([zero, zero], [[1, 1]])):
+        with pytest.raises(DegenerateInputError, match="nonzero generator"):
+            groebner(polys, rows)
+    with pytest.raises(DegenerateInputError, match="more coefficients"):
+        groebner([f], [[1, 1]])
+    for other in (qq("x0*x1 - x2^2"), gfp("x0", 2), gfp("x0", 3, 1000003)):
+        with pytest.raises(FieldMismatchError):
+            groebner([f, other], [[1, 0], [0, 1]])

@@ -1,6 +1,7 @@
 """Polar maps, weighted polar maps, and the randomized degree protocol."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -229,10 +230,10 @@ def test_a_level_with_an_infinite_plain_system_builds_one_plain_basis(Fp, monkey
     kinds = []
     real_groebner = polar.groebner
 
-    def capture(polys):
+    def capture(polys, rows):
         # the plain system lives in the chart's 3 coordinates, the cone in 4
         kinds.append("plain" if polys[0].nvars == 3 else "saturated")
-        return real_groebner(polys)
+        return real_groebner(polys, rows)
 
     monkeypatch.setattr(polar, "groebner", capture)
     for i, value, want in ((0, 1, ["plain"] + ["saturated"] * 5), (1, 3, ["plain"] * 5),
@@ -267,9 +268,9 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
     ideals = []
     real_groebner = polar.groebner
 
-    def capture(polys):
-        ideals.append(polys)
-        return real_groebner(polys)
+    def capture(polys, rows):
+        ideals.append([poly.linear_combination(row, polys) for row in rows])
+        return real_groebner(polys, rows)
 
     def refuse(*args):
         raise AssertionError("a trial solves and substitutes nothing")
@@ -284,7 +285,7 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
             ideals.clear()
             assert map_degree(m, i, trials=1, seed=seed, field=Fp).value == value
             stream = SeedStream(SeedStream(seed).child_seed())
-            assert polar._trial_fiber_count((m.components, dehom, False), n, i, Fp, stream,
+            assert polar._trial_fiber_count(_in_the_chart(m)[1], n, i, Fp, stream,
                                             plain=False) == (True, True, value, False)
             # the cone count's audit at i = 1 builds one more basis
             assert len(ideals) == 2 + i
@@ -358,12 +359,16 @@ LOST_POINT_SCRIPT = dict(enumerate([1, 0, DEFAULT_PRIME - 1] + [4, DEFAULT_PRIME
 
 
 def _in_the_chart(m):
-    """(n, sub): the components on P^n and in the chart x_n = 1, and
-    whether their radial contraction vanishes, as map_degree builds them."""
-    n = m.source_dim
-    return n, (m.components, [MultiPoly(m.field, n, {e[:n]: c for e, c in comp.terms.items()})
-                              for comp in m.components],
-               poly.euler_contraction(m.components).is_zero())
+    """(n, sub): the cone span phi_0 .. phi_n, x_0 .. x_n, 1 on P^n, the
+    chart span, the components in the chart x_n = 1, x_0 .. x_{n-1} and 1,
+    and whether the radial contraction vanishes, as map_degree builds them."""
+    n, F = m.source_dim, m.field
+    cone = ([*m.components] + [MultiPoly.variable(F, n + 1, a) for a in range(n + 1)]
+            + [MultiPoly.one(F, n + 1)])
+    chart = ([MultiPoly(F, n, {e[:n]: c for e, c in comp.terms.items()})
+              for comp in m.components]
+             + [MultiPoly.variable(F, n, a) for a in range(n)] + [MultiPoly.one(F, n)])
+    return n, (cone, chart, poly.euler_contraction(m.components).is_zero())
 
 
 def _fermat_cubic(Fp):
@@ -447,9 +452,9 @@ def test_the_hyperplane_leaves_the_cone_basis_as_it_was(Fp, monkeypatch):
     ideals = []
     real_groebner = polar.groebner
 
-    def capture(polys):
-        ideals.append(polys)
-        return real_groebner(polys)
+    def capture(polys, rows):
+        ideals.append([poly.linear_combination(row, polys) for row in rows])
+        return real_groebner(polys, rows)
 
     monkeypatch.setattr(polar, "groebner", capture)
     assert polar._trial_fiber_count(sub, n, 0, Fp, SeedStream(2), plain=False) == \
@@ -457,6 +462,38 @@ def test_the_hyperplane_leaves_the_cone_basis_as_it_was(Fp, monkeypatch):
     assert ideals == [cone + [poly.linear_combination(c, coords)]]
     with_c, without = real_groebner(ideals[0]), real_groebner(cone)
     assert with_c.lead_exps == without.lead_exps and with_c.elems == without.elems
+
+
+def test_a_count_builds_no_generator_by_polynomial_arithmetic(Fp, monkeypatch):
+    # every generator reaches groebner as a row of draws over a span that
+    # map_degree built; the one MultiPoly a count combines is ell0(phi) in
+    # the chart, among the plain system's polys off which points are counted
+    cases = [(_in_the_chart(_fermat_cubic(Fp)), (4, 2)),
+             (_in_the_chart(_fermat_quartic_section(Fp)), (9,))]
+    calls = Counter()
+    for name in ("__add__", "__sub__", "scale"):
+        def counted(self, other, real=getattr(MultiPoly, name), name=name):
+            calls[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(MultiPoly, name, counted)
+    offs = []
+
+    def combination(row, polys):
+        before = sum(calls.values())
+        out = poly.linear_combination(row, polys)
+        offs.append(sum(calls.values()) - before)
+        return out
+
+    monkeypatch.setattr(polar, "linear_combination", combination)
+    for (n, sub), values in cases:
+        for i, value in enumerate(values):
+            for plain in (True, False):
+                calls.clear()
+                offs.clear()
+                assert polar._trial_fiber_count(sub, n, i, Fp, SeedStream(2), plain) == \
+                    (True, True, value, plain)
+                assert len(offs) == plain and sum(calls.values()) == sum(offs)
+                assert not plain or offs[0] >= n + 1
 
 
 @pytest.mark.parametrize("texts, weights", [

@@ -15,7 +15,7 @@ from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.parse import parse_poly
 from polardeg.poly import (MultiPoly, euler_contraction, exact_divide,
                            gcd_multivariate, gradient, homogeneous_degree,
-                           linear_images, substitute_all)
+                           linear_combination, substitute_all)
 from polardeg.rand import SeedStream, random_scalar
 
 
@@ -208,7 +208,8 @@ def test_gcd_divides_and_cofactors_coprime():
 
 def substitute_linear(polys, M):
     """Each poly at x = M z, through the pipeline's linear-restriction kernel."""
-    return substitute_all(polys, linear_images(M, polys[0].field))
+    variables = [MultiPoly.variable(polys[0].field, len(M[0]), j) for j in range(len(M[0]))]
+    return substitute_all(polys, [linear_combination(row, variables) for row in M])
 
 
 def test_substitute_linear_examples():
