@@ -2,11 +2,12 @@
 
 Every basis is a reduced degrevlex basis, computed by Buchberger's algorithm
 with the Gebauer-Moeller pair update (JSC 1988) and sugar selection (Giovini
-et al., ISSAC 1991).  Two caps turn a runaway computation into a
+et al., ISSAC 1991).  Three caps turn a runaway computation into a
 ResourceLimitError instead of a hang: the number of S-pairs reduced,
 POLARDEG_MAX_PAIRS when that environment variable is set and
-DEFAULT_MAX_PAIRS otherwise, read by every basis computation; and the number
-of elements built, DEFAULT_MAX_BASIS.
+DEFAULT_MAX_PAIRS otherwise, read by every basis computation; the number
+of elements built, DEFAULT_MAX_BASIS; and the dimension of a
+zero-dimensional quotient, MAX_QUOTIENT.
 
 Inside the engine a monomial is one int, a packed exponent vector (Monagan &
 Pearce, CASC 2007): 2n equal-width fields, most significant first, holding
@@ -24,19 +25,18 @@ Each poly is packed once and each combination summed on packed monomials.
 
 Overflow rule: each field is at most the total degree, so widths are sized
 from the degree of the input polys.  A monomial that does not fit (an input or lcm of too
-high degree, a product with a guard bit set) restarts the computation with
-fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
+high degree, a product with a guard bit set, a standard monomial times a
+variable) restarts the computation with fields twice as wide, and past
+_MAX_VALUE_BITS raises ResourceLimitError.
 
-Quotient queries: a zero-dimensional basis enumerates its standard monomials
-once, packed wide enough for each of them times a variable, and keeps them
-for quotient_dimension and is_reduced_zero_dim.  The latter does all its
-work in one elimination of packed rows (linalg) over those monomials: it
-finds the minimal polynomial mu of a linear form ell, and writes given polys
-as polynomials in ell; a univariate gcd of these with mu then counts the
-points where not all the polys vanish.  Given a grading d, it runs on the
-monomials of degree divisible by d and on ell^d instead: that part of the
-quotient of an affine cone over finitely many points is their coordinate
-ring.
+Quotient queries: groebner enumerates the standard monomials of a
+zero-dimensional basis in the basis's packing, at most MAX_QUOTIENT of them
+(a reducedness test at that dimension takes seconds, and its cost grows as
+the cube), and keeps them for quotient_dimension and is_reduced_zero_dim.
+The latter does all its work in one elimination of packed rows (linalg)
+over those monomials: it finds the minimal polynomial mu of a linear form
+ell, and writes given polys as polynomials in ell; a univariate gcd of these
+with mu then counts the points where not all the polys vanish.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from .rand import SeedStream
 
 DEFAULT_MAX_PAIRS = 200000
 DEFAULT_MAX_BASIS = 5000
+# most standard monomials a zero-dimensional basis has
+MAX_QUOTIENT = 1024
 # widest field value (guard bit excluded) before a monomial is refused
 _MAX_VALUE_BITS = 64
-# most standard monomials a quotient query enumerates
-_MAX_STANDARD = 1 << 22
 
 
 class _Overflow(Exception):
@@ -103,21 +103,6 @@ class _Packing:
 _packing = cache(_Packing)
 
 
-def _widening(nvars, degree, run, packing=None):
-    """run(packing) on fields wide enough for `degree`, doubled on overflow."""
-    vbits = min(max(8, (4 * degree).bit_length(), packing.vbits if packing else 0),
-                _MAX_VALUE_BITS)
-    while True:
-        try:
-            return run(_packing(nvars, vbits))
-        except _Overflow:
-            if vbits == _MAX_VALUE_BITS:
-                raise ResourceLimitError(
-                    f"a monomial reaches total degree 2^{_MAX_VALUE_BITS}, "
-                    "beyond the widest packed exponent field") from None
-            vbits = min(2 * vbits, _MAX_VALUE_BITS)
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     field: object
@@ -126,6 +111,9 @@ class GroebnerBasis:
     packing: _Packing = dc_field(compare=False, repr=False)
     # monic (leading monomial, tail terms) pairs, packed by `packing`
     elems: tuple = dc_field(repr=False)
+    # the standard monomials ascending, packed by `packing`, which fits each
+    # of them times a variable; None unless the ideal is zero-dimensional
+    standard: tuple | None = dc_field(compare=False, repr=False)
 
     @cached_property
     def basis(self) -> tuple:
@@ -135,45 +123,36 @@ class GroebnerBasis:
                                {unpack(m): c for m, c in [(lm, one), *tail]})
                      for lm, tail in self.elems)
 
-    @cached_property
-    def _quotient(self) -> tuple:
-        """(packing, standard monomials ascending) of a zero-dimensional ideal;
-        the packing also fits every standard monomial times a variable."""
-        if not is_zero_dimensional(self):
-            raise DegenerateInputError("ideal is not zero-dimensional")
-        return _widening(self.nvars, 0, self._standard_monomials, self.packing)
-
-    def _standard_monomials(self, pk):
-        leads, guards = [pk.pack(e) for e in self.lead_exps], pk.guards
-        seen, stack, out = {0}, [0], []
-        while stack:
-            m = stack.pop()
-            for lm in leads:
-                if not (m - lm) & guards:
-                    break
-            else:
-                out.append(m)
-                if len(out) > _MAX_STANDARD:
-                    raise ResourceLimitError("standard monomial enumeration exploded")
-                for u in pk.units:
-                    nm = m + u
-                    if nm & guards:
-                        raise _Overflow
-                    if nm not in seen:
-                        seen.add(nm)
-                        stack.append(nm)
-        return pk, sorted(out)
-
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.lead_exps)
 
-    def packed(self, pk: _Packing):
-        """The basis in the engine form of packing pk."""
-        if pk is self.packing:
-            return self.elems
-        unpack = self.packing.unpack
-        return [(pk.pack(unpack(lm)), [(pk.pack(unpack(m)), c) for m, c in tail])
-                for lm, tail in self.elems]
+
+def _standard_monomials(elems, pk) -> tuple:
+    """The standard monomials of a zero-dimensional basis, ascending.
+
+    Raises _Overflow when one of them times a variable leaves pk, and
+    ResourceLimitError past MAX_QUOTIENT of them.
+    """
+    leads, guards = [lm for lm, _ in elems], pk.guards
+    seen, stack, out = {0}, [0], []
+    while stack:
+        m = stack.pop()
+        for lm in leads:
+            if not (m - lm) & guards:
+                break
+        else:
+            out.append(m)
+            if len(out) > MAX_QUOTIENT:
+                raise ResourceLimitError(
+                    f"quotient cap exceeded ({MAX_QUOTIENT} standard monomials)")
+            for u in pk.units:
+                nm = m + u
+                if nm & guards:
+                    raise _Overflow
+                if nm not in seen:
+                    seen.add(nm)
+                    stack.append(nm)
+    return tuple(sorted(out))
 
 
 def _monic(terms, field):
@@ -340,8 +319,8 @@ def groebner(polys, rows=None) -> GroebnerBasis:
     fixed input.  Raises DegenerateInputError when every generator is zero
     or a row is longer than polys, FieldMismatchError when the polys live in
     different rings, and ResourceLimitError past POLARDEG_MAX_PAIRS reduced
-    S-pairs (DEFAULT_MAX_PAIRS when unset) or DEFAULT_MAX_BASIS elements
-    built.
+    S-pairs (DEFAULT_MAX_PAIRS when unset), DEFAULT_MAX_BASIS elements built
+    or MAX_QUOTIENT standard monomials.
     """
     polys = tuple(polys)
     gens = _generators(polys)
@@ -351,32 +330,40 @@ def groebner(polys, rows=None) -> GroebnerBasis:
     if any(len(row) > len(polys) for row in rows):
         raise DegenerateInputError(f"a row has more coefficients than the {len(polys)} polys")
 
-    def run(pk):
-        packed = [pk.terms(p) for p in polys]
-        combos = [t for row in rows if (t := _combination(row, packed, field.modulus))]
-        if not combos:
-            raise DegenerateInputError("ideal needs at least one nonzero generator")
-        return pk, _buchberger(combos, pk, field)
-
-    pk, elems = _widening(nvars, max(p.total_degree() for p in polys), run)
-    return GroebnerBasis(field, nvars, tuple(pk.unpack(lm) for lm, _ in elems), pk,
-                         tuple(elems))
+    vbits = min(max(8, (4 * max(p.total_degree() for p in polys)).bit_length()),
+                _MAX_VALUE_BITS)
+    while True:
+        pk = _packing(nvars, vbits)
+        try:
+            packed = [pk.terms(p) for p in polys]
+            combos = [t for row in rows if (t := _combination(row, packed, field.modulus))]
+            if not combos:
+                raise DegenerateInputError("ideal needs at least one nonzero generator")
+            elems = tuple(_buchberger(combos, pk, field))
+            leads = tuple(pk.unpack(lm) for lm, _ in elems)
+            # zero-dimensional iff each variable has a power among the leads
+            # (the unit ideal's lead 1 is the 0th power of each)
+            finite = all(any(e[v] == sum(e) for e in leads) for v in range(nvars))
+            standard = _standard_monomials(elems, pk) if finite else None
+            return GroebnerBasis(field, nvars, leads, pk, elems, standard)
+        except _Overflow:
+            if vbits == _MAX_VALUE_BITS:
+                raise ResourceLimitError(
+                    f"a monomial reaches total degree 2^{_MAX_VALUE_BITS}, "
+                    "beyond the widest packed exponent field") from None
+            vbits = min(2 * vbits, _MAX_VALUE_BITS)
 
 
 def is_zero_dimensional(G: GroebnerBasis) -> bool:
     """True iff the quotient ring is a finite-dimensional vector space."""
-    if G.is_unit_ideal():
-        return True
-    for v in range(G.nvars):
-        if not any(exp[v] and all(e == 0 for i, e in enumerate(exp) if i != v)
-                   for exp in G.lead_exps):
-            return False
-    return True
+    return G.standard is not None
 
 
 def quotient_dimension(G: GroebnerBasis) -> int:
     """Vector-space dimension of the quotient ring of a zero-dimensional ideal."""
-    return len(G._quotient[1])
+    if G.standard is None:
+        raise DegenerateInputError("ideal is not zero-dimensional")
+    return len(G.standard)
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:
@@ -472,40 +459,30 @@ def _uni_gcd(a, b, p):
     return a
 
 
-def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=(), d=1) -> int | None:
-    """The number of points of a reduced zero-dimensional quotient that are
-    not common zeros of the polys in `off` (every point when `off` is
-    empty, 0 for the unit ideal); None when the quotient is not reduced or
-    ell does not separate its points.
-
-    With a grading d >= 1, every generator of G has all its terms in one
-    degree class mod d; so do the elements of the reduced basis, and the
-    quotient A splits by degree mod d.  Its part A_0, spanned by the
-    standard monomials of degree divisible by d, is the ring counted: it
-    must have dimension dim A / d, and the test runs on ell^d, which maps
-    A_0 to itself.  On the affine cone over a fiber (polar) A_0 is the
-    coordinate ring of the fiber points.  At d = 1, A_0 is A.
+def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
+    """The number of points of a reduced zero-dimensional quotient A that
+    are not common zeros of the polys in `off` (every point when `off` is
+    empty, 0 for the unit ideal); None when A is not reduced or ell does not
+    separate its points.
 
     coeffs are the coefficients of a linear form ell, one per variable of G,
     over the prime field (QQ is refused); callers draw them at random.  The
-    test writes 1, ell^d, ..., ell^(d*dim0) over the standard monomials,
-    dim0 = dim A_0, each power as d products of ell's multiplication matrix
+    test writes 1, ell, ..., ell^dim over the standard monomials, dim =
+    dim A, each power as the product of ell's multiplication matrix
     (Faugere, Gianni, Lazard & Mora, JSC 1993) with the one before: M's
     columns are packed with row r in slot r (linalg.pack), so M * v is the
-    sum of v[c] times column c, unpacked mod p.  A_0 is reduced with ell^d
-    separating its points iff the minimal polynomial mu of ell^d on A_0 has
-    degree dim0 and is squarefree: iff 1, ..., ell^(d*(dim0-1)) are
-    independent, so that sum a_k ell^(dk) = -ell^(d*dim0) has one solution
-    over A_0's monomials, and mu = t^dim0 + sum a_k t^k is coprime to its
-    derivative.  A non-separating form, the zero form among them once
-    dim0 > 1, yields a false negative; callers redraw.
+    sum of v[c] times column c, unpacked mod p.  A is reduced with ell
+    separating its points iff the minimal polynomial mu of ell has degree
+    dim and is squarefree: iff 1, ..., ell^(dim-1) are independent, so that
+    sum a_k ell^k = -ell^dim has one solution, and mu = t^dim + sum a_k t^k
+    is coprime to its derivative.  A non-separating form, the zero form
+    among them once dim > 1, yields a false negative; callers redraw.
 
-    A_0 is then F[t]/mu with t = ell^d, and the same elimination writes the
-    normal form of each f in `off`, whose degrees must be divisible by d,
-    as q_f(ell^d).  At a point P, f(P) = q_f(ell^d(P)), and the ell^d(P) are
-    the dim0 distinct roots of mu; so the common zeros of `off` are the
-    roots of gcd(mu, q_f for every f), and the count is dim0 minus its
-    degree.
+    A is then F[t]/mu with t = ell, and the same elimination writes the
+    normal form of each f in `off` as q_f(ell).  At a point P, f(P) =
+    q_f(ell(P)), and the ell(P) are the dim distinct roots of mu; so the
+    common zeros of `off` are the roots of gcd(mu, q_f for every f), and the
+    count is dim minus its degree.
     """
     p = G.field.modulus
     if p is None:
@@ -516,18 +493,13 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=(), d=1) -> int | None:
             f"got {len(coeffs)}")
     if any(f.field != G.field or f.nvars != G.nvars for f in off):
         raise FieldMismatchError("the polys of off live in another ring than the basis")
-    if d < 1:
-        raise DegenerateInputError(f"the grading must be at least 1, got {d}")
-    pk, std = G._quotient
+    pk, std, basis = G.packing, G.standard, G.elems
+    if std is None:
+        raise DegenerateInputError("ideal is not zero-dimensional")
     dim = len(std)
     if dim == 0:
         return 0
-    top = (pk.vbits + 1) * (2 * pk.nvars - 1)      # m >> top: deg m
-    graded = [r for r, m in enumerate(std) if not (m >> top) % d]   # A_0's monomials
-    dim0 = len(graded)
-    if dim0 * d != dim:
-        return None
-    basis, index = G.packed(pk), {m: r for r, m in enumerate(std)}
+    index = {m: r for r, m in enumerate(std)}
     ell = [(u, a) for u, a in zip(pk.units, coeffs) if a]
     # column c of the matrix is ell * std[c] over the standard monomials; each
     # border monomial x_v * std[c] is reduced once, and the basis is reduced,
@@ -550,28 +522,25 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=(), d=1) -> int | None:
     # ell * v is the sum of v[c] * cols[c]: each slot sums dim products
     power = [1] + [0] * (dim - 1)   # std[0] is the monomial 1
     powers = []
-    for _ in range(dim0):
+    for _ in range(dim):
         powers.append(power)
-        for _ in range(d):
-            power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
+        power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
     forms = [[0] * dim for _ in off]
     for form, f in zip(forms, off):
         for t, c in _reduce(pk.terms(f), basis, pk.guards, p):
             form[index[t]] = c
-    # columns over A_0's monomials: ell^0 .. ell^(d*(dim0-1)), -ell^(d*dim0),
-    # then the normal forms of off
-    rows = list(zip(*powers, [-c % p for c in power], *forms))
-    rref, pivots = row_reduce([rows[r] for r in graded], G.field)
-    if pivots != list(range(dim0)):
+    # columns: ell^0 .. ell^(dim-1), -ell^dim, then the normal forms of off
+    rref, pivots = row_reduce(list(zip(*powers, [-c % p for c in power], *forms)), G.field)
+    if pivots != list(range(dim)):
         return None
-    mu = [row[dim0] for row in rref] + [1]
+    mu = [row[dim] for row in rref] + [1]
     if len(_uni_gcd(mu, [c * k % p for k, c in enumerate(mu)][1:], p)) != 1:
         return None
     if not off:
-        return dim0
+        return dim
     common = mu
     for k in range(len(off)):
-        common = _uni_gcd(common, [row[dim0 + 1 + k] for row in rref], p)
+        common = _uni_gcd(common, [row[dim + 1 + k] for row in rref], p)
         if len(common) == 1:
             break
-    return dim0 + 1 - len(common)
+    return dim + 1 - len(common)

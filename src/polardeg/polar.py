@@ -285,10 +285,10 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     phi is homogeneous of degree d < p, so each fiber point P off
     ell0(phi) = 0, on the chart or not, gives exactly d points x of the
     cone, the multiples of one by the d-th roots of unity, and the base
-    points drop out, since phi(x) != 0.  Every generator has its terms in
-    one degree class mod d, so is_reduced_zero_dim with the grading d
-    counts the points P on the quotient's part of degree 0 mod d; a
-    non-reduced count reports that part's dimension.  The cone removes
+    points drop out, since phi(x) != 0.  So x != 0 on the cone, where the d
+    roots of unity (d < p) act freely: a reduced cone has d points over each
+    fiber point, and is_reduced_zero_dim's count, like the dimension
+    reported for a non-reduced cone, is divided by d.  The cone removes
     every point on ell0(phi) = 0.  At i = 0 the rank check keeps ell0
     nonzero on the target point.  At i >= 1 a genuine point of Z meet
     Lambda can lie on ell0(phi) = 0 and be lost, so every positive reduced
@@ -328,10 +328,10 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     source = [[0] * width + row for row in source_rows + hyper]
     ell = None
 
-    def count(span, rows, off, d=1):
+    def count(span, rows, off):
         """(dim, points off the common zeros of off()) of the quotient of
-        span's row combinations on its degrees divisible by d: dim is None
-        when it is infinite, the count None when the reducedness test fails."""
+        span's row combinations: dim is None when it is infinite, the count
+        None when the reducedness test fails."""
         nonlocal ell
         try:
             G = groebner(span, rows)
@@ -343,7 +343,7 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         if ell is None:
             while not any(ell := random_vector(field, width, stream)):
                 pass
-        return dim // d, is_reduced_zero_dim(G, ell[:G.nvars], off(), d)
+        return dim, is_reduced_zero_dim(G, ell[:G.nvars], off())
 
     if plain:
         _, value = count(chart, target_rows + source,
@@ -356,19 +356,19 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         """L(phi), zeros(phi), unit(phi) - 1 and Lambda's forms."""
         return target_rows + zeros + [unit + [0] * width + [-1]] + source
 
-    dim, value = count(cone, cone_rows([], ell0), lambda: (),
-                       max(c.total_degree() for c in cone[:width]))
+    dim, value = count(cone, cone_rows([], ell0), lambda: ())
     if dim is None:             # the fiber is not finite
         return (False, False, None, False)
+    d = max(c.total_degree() for c in cone[:width])
     if value is None:
-        return (True, False, dim, False)
+        return (True, False, dim // d, False)
     if value and i:
         forms = [ell0] + [random_vector(field, width, stream) for _ in range(i)]
         if rank(target_rows + forms, field) != width or not all(
                 groebner(cone, cone_rows(forms[:j], forms[j])).is_unit_ideal()
                 for j in range(1, i + 1)):
             return None
-    return (True, True, value, False)
+    return (True, True, value // d, False)
 
 
 def map_degree(m: RationalMapRep, i: int, trials: int = DEFAULT_TRIALS,

@@ -254,6 +254,14 @@ def test_env_pair_cap_reaches_the_validation_bases(capsys, monkeypatch):
     assert "S-pair cap exceeded (1)" in doc["message"]
 
 
+def test_quotient_cap_ends_a_large_count(capsys):
+    # the plain fiber at i = 0 has 59^2 points, past the quotient cap: the
+    # count is refused at once instead of running for minutes
+    code, out, err = run_cli(capsys, "polar", "--poly", "x0^60+x1^60+x2^60", "--i", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: quotient cap exceeded (1024 standard monomials)\n"
+
+
 def test_verify_dolgachev(capsys):
     code, out, _ = run_cli(capsys, "verify", "dolgachev")
     assert code == 0

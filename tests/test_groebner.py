@@ -605,35 +605,36 @@ def test_graded_count_on_the_cone_equals_the_chart_count(Fp, degree, profile):
             cone, chart = _cone_and_chart(form, i, seed)
             assert quotient_dimension(cone) == d * quotient_dimension(chart) == d * points
             coeffs = ell(cone, seed)
-            assert is_reduced_zero_dim(cone, coeffs, d=d) == points
             assert is_reduced_zero_dim(chart, coeffs[:2]) == points
-            # the ungraded test sees the d cone points over each fiber point
+            # the cone count sees the d cone points over each fiber point, so
+            # polar divides it by d (the grading d of the test is gone)
             assert is_reduced_zero_dim(cone, coeffs) == d * points
 
 
 def test_graded_count_refuses_a_non_reduced_cone(Fp):
     # the fiber of (x0^2 : x1^2 : x2^2) over (0 : 1 : 1) is x0^2 = 0,
     # x1^2 = x2^2: two double points.  With ell0 = y1 the cone has 8
-    # dimensions, 4 of degree divisible by 2
+    # dimensions, and it is not reduced
     p = DEFAULT_PRIME
     cone = GB(gfp("x0^2"), gfp("x1^2 - x2^2"), gfp("x1^2 - 1"))
     assert quotient_dimension(cone) == 8
     for seed in range(3):
-        assert is_reduced_zero_dim(cone, ell(cone, seed), d=2) is None
-    # the reduced fiber over (1 : 1 : 1): four points, eight on the cone
+        assert is_reduced_zero_dim(cone, ell(cone, seed)) is None
+    # the reduced fiber over (1 : 1 : 1): four points, 8 = 2 * 4 on the cone
     cone = GB(gfp("x0^2 - x2^2"), gfp("x1^2 - x2^2"), gfp(f"x0^2 + {p - 1}"))
     assert quotient_dimension(cone) == 8
-    assert is_reduced_zero_dim(cone, ell(cone, 1), d=2) == 4
+    assert is_reduced_zero_dim(cone, ell(cone, 1)) == 8
 
 
 def test_graded_count_refuses_a_part_of_the_wrong_dimension(Fp):
-    # the origin is fixed by the roots of unity: its quotient has 1
-    # dimension, not a multiple of d
+    # the origin is the one point the roots of unity fix: its quotient has 1
+    # dimension, not a multiple of d.  The grading d, its refusal of d = 0 and
+    # its check that the degree-0 part has dim / d dimensions are gone; a
+    # cone never meets the origin, where ell0(phi) = 1 fails, so its count
+    # is d times the fiber's
     origin = GB(gfp("x0", 2), gfp("x1", 2))
     assert is_reduced_zero_dim(origin, [1, 2]) == 1
-    assert is_reduced_zero_dim(origin, [1, 2], d=2) is None
-    with pytest.raises(DegenerateInputError, match="grading"):
-        is_reduced_zero_dim(origin, [1, 2], d=0)
+    assert GB(gfp("x0", 2), gfp("x1", 2), gfp("x0^2 + 3*x1^2 - 1", 2)).is_unit_ideal()
 
 
 # zero-dimensional GF(p) systems for the reducedness oracle, as (nvars, texts)
@@ -732,6 +733,14 @@ def test_pair_cap_is_reported(monkeypatch):
         groebner(gens)
 
 
+def test_quotient_cap_is_reported():
+    # x0^D - 1 has D standard monomials: the cap admits D = MAX_QUOTIENT
+    cap = importlib.import_module("polardeg.groebner").MAX_QUOTIENT
+    assert quotient_dimension(GB(gfp(f"x0^{cap} - 1", 1))) == cap
+    with pytest.raises(ResourceLimitError, match=rf"quotient cap exceeded \({cap} "):
+        GB(gfp(f"x0^{cap + 1} - 1", 1))
+
+
 def test_packed_exponent_overflow_widens_or_refuses():
     G = GB(qq("x0 - x1^40000", 2))
     assert G.basis == (qq("x1^40000 - x0", 2),)
@@ -741,13 +750,31 @@ def test_packed_exponent_overflow_widens_or_refuses():
            qq("x0^16*x2 - x1^16*x3", 4))
     assert qq("x2^257 - x1^256*x3", 4) in G.basis
     assert G.packing.vbits == 16
-    # a query packed wider than its basis gets the basis re-packed
-    G = GB(qq("x0 - x1^300", 2))
-    pk = type(G.packing)(2, 2 * G.packing.vbits)
-    assert G.packed(pk) == [(pk.pack((0, 300)), [(pk.pack((1, 0)), QQ.neg(QQ.one()))])]
     huge = MultiPoly.from_terms(QQ, 2, [((1, 0), QQ.one()), ((0, 1 << 70), QQ.one())])
     with pytest.raises(ResourceLimitError, match="packed exponent"):
         GB(huge)
+
+
+def test_an_overflowing_standard_monomial_restarts_wider(Fp, monkeypatch):
+    # at 4 bits a field holds degree 15: the leads x0^6, x1^6, x2^6 and their
+    # lcms fit, but x0 times the standard monomial x0^5*x1^5*x2^5 does not
+    gb = importlib.import_module("polardeg.groebner")
+    polys = [gfp("x0^6 - 1"), gfp("x1^6 - 2"), gfp("x2^6 - 3")]
+    pk = gb._packing(3, 4)
+    elems = gb._buchberger([sorted(pk.terms(f), reverse=True) for f in polys], pk, Fp)
+    with pytest.raises(gb._Overflow):
+        gb._standard_monomials(elems, pk)
+    # so a basis computed at 4 bits first restarts, at twice the usual width
+    want, real, widths = groebner(polys), gb._packing, []
+
+    def narrow_first(nvars, vbits):
+        widths.append(vbits)
+        return real(nvars, 4 if len(widths) == 1 else vbits)
+
+    monkeypatch.setattr(gb, "_packing", narrow_first)
+    G = groebner(polys)
+    assert widths == [8, 16] and G.packing.vbits == 16
+    assert G.basis == want.basis and quotient_dimension(G) == quotient_dimension(want) == 216
 
 
 ROW_FIELDS = [QQ, GF(1000003), GF(DEFAULT_PRIME)]

@@ -10,7 +10,7 @@ import pytest
 from _oracles import plane_map_fiber_count
 from conftest import ScriptedStream, gfp, qq
 from polardeg import foliations, linalg, polar, poly
-from polardeg.errors import DegenerateInputError
+from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.poly import MultiPoly
 from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
@@ -194,8 +194,8 @@ def _record_base_points(monkeypatch):
         assert res is None or res[3]
         return res
 
-    def check(G, coeffs, off=(), d=1):
-        value = real_check(G, coeffs, off, d)
+    def check(G, coeffs, off=()):
+        value = real_check(G, coeffs, off)
         if off:
             dropped.append((level[0], polar.quotient_dimension(G) - value))
         return value
@@ -241,6 +241,26 @@ def test_a_level_with_an_infinite_plain_system_builds_one_plain_basis(Fp, monkey
         kinds.clear()
         assert map_degree(m, i, field=Fp).value == value
         assert kinds == want, i
+
+
+def test_a_quotient_past_the_cap_is_refused_by_its_basis(Fp, monkeypatch):
+    # the plain fiber of the degree-60 Fermat curve's polar map at i = 0 has
+    # 59^2 = 3481 points: its basis refuses, and no reducedness test runs
+    m = polar_map(gfp("x0^60 + x1^60 + x2^60"))
+    bases, real_groebner = [], polar.groebner
+
+    def capture(polys, rows):
+        bases.append(polys[0].nvars)
+        return real_groebner(polys, rows)
+
+    def refuse(*args):
+        raise AssertionError("no reducedness test runs past the cap")
+
+    monkeypatch.setattr(polar, "groebner", capture)
+    monkeypatch.setattr(polar, "is_reduced_zero_dim", refuse)
+    with pytest.raises(ResourceLimitError, match=r"quotient cap exceeded \(1024 "):
+        map_degree(m, 0, trials=1, field=Fp)
+    assert bases == [2]
 
 
 def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
@@ -302,9 +322,9 @@ def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch
     passed, streams = [], []
     real_check = polar.is_reduced_zero_dim
 
-    def capture(G, coeffs, off=(), d=1):
+    def capture(G, coeffs, off=()):
         passed.append(list(coeffs))
-        return real_check(G, coeffs, off, d)
+        return real_check(G, coeffs, off)
 
     def counting(zeros):
         def make(seed):
