@@ -73,7 +73,7 @@ def _collect_input(args):
             polys.extend(segments)
     if not polys:
         raise PolardegError("no input polynomials (use --poly or --foliation-from)")
-    weights = parse_weights(weights_text) if weights_text else (1,) * len(polys)
+    weights = (1,) * len(polys) if weights_text is None else parse_weights(weights_text)
     if len(weights) != len(polys):
         raise PolardegError(
             f"{len(polys)} polynomials but {len(weights)} weights")

@@ -30,13 +30,13 @@ variable) restarts the computation with fields twice as wide, and past
 _MAX_VALUE_BITS raises ResourceLimitError.
 
 Quotient queries: groebner enumerates the standard monomials of a
-zero-dimensional basis in the basis's packing, at most MAX_QUOTIENT of them
-(a reducedness test at that dimension takes seconds, and its cost grows as
-the cube), and keeps them for quotient_dimension and is_reduced_zero_dim.
-The latter does all its work in one elimination of packed rows (linalg)
-over those monomials: it finds the minimal polynomial mu of a linear form
-ell, and writes given polys as polynomials in ell; a univariate gcd of these
-with mu then counts the points where not all the polys vanish.
+zero-dimensional basis in its packing, at most MAX_QUOTIENT of them (a
+reducedness test at that dimension takes seconds, and its cost grows as the
+cube), and keeps them and the packed polys, its span, for quotient_dimension
+and is_reduced_zero_dim.  The latter does all its work in one elimination of
+packed rows (linalg) over those monomials: it finds the minimal polynomial
+mu of a linear form ell, and writes row combinations of the span as polynomials
+in ell; their gcd with mu finds the points where all of them vanish.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ class GroebnerBasis:
     # the standard monomials ascending, packed by `packing`, which fits each
     # of them times a variable; None unless the ideal is zero-dimensional
     standard: tuple | None = dc_field(compare=False, repr=False)
+    # the packed terms of the polys that the generators combine
+    span: tuple = dc_field(compare=False, repr=False)
 
     @cached_property
     def basis(self) -> tuple:
@@ -345,7 +347,7 @@ def groebner(polys, rows=None) -> GroebnerBasis:
             # (the unit ideal's lead 1 is the 0th power of each)
             finite = all(any(e[v] == sum(e) for e in leads) for v in range(nvars))
             standard = _standard_monomials(elems, pk) if finite else None
-            return GroebnerBasis(field, nvars, leads, pk, elems, standard)
+            return GroebnerBasis(field, nvars, leads, pk, elems, standard, tuple(packed))
         except _Overflow:
             if vbits == _MAX_VALUE_BITS:
                 raise ResourceLimitError(
@@ -461,7 +463,8 @@ def _uni_gcd(a, b, p):
 
 def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
     """The number of points of a reduced zero-dimensional quotient A that
-    are not common zeros of the polys in `off` (every point when `off` is
+    are not common zeros of the combinations sum_j row[j] * G.span[j], one
+    per row of `off`, none longer than the span (every point when `off` is
     empty, 0 for the unit ideal); None when A is not reduced or ell does not
     separate its points.
 
@@ -479,10 +482,10 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
     among them once dim > 1, yields a false negative; callers redraw.
 
     A is then F[t]/mu with t = ell, and the same elimination writes the
-    normal form of each f in `off` as q_f(ell).  At a point P, f(P) =
-    q_f(ell(P)), and the ell(P) are the dim distinct roots of mu; so the
-    common zeros of `off` are the roots of gcd(mu, q_f for every f), and the
-    count is dim minus its degree.
+    normal form of each combination f of `off` as q_f(ell).  At a point P,
+    f(P) = q_f(ell(P)), and the ell(P) are the dim distinct roots of mu; so
+    the common zeros of `off` are the roots of gcd(mu, q_f for every f), and
+    the count is dim minus its degree.
     """
     p = G.field.modulus
     if p is None:
@@ -491,8 +494,8 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
         raise DegenerateInputError(
             f"a linear form on {G.nvars} variables needs {G.nvars} coefficients, "
             f"got {len(coeffs)}")
-    if any(f.field != G.field or f.nvars != G.nvars for f in off):
-        raise FieldMismatchError("the polys of off live in another ring than the basis")
+    if any(len(row) > len(G.span) for row in off):
+        raise DegenerateInputError(f"a row has more coefficients than the {len(G.span)} polys")
     pk, std, basis = G.packing, G.standard, G.elems
     if std is None:
         raise DegenerateInputError("ideal is not zero-dimensional")
@@ -526,8 +529,8 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
         powers.append(power)
         power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
     forms = [[0] * dim for _ in off]
-    for form, f in zip(forms, off):
-        for t, c in _reduce(pk.terms(f), basis, pk.guards, p):
+    for form, row in zip(forms, off):
+        for t, c in _reduce(_combination(row, G.span, p), basis, pk.guards, p):
             form[index[t]] = c
     # columns: ell^0 .. ell^(dim-1), -ell^dim, then the normal forms of off
     rref, pivots = row_reduce(list(zip(*powers, [-c % p for c in power], *forms)), G.field)

@@ -20,8 +20,7 @@ from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField
 from .groebner import common_factor, groebner, is_reduced_zero_dim, quotient_dimension
 from .linalg import rank, row_reduce
-from .poly import (MultiPoly, euler_contraction, exact_divide, gradient,
-                   homogeneous_degree, linear_combination)
+from .poly import MultiPoly, euler_contraction, exact_divide, gradient, homogeneous_degree
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
@@ -250,12 +249,12 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     same in the fixed affine chart x_n = 1, in x_0 .. x_{n-1}, and whether
     sum x_j phi_j = 0 over the field.  Only the target plane L (n-i forms,
     plus the auxiliary form ell0) and the source plane Lambda (i forms) are
-    random: every generator below is a combination of a span, passed to
-    groebner as the row of its drawn coefficients.  Both systems below are
-    counted by one step: the quotient dimension, then the form ell, drawn
-    once the first positive quotient appears, then is_reduced_zero_dim.
-    ell has n + 1 coefficients, never all zero; the chart system reads the
-    first n.
+    random: every generator below, and every form off whose zeros a count
+    is taken, is a combination of a span, passed as the row of its draws.
+    Both systems are counted by one step: the quotient dimension, then the
+    form ell, drawn once the first positive quotient appears, then
+    is_reduced_zero_dim.  ell has n + 1 coefficients, never all zero; the
+    chart system reads the first n.
 
     With plain set, the count takes the plain system first, in the chart:
     the target forms L(phi) and Lambda's i affine forms.  Being independent
@@ -274,9 +273,9 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     vectors at the non-pivot columns of their row reduction are a basis of
     the forms on the target, and every target form vanishes on phi at a
     point of A; so phi vanishes there iff ell0(phi) and the i components at
-    those columns do.  A generic Lambda misses Z meet B, which has dimension
-    at most i - 1, so the count is that of Z meet Lambda, the points on
-    ell0(phi) = 0 included, and it is exact at every level.
+    those columns, the off rows, do.  A generic Lambda misses Z meet B, of
+    dimension at most i - 1, so the count is that of Z meet Lambda, the
+    points on ell0(phi) = 0 included, and it is exact at every level.
 
     When A is infinite (B meets Lambda in a curve or more) or the test
     fails (a base point of Milnor number above 1, say), and when plain is
@@ -329,9 +328,9 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
     ell = None
 
     def count(span, rows, off):
-        """(dim, points off the common zeros of off()) of the quotient of
-        span's row combinations: dim is None when it is infinite, the count
-        None when the reducedness test fails."""
+        """(dim, points off the common zeros of the off rows) of the quotient
+        of the rows, both over span: dim is None when it is infinite, the
+        count None when the reducedness test fails."""
         nonlocal ell
         try:
             G = groebner(span, rows)
@@ -343,12 +342,11 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         if ell is None:
             while not any(ell := random_vector(field, width, stream)):
                 pass
-        return dim, is_reduced_zero_dim(G, ell[:G.nvars], off())
+        return dim, is_reduced_zero_dim(G, ell[:G.nvars], off)
 
     if plain:
         _, value = count(chart, target_rows + source,
-                         lambda: [linear_combination(ell0, chart)]
-                         + [chart[j] for j in range(width) if j not in pivots])
+                         [ell0] + [[0] * j + [1] for j in range(width) if j not in pivots])
         if value is not None:
             return (True, True, value, True)
 
@@ -356,7 +354,7 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         """L(phi), zeros(phi), unit(phi) - 1 and Lambda's forms."""
         return target_rows + zeros + [unit + [0] * width + [-1]] + source
 
-    dim, value = count(cone, cone_rows([], ell0), lambda: ())
+    dim, value = count(cone, cone_rows([], ell0), ())
     if dim is None:             # the fiber is not finite
         return (False, False, None, False)
     d = max(c.total_degree() for c in cone[:width])

@@ -123,6 +123,7 @@ BAD_INPUTS = {
     "prime-below-min": ["--poly", "x0*x1*x2", "--prime", "7"],
     "prime-huge": ["--poly", "x0^2+x1^2+x2^2", "--prime", str(10**4000 + 1)],
     "zero-weight": ["--poly", "x0", "--poly", "x1", "--poly", "x2", "--weights", "1,0,1"],
+    "weights-empty": ["--poly", "x0^2+x1^2+x2^2", "--weights", ""],
     "level-out-of-range": ["--poly", "x0*x1*x2", "--i", "7"],
     "section-out-of-range": ["--poly", "x0*x1*x2", "--k", "9"],
     "component-vanishes": ["--poly", "x0^2 + x1^2 + 1000003*x2^2", "--prime", "1000003"],
@@ -164,6 +165,13 @@ def test_nvars_below_one_is_refused_by_name(capsys):
     code, _, err = run_cli(capsys, "polar", "--poly", "x0*x1*x2", "--nvars", "0")
     assert code == 1
     assert err == "error: --nvars must be at least 1, got 0\n"
+
+
+def test_empty_weights_are_refused_as_a_malformed_rational(capsys):
+    # an empty --weights is text to parse, as " " is, not an absent option
+    for verb in ("polar", "gauss"):
+        code, out, err = run_cli(capsys, verb, "--poly", "x0^2+x1^2+x2^2", "--weights", "")
+        assert (code, out, err) == (1, "", "error: malformed rational '' (line 1, column 1)\n")
 
 
 def test_variable_count_above_the_limit_is_refused_by_name(capsys):

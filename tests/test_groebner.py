@@ -29,6 +29,14 @@ def ell(G, seed):
     return random_vector(G.field, G.nvars, SeedStream(seed))
 
 
+def with_off(gens, off):
+    """(G, rows): the basis of gens, with the polys of off joining its span,
+    and off as the unit rows of their slots in that span."""
+    span = [*gens, *off]
+    G = groebner(span, [[0] * k + [1] for k in range(len(gens))])
+    return G, [[0] * k + [1] for k in range(len(gens), len(span))]
+
+
 def test_groebner_coordinate_ideal():
     G = GB(qq("x0", 2), qq("x1", 2))
     assert [str(b) for b in G.basis] == ["x1", "x0"]
@@ -510,8 +518,8 @@ def test_is_reduced_zero_dim_examples(Fp):
 def test_is_reduced_zero_dim_counts_the_points_off_the_common_zeros_of_off(Fp):
     p = DEFAULT_PRIME
     points = [(1, 2, 3), (2, 5, 7), (4, 0, 1), (6, 6, 6), (9, 3, p - 8)]
-    G = groebner(points_ideal(points, Fp))
-    assert quotient_dimension(G) == 5
+    gens = points_ideal(points, Fp)
+    assert quotient_dimension(groebner(gens)) == 5
     x0, x1, x2 = (MultiPoly.variable(Fp, 3, v) for v in range(3))
     one = MultiPoly.one(Fp, 3)
     offs = [
@@ -526,18 +534,23 @@ def test_is_reduced_zero_dim_counts_the_points_off_the_common_zeros_of_off(Fp):
     counts = []
     for k, off in enumerate(offs):
         want = count_points_off(points, off, p) if off else len(points)
+        G, rows = with_off(gens, off)
         for seed in range(3):
-            assert is_reduced_zero_dim(G, ell(G, 10 * k + seed), off) == want, (k, seed)
+            assert is_reduced_zero_dim(G, ell(G, 10 * k + seed), rows) == want, (k, seed)
         counts.append(want)
     assert counts == [5, 5, 0, 3, 4, 4, 4]
     # a fat point is refused whatever off holds, and the unit ideal has no point
-    fat = GB(gfp("x0^2", 2), gfp("x0*x1", 2), gfp("x1^2", 2))
+    fat = [gfp("x0^2", 2), gfp("x0*x1", 2), gfp("x1^2", 2)]
     for off in ((), (gfp("x0", 2),), (gfp("x0 + 1", 2),)):
-        assert is_reduced_zero_dim(fat, ell(fat, 1), off) is None
-    unit = GB(gfp("x0", 2), gfp("x0 - 1", 2))
-    assert is_reduced_zero_dim(unit, ell(unit, 1), (gfp("x1", 2),)) == 0
-    with pytest.raises(FieldMismatchError):
-        is_reduced_zero_dim(G, ell(G, 1), (gfp("x0", 2),))
+        G, rows = with_off(fat, off)
+        assert is_reduced_zero_dim(G, ell(G, 1), rows) is None
+    unit, rows = with_off([gfp("x0", 2), gfp("x0 - 1", 2)], (gfp("x1", 2),))
+    assert is_reduced_zero_dim(unit, ell(unit, 1), rows) == 0
+    # a row of off combines the polys of the basis's span, and no more
+    G, rows = with_off(gens, (x0,))
+    assert len(G.span) == len(gens) + 1
+    with pytest.raises(DegenerateInputError, match=f"the {len(G.span)} polys"):
+        is_reduced_zero_dim(G, ell(G, 1), rows + [[0] * len(G.span) + [1]])
 
 
 def test_is_reduced_zero_dim_counts_more_points_than_a_slot_width_step(Fp):
@@ -547,8 +560,8 @@ def test_is_reduced_zero_dim_counts_more_points_than_a_slot_width_step(Fp):
     p = Fp.modulus
     rng = random.Random(66)
     points = [(a, (a * a + 3 * a) % p) for a in rng.sample(range(p), 66)]
-    G = groebner(points_ideal(points, Fp))
-    assert quotient_dimension(G) == 66
+    gens = points_ideal(points, Fp)
+    assert quotient_dimension(groebner(gens)) == 66
     x0, x1 = (MultiPoly.variable(Fp, 2, v) for v in range(2))
     one = MultiPoly.one(Fp, 2)
 
@@ -564,7 +577,8 @@ def test_is_reduced_zero_dim_counts_more_points_than_a_slot_width_step(Fp):
     counts = [count_points_off(points, off, p) if off else 66 for off in offs]
     assert counts == [66, 56, 65, 0]
     for k, (off, want) in enumerate(zip(offs, counts)):
-        assert is_reduced_zero_dim(G, ell(G, k), off) == want, k
+        G, rows = with_off(gens, off)
+        assert is_reduced_zero_dim(G, ell(G, k), rows) == want, k
 
 
 def _cone_and_chart(form, i, seed):

@@ -12,6 +12,7 @@ from conftest import ScriptedStream, gfp, qq
 from polardeg import foliations, linalg, polar, poly
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
+from polardeg.groebner import groebner, is_reduced_zero_dim
 from polardeg.poly import MultiPoly
 from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
                             polar_degrees_profile, polar_map, weighted_polar_map)
@@ -485,35 +486,52 @@ def test_the_hyperplane_leaves_the_cone_basis_as_it_was(Fp, monkeypatch):
 
 
 def test_a_count_builds_no_generator_by_polynomial_arithmetic(Fp, monkeypatch):
-    # every generator reaches groebner as a row of draws over a span that
-    # map_degree built; the one MultiPoly a count combines is ell0(phi) in
-    # the chart, among the plain system's polys off which points are counted
+    # every generator reaches groebner, and every form off whose common zeros
+    # the plain count counts reaches is_reduced_zero_dim, as a row of draws
+    # over a span that map_degree built: no count does MultiPoly arithmetic
     cases = [(_in_the_chart(_fermat_cubic(Fp)), (4, 2)),
              (_in_the_chart(_fermat_quartic_section(Fp)), (9,))]
     calls = Counter()
-    for name in ("__add__", "__sub__", "scale"):
+    for name in ("__add__", "__sub__", "scale", "__mul__"):
         def counted(self, other, real=getattr(MultiPoly, name), name=name):
             calls[name] += 1
             return real(self, other)
         monkeypatch.setattr(MultiPoly, name, counted)
-    offs = []
-
-    def combination(row, polys):
-        before = sum(calls.values())
-        out = poly.linear_combination(row, polys)
-        offs.append(sum(calls.values()) - before)
-        return out
-
-    monkeypatch.setattr(polar, "linear_combination", combination)
     for (n, sub), values in cases:
         for i, value in enumerate(values):
             for plain in (True, False):
                 calls.clear()
-                offs.clear()
                 assert polar._trial_fiber_count(sub, n, i, Fp, SeedStream(2), plain) == \
                     (True, True, value, plain)
-                assert len(offs) == plain and sum(calls.values()) == sum(offs)
-                assert not plain or offs[0] >= n + 1
+                assert not calls, (n, i, plain, calls)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, SECOND_PRIME])
+def test_an_off_row_counts_as_the_poly_it_combines(prime):
+    # the plain count passes ell0(phi) as the row ell0 over the chart span;
+    # the poly linear_combination(ell0, chart), placed in the span as a unit
+    # row, gives the same count.  The nodal cubic's polar map has a base
+    # point of Milnor number 1 at the node: at i = 0 it is a reduced point
+    # of the plain fiber, which the off rows remove (deg_0 = 4 - 1), and at
+    # i = 1 a unit row at a non-pivot column joins ell0
+    F = GF(prime)
+    n, (_, chart, _) = _in_the_chart(polar_map(qq("x0^3 + x1^3 + x0*x1*x2")).to_field(F))
+    width = n + 1
+    for i, value in ((0, 3), (1, 2)):
+        for seed in range(4):
+            stream = SeedStream(seed)
+            target = [random_vector(F, width, stream) for _ in range(n - i)]
+            ell0 = random_vector(F, width, stream)
+            source = [[0] * width + random_vector(F, width, stream) for _ in range(i)]
+            coeffs = random_vector(F, n, stream)
+            _, pivots = linalg.row_reduce(target + [ell0], F)
+            units = [[0] * j + [1] for j in range(width) if j not in pivots]
+            assert len(units) == i
+            G = groebner(chart, target + source)
+            H = groebner(chart + [poly.linear_combination(ell0, chart)], target + source)
+            assert G.elems == H.elems
+            assert is_reduced_zero_dim(G, coeffs, [ell0] + units) == value, (i, seed)
+            assert is_reduced_zero_dim(H, coeffs, [[0] * len(chart) + [1]] + units) == value
 
 
 @pytest.mark.parametrize("texts, weights", [
