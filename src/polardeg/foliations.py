@@ -4,8 +4,8 @@ A foliation of P^n is stored through the coefficients of a homogeneous
 1-form sum(a_i dx_i) with radial contraction zero and unit coefficient gcd;
 its degree is the common coefficient degree minus one.  The e-invariants are
 degrees of the Gauss map of the foliation restricted to a generic linear
-subspace, with the restriction realized by a random full-rank substitution
-over a prime field.
+subspace, with the subspace drawn over a prime field as the graph of a
+random linear map from the first k + 1 coordinates to the others.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from itertools import combinations
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
 from .fields import PrimeField
 from .groebner import common_factor, groebner, ideal_dimension
-from .linalg import rank
 from .poly import (MultiPoly, euler_contraction, exact_divide, homogeneous_degree,
                    linear_combination, substitute_all)
 from .polar import (DEFAULT_TRIALS, DegreeReport, RationalMapRep,
                     WeightedFunction, map_degree, weighted_gradient)
-from .rand import SeedStream, random_scalar
+from .rand import SeedStream, random_vector
 
 _RESTRICT_BUDGET = 5
 
@@ -164,12 +163,16 @@ def gauss_map(fol: LogFoliation) -> RationalMapRep:
 
 
 def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFoliation:
-    """Pull the foliation back along a random linear embedding of P^k.
+    """Pull the foliation back to a random P^k embedded as a graph.
 
-    For k >= 2 the degree is preserved for generic embeddings and this is
-    asserted, with re-randomization on failure; for k = 1 the result is the
-    unique foliation of the projective line.  A linear pullback commutes
-    with d and the wedge and keeps the radial field: no re-check.
+    x_j = z_j for j <= k and (x_{k+1}, ..., x_n) = A z for a uniform
+    (n - k) x (k + 1) matrix A: only the n - k graph coordinates expand.
+    Embeddings of one P^k differ by some g in GL(k+1), which keeps every
+    Gauss-map degree; off a proper closed set a P^k is the graph of one A,
+    and a nonzero condition of degree delta on A fails with probability at
+    most delta/p (Schwartz, JACM 1980), as on a full embedding.  For k >= 2
+    a degree drop redraws A; k = 1 gives the line's unique foliation.  The
+    pullback commutes with d and the wedge and keeps the radial field: no re-check.
     """
     n = fol.ambient_dim
     if not 1 <= k < n:
@@ -182,15 +185,11 @@ def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFol
     failure = "no draw accepted"
     variables = [MultiPoly.variable(field, k + 1, j) for j in range(k + 1)]
     for _ in range(_RESTRICT_BUDGET):
-        matrix = [[random_scalar(field, stream) for _ in range(k + 1)]
-                  for _ in range(n + 1)]
-        cols = [[matrix[r][c] for r in range(n + 1)] for c in range(k + 1)]
-        if rank(cols, field) != k + 1:
-            failure = "rank-deficient embedding matrix"
-            continue
-        # the coefficient of dz_j is sum_r M[r][j] a_r, pulled back
-        restricted = substitute_all([linear_combination(col, polys) for col in cols],
-                                    [linear_combination(row, variables) for row in matrix])
+        graph = [random_vector(field, k + 1, stream) for _ in range(n - k)]
+        # the coefficient of dz_j is a_j + sum_r A[r][j] a_{k+1+r}, pulled back
+        cols = [a + linear_combination(c, polys[k + 1:]) for a, c in zip(polys, zip(*graph))]
+        restricted = substitute_all(cols, variables + [linear_combination(r, variables)
+                                                       for r in graph])
         if all(p.is_zero() for p in restricted):
             failure = "subspace is invariant"
             continue

@@ -10,7 +10,8 @@ system of a plane polar map by eliminating one variable with a resultant.
 Substitution has a term-by-term reference built on MultiPoly's own sum and
 product, and the radial contraction one built on its shift and sum.  The
 restriction of a poly to a line comes from its values at points of the line,
-interpolated.
+interpolated.  A foliation's generic section is pulled back along a random
+full-rank embedding matrix, not a graph, term by term.
 """
 
 from __future__ import annotations
@@ -215,6 +216,32 @@ def substitute_termwise(poly, images):
                 term = term * pows[i][e]
         out = out + term
     return out
+
+
+def full_embedding_section(fol, k, seed):
+    """The foliation pulled back along a uniform full-rank (n+1) x (k+1)
+    matrix M, x = M z: the coefficient of dz_j is sum_r M[r][j] a_r(M z),
+    each a_r substituted term by term.  foliation_from_form clears the
+    result and re-checks its contraction and integrability."""
+    from polardeg.foliations import foliation_from_form
+    from polardeg.poly import MultiPoly
+
+    field, n = fol.field, fol.ambient_dim
+    p, rng = field.modulus, random.Random(seed)
+    while True:
+        M = [[rng.randrange(p) for _ in range(k + 1)] for _ in range(n + 1)]
+        if len(gauss_jordan(M, p)[1]) == k + 1:
+            break
+    z = [MultiPoly.variable(field, k + 1, j) for j in range(k + 1)]
+
+    def combine(scalars, polys):
+        out = MultiPoly.zero(field, k + 1)
+        for c, q in zip(scalars, polys):
+            out = out + q.scale(c)
+        return out
+
+    pulled = [substitute_termwise(a, [combine(row, z) for row in M]) for a in fol.coeffs]
+    return foliation_from_form([combine(col, pulled) for col in zip(*M)])
 
 
 def euler_contraction_by_shifts(forms):

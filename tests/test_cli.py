@@ -336,6 +336,10 @@ PINNED_JSON = {
                               "a625460d0d4cff6c1607e31602cf362880ba1fa1f8b6e387a5f702ec2807e46b"),
     "verify-dolgachev-p2": (["verify", "dolgachev", "--json", "--prime", "1000003"],
                             "5e2dcdee66d99e3674d6649bdc8ad405dce6e30602e8d66ad594ab8c357e158b"),
+    # a Gauss degree of a P^4 foliation cut to a generic P^3, at the second prime
+    "gauss-fermat-quartic-p2": (["gauss", "--poly", "x0^4+x1^4+x2^4+x3^4", "--k", "3",
+                                 "--i", "0", "--prime", "1000003", "--json"],
+                                "cffd4a6d89d9acdae69bf1362329607302a08789e082e66d36dbd4925aaccf60"),
     # smooth over QQ, but a triangle of lines mod 1000003: its polar map has
     # base points at this prime and none at the default one
     "polar-cubic-triangle-p2": (["polar", "--poly", "x0^3 + x1^3 + x2^3 - 1498503*x0*x1*x2",

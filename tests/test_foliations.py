@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import ScriptedStream, qq
+from _oracles import full_embedding_section
+from conftest import ScriptedStream, gfp, qq
 from polardeg import foliations
 from polardeg.errors import DegenerateInputError, FieldMismatchError, GenericityError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
@@ -178,12 +179,64 @@ def test_gauss_map_components():
     assert m.source_dim == 1
 
 
-def test_restriction_preserves_degree(Fp):
-    fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])).to_field(Fp)
-    for seed in (1, 2, 3):
-        r = restrict_to_generic_subspace(fol, 2, seed)
-        assert r.degree == fol.degree == 2
-        assert euler_contraction(r.coeffs).is_zero()
+def _section_foliations():
+    """The sections benchmark's P^4 foliations and the P^3/P^4 corpus."""
+    fols = {f"surface-{idx}": associated_foliation(wf(texts, weights, nvars=4))
+            for idx, (texts, weights) in enumerate(SECTION_SURFACES)}
+    return fols | corpus_foliations()
+
+
+def test_restriction_preserves_degree(Fp, monkeypatch):
+    streams = []
+
+    def counted(seed):
+        streams.append(ScriptedStream(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(foliations, "SeedStream", counted)
+    for fol in _section_foliations().values():
+        fol, n = fol.to_field(Fp), fol.ambient_dim
+        for k in range(2, n):
+            for seed in (1, 2, 3):
+                r = restrict_to_generic_subspace(fol, k, seed)
+                assert r.degree == fol.degree and r.ambient_dim == k
+                assert euler_contraction(r.coeffs).is_zero()
+                # the first graph block drawn is kept
+                assert streams[-1].calls == (n - k) * (k + 1)
+
+
+def test_restriction_pins_the_graph_embedding(Fp, monkeypatch):
+    # x3 = z0 on the conic's foliation: the coefficient of dz0 is
+    # x0*x3 - (x0^2 + x1^2 + x2^2) = -(z1^2 + z2^2), made monic
+    streams = []
+
+    def scripted(seed):
+        streams.append(ScriptedStream(seed, {0: 1, 1: 0, 2: 0}))
+        return streams[-1]
+
+    fol = associated_foliation(wf(["x0^2 + x1^2 + x2^2"], [1])).to_field(Fp)
+    monkeypatch.setattr(foliations, "SeedStream", scripted)
+    r = restrict_to_generic_subspace(fol, 2, seed=0)
+    assert streams[-1].calls == 3
+    assert r.degree == 1
+    assert r.coeffs == tuple(gfp(t) for t in ("x1^2 + x2^2", "0 - x0*x1", "0 - x0*x2"))
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 1000003])
+@pytest.mark.parametrize("name", list(_section_foliations()))
+def test_graph_sections_match_full_embeddings(name, prime):
+    # a graph section and a full random embedding are two draws of a generic
+    # P^k: every Gauss-map degree agrees
+    field = GF(prime)
+    fol = _section_foliations()[name]
+    n = fol.ambient_dim
+    for k in range(2, n):
+        oracle = full_embedding_section(fol.to_field(field), k, seed=k)
+        assert oracle.degree == fol.degree
+        for i in range(k):
+            want = map_degree(gauss_map(oracle), i, seed=i, field=field).value
+            got = e_degree(fol, k, i, seed=i, field=field).value
+            assert want is not None and got == want, (k, i)
 
 
 def test_restriction_redraws_a_degenerate_embedding(Fp, monkeypatch):
@@ -198,16 +251,17 @@ def test_restriction_redraws_a_degenerate_embedding(Fp, monkeypatch):
     fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1])).to_field(Fp)
     monkeypatch.setattr(foliations, "SeedStream", scripted({}))
     want = restrict_to_generic_subspace(fol, 2, seed=5)
-    assert streams[-1].calls == 12
-    # an embedding with a zero x0 row maps P^2 into the invariant plane
-    # x0 = 0; the stream's next 12 draws are the embedding that is kept
+    assert streams[-1].calls == 3
+    # a zero graph block embeds P^2 as the invariant plane x3 = 0; scripted
+    # answers do not advance the generator, so the next 3 draws are the ones
+    # the first call kept
     monkeypatch.setattr(foliations, "SeedStream", scripted(dict.fromkeys(range(3), 0)))
     got = restrict_to_generic_subspace(fol, 2, seed=5)
-    assert streams[-1].calls == 24
-    assert got.degree == fol.degree and got != want
-    # every draw zero: no embedding has full rank
+    assert streams[-1].calls == 6
+    assert got.degree == fol.degree and got == want
+    # every draw zero: every section is that invariant plane
     monkeypatch.setattr(foliations, "SeedStream", scripted(dict.fromkeys(range(1000), 0)))
-    with pytest.raises(GenericityError, match="rank-deficient embedding matrix$"):
+    with pytest.raises(GenericityError, match="subspace is invariant$"):
         restrict_to_generic_subspace(fol, 2, seed=5)
 
 
