@@ -78,12 +78,10 @@ def logarithmic_form(W: WeightedFunction) -> tuple:
 
     Entry a is sum_j mu_j * Fhat_j * dF_j/dx_a with integer-scaled weights;
     the radial contraction equals the scaled total degree times the product
-    of the factors.
+    of the factors.  It is not zero: sum mu_j dF_j/F_j has residue mu_j along
+    F_j = 0 (mod p a weight may zero it; foliation_from_form refuses that).
     """
-    comps = weighted_gradient(W)
-    if all(c.is_zero() for c in comps):
-        raise DegenerateInputError("weights annihilate the differential")
-    return tuple(comps)
+    return tuple(weighted_gradient(W))
 
 
 def foliation_from_form(coeffs) -> LogFoliation:

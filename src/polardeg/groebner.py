@@ -24,10 +24,10 @@ the combination it weights: polar's fiber systems of drawn linear data.
 Each poly is packed once and each combination summed on packed monomials.
 
 Overflow rule: each field is at most the total degree, so widths are sized
-from the degree of the input polys.  A monomial that does not fit (an input or lcm of too
-high degree, a product with a guard bit set, a standard monomial times a
-variable) restarts the computation with fields twice as wide, and past
-_MAX_VALUE_BITS raises ResourceLimitError.
+from the degree of the input polys.  Inputs, S-pair lcms and standard
+monomials times a variable are checked where they are formed (reductions
+need no check, see _reduce); one that does not fit restarts the computation
+with fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 
 Quotient queries: groebner enumerates the standard monomials of a
 zero-dimensional basis in its packing, at most MAX_QUOTIENT of them (a
@@ -172,7 +172,10 @@ def _reduce(items, basis, guards, prime):
     packed monomials (stored negated); over GF(p) they are reduced once, when
     their monomial is popped.  Every step cancels the largest remaining
     monomial and adds only smaller ones, so each monomial is popped once.
-    Returns the remainder's terms in descending order.
+    Returns the remainder's terms in descending order.  No step overflows:
+    every monomial handed in fits (inputs, S-pair terms under a checked lcm,
+    checked border monomials, tails), and a step's new terms tm + (m - lm)
+    have deg tm <= deg lm, so no field passes deg m.
     """
     acc: dict = {}
     heap: list = []
@@ -189,8 +192,6 @@ def _reduce(items, basis, guards, prime):
     while heap:
         m = -pop(heap)
         c = acc.pop(m)
-        if m & guards:
-            raise _Overflow
         if prime:
             c %= prime
         if not c:

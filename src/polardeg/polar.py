@@ -20,7 +20,7 @@ from .errors import DegenerateInputError, FieldMismatchError
 from .fields import PrimeField
 from .groebner import common_factor, groebner, is_reduced_zero_dim, quotient_dimension
 from .linalg import rank, row_reduce
-from .poly import MultiPoly, euler_contraction, exact_divide, gradient, homogeneous_degree
+from .poly import MultiPoly, euler_contraction, gradient, homogeneous_degree
 from .rand import SeedStream, random_vector
 
 DEFAULT_TRIALS = 5
@@ -43,8 +43,10 @@ def _is_squarefree(F: MultiPoly) -> bool:
 
 @dataclass(frozen=True)
 class WeightedFunction:
-    """A formal product of squarefree coprime homogeneous factors with
-    nonzero rational weights."""
+    """A formal product of nonconstant homogeneous factors with nonzero
+    rational weights whose product F is squarefree.  That one check stands
+    for each factor squarefree and every two coprime: an irreducible g with
+    g^2 | F divides one factor twice or two factors once each."""
 
     factors: tuple
     weights: tuple
@@ -63,14 +65,10 @@ class WeightedFunction:
                 raise FieldMismatchError("factors live in different rings")
             if homogeneous_degree(f) < 1:
                 raise DegenerateInputError("factors must be nonconstant homogeneous forms")
-            if not _is_squarefree(f):
-                raise DegenerateInputError(f"factor {f} is not squarefree")
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                if not common_factor([factors[a], factors[b]]).is_constant():
-                    raise DegenerateInputError(
-                        f"factors {factors[a]} and {factors[b]} share a component")
-        return cls(factors, weights)
+        W = cls(factors, weights)
+        if not _is_squarefree(W.product()):
+            raise DegenerateInputError("the product of the factors is not squarefree")
+        return W
 
     @property
     def field(self):
@@ -146,7 +144,7 @@ class RationalMapRep:
 
     def _reduce(self, field) -> "RationalMapRep":
         polys = [c.to_field(field) for c in self.components]
-        # a homogeneous form keeps its degree mod p unless it vanishes
+        # a homogeneous form keeps its degree mod p unless it vanishes: `of` cannot fail
         if any(p.is_zero() and not c.is_zero() for p, c in zip(polys, self.components)):
             raise DegenerateInputError(
                 f"bad reduction: a component vanishes modulo {field.modulus}")
@@ -158,7 +156,7 @@ class RationalMapRep:
             raise DegenerateInputError(
                 f"bad reduction: the components gain a common factor {common} "
                 f"modulo {field.modulus}")
-        return RationalMapRep.of(polys)
+        return RationalMapRep(tuple(polys))
 
 
 @dataclass(frozen=True)
@@ -226,18 +224,19 @@ def weighted_gradient(W: WeightedFunction) -> list:
 
 
 def weighted_polar_map(W: WeightedFunction) -> RationalMapRep:
-    """Polar map of the weighted product, common polynomial factor removed."""
+    """Polar map of the weighted product: the weighted gradient N, whose
+    components share no factor.  Euler gives sum x_a N_a = (sum mu_j d_j) F,
+    nonzero as the zero total degree is refused, so an irreducible g dividing
+    every N_a divides F, hence one factor F_i = g h only; mod g just
+    mu_i Fhat_i dF_i is left, so g | dF_i, g | h dg and g^2 | F_i, which
+    WeightedFunction.of refuses.  Over GF(p) a weight divisible by p can leave
+    a common factor; map_degree still counts the cleared map, as the factor
+    is nonzero on the cone and its zeros on Lambda are base points."""
     if W.total_degree == 0:
         raise DegenerateInputError(
             "total weighted degree is zero: the polar map degenerates to a "
             "Gauss map of a foliation of the same space")
-    comps = weighted_gradient(W)
-    if all(c.is_zero() for c in comps):
-        raise DegenerateInputError("weights annihilate the differential")
-    g = common_factor(comps)
-    if not g.is_constant():
-        comps = [c if c.is_zero() else exact_divide(c, g) for c in comps]
-    return RationalMapRep.of(comps)
+    return RationalMapRep.of(weighted_gradient(W))
 
 
 def _trial_fiber_count(sub, n, i, field, stream, plain=True):

@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, JSON determinism."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -56,6 +57,13 @@ def test_polar_rejects_nonreduced_factors(capsys):
                            "--weights", "1,-2/3")
     assert code == 1
     assert "squarefree" in err
+
+
+def test_polar_rejects_factors_sharing_a_component(capsys):
+    # each factor is squarefree, but x1 divides both: one check of the
+    # product refuses either fault with one message
+    code, out, err = run_cli(capsys, "polar", "--poly", "x0*x1", "--poly", "x1*x2")
+    assert (code, out, err) == (1, "", "error: the product of the factors is not squarefree\n")
 
 
 def test_polar_rejects_zero_weight(capsys):
@@ -139,6 +147,8 @@ BAD_INPUTS = {
     "variable-index-too-long": ["--poly", "x0*x1*x" + "1" * 5000],
     "variable-index-too-large": ["--poly", "x0*x1*x" + "2" * 30],
     "nvars-too-large": ["--poly", "x0*x1*x2", "--nvars", "2" * 30],
+    "no-variables": ["--poly", "1"],
+    "weights-count": ["--poly", "x0", "--poly", "x1", "--weights", "1"],
 }
 BAD_ENV = {"pair-cap": "1", "pair-cap-not-a-number": "many",
            "pair-cap-superscript": "\u00b2"}
@@ -159,6 +169,22 @@ def test_bad_input_never_leaks_an_exception(capsys, monkeypatch, case, verb, jso
     out = capsys.readouterr()
     assert code in (1, 2)
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("verb", ["polar", "gauss", "foliation"])
+@pytest.mark.parametrize("case, message", [
+    ("no-variables", "no variables found in the input polynomials"),
+    ("weights-count", "2 polynomials but 1 weights"),
+], ids=["no-variables", "weights-count"])
+def test_input_refusals_name_their_cause(capsys, case, message, verb, json_flag):
+    head = ["foliation", "--sing-degree"] if verb == "foliation" else [verb]
+    code, out, err = run_cli(capsys, *head, *BAD_INPUTS[case], *json_flag)
+    assert code == 1
+    if json_flag:
+        assert json.loads(out) == {"status": "error", "message": message}
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_nvars_below_one_is_refused_by_name(capsys):
@@ -190,6 +216,13 @@ def test_a_huge_prime_is_refused_by_its_bit_length(capsys):
                              "--prime", str(10**4000 + 1))
     assert (code, out) == (1, "")
     assert err == "error: modulus of 13288 bits does not fit in 62 bits\n"
+
+
+def test_a_composite_modulus_is_refused_by_name(capsys):
+    # 1373653 = 829 * 1657 passes Miller-Rabin to the bases 2 and 3
+    code, out, err = run_cli(capsys, "polar", "--poly", "x0^2+x1^2+x2^2",
+                             "--prime", "1373653")
+    assert (code, out, err) == (1, "", "error: modulus 1373653 is not prime\n")
 
 
 def test_usage_error_exits_2(capsys):
@@ -224,6 +257,24 @@ def test_gauss_foliation_from_spec_string(capsys):
     assert doc["command"] == "gauss(k=3, i=1)"
 
 
+def test_gauss_of_zero_total_degree_foliates_the_same_space(capsys):
+    # weights summing to zero: the log form of x0*x1/x2^2 lives on P^2
+    # itself, a degree-1 foliation by the conics x0*x1 = c*x2^2
+    code, out, _ = run_cli(capsys, "gauss", "--poly", "x0", "--poly", "x1", "--poly", "x2",
+                           "--weights", "1,1,-2", "--k", "2", "--i", "0")
+    assert code == 0
+    assert "ambient P^2, degree 1" in out and "e^2_0 = 1" in out
+
+
+def test_gauss_foliation_from_without_weights_takes_unit_weights(capsys):
+    # no weights segment: every segment is a factor, of weight 1, and the
+    # three lines of P^1 give a foliation of P^2
+    code, out, _ = run_cli(capsys, "gauss", "--foliation-from", "x0; x1; x0+x1",
+                           "--k", "2", "--i", "0")
+    assert code == 0
+    assert "ambient P^2, degree 2" in out and "e^2_0 = 2" in out
+
+
 def test_foliation_sing_degree(capsys):
     code, out, _ = run_cli(capsys, "foliation", "--sing-degree",
                            "--poly", "x0", "--poly", "x1", "--poly", "x2",
@@ -239,6 +290,11 @@ def test_foliation_requires_descent(capsys):
                            "--weights", "1,1,1")
     assert code == 1
     assert "sum to zero" in err
+
+
+def test_foliation_without_a_task_is_refused(capsys):
+    code, out, err = run_cli(capsys, "foliation", "--poly", "x0")
+    assert (code, out, err) == (1, "", "error: nothing to do: pass --sing-degree\n")
 
 
 def test_env_pair_cap_is_honored(capsys, monkeypatch):
@@ -268,6 +324,17 @@ def test_quotient_cap_ends_a_large_count(capsys):
     code, out, err = run_cli(capsys, "polar", "--poly", "x0^60+x1^60+x2^60", "--i", "0")
     assert (code, out) == (1, "")
     assert err == "error: quotient cap exceeded (1024 standard monomials)\n"
+
+
+def test_basis_size_cap_ends_a_run(capsys, monkeypatch):
+    # the package attribute polardeg.groebner is the function, not the module
+    monkeypatch.setattr(importlib.import_module("polardeg.groebner"), "DEFAULT_MAX_BASIS", 2)
+    argv = ["polar", "--poly", "x0^3+x1^3+x2^3", "--i", "0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: basis size cap exceeded (2)\n")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out) == {"status": "error", "message": "basis size cap exceeded (2)"}
 
 
 def test_verify_dolgachev(capsys):

@@ -263,6 +263,18 @@ def test_restriction_redraws_a_degenerate_embedding(Fp, monkeypatch):
     monkeypatch.setattr(foliations, "SeedStream", scripted(dict.fromkeys(range(1000), 0)))
     with pytest.raises(GenericityError, match="subspace is invariant$"):
         restrict_to_generic_subspace(fol, 2, seed=5)
+    # the block (1, 0, 0) cuts the plane x3 = x0 through the singular line
+    # x0 = x3 = 0: the pulled-back form gains the factor z0, and its degree
+    # drops from 2 to 1, so the block is redrawn from the seeded stream
+    monkeypatch.setattr(foliations, "SeedStream", scripted({0: 1, 1: 0, 2: 0}))
+    got = restrict_to_generic_subspace(fol, 2, seed=5)
+    assert streams[-1].calls == 6
+    assert got.degree == fol.degree and got == want
+    # every block (1, 0, 0): every section meets the singular line
+    monkeypatch.setattr(foliations, "SeedStream",
+                        scripted({c: int(c % 3 == 0) for c in range(1000)}))
+    with pytest.raises(GenericityError, match="degree dropped from 2 to 1$"):
+        restrict_to_generic_subspace(fol, 2, seed=5)
 
 
 def test_restriction_to_line_gives_unique_foliation(Fp):

@@ -755,6 +755,13 @@ def test_quotient_cap_is_reported():
         GB(gfp(f"x0^{cap + 1} - 1", 1))
 
 
+def test_basis_size_cap_is_reported(monkeypatch):
+    # the first nonzero S-pair reduction of these cubics builds a third element
+    monkeypatch.setattr(importlib.import_module("polardeg.groebner"), "DEFAULT_MAX_BASIS", 2)
+    with pytest.raises(ResourceLimitError, match=r"^basis size cap exceeded \(2\)$"):
+        GB(qq("x0^3 + x1^3 + x2^3"), qq("x0*x1*x2 - x2^3"))
+
+
 def test_packed_exponent_overflow_widens_or_refuses():
     G = GB(qq("x0 - x1^40000", 2))
     assert G.basis == (qq("x1^40000 - x0", 2),)

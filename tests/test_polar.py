@@ -9,10 +9,10 @@ import pytest
 
 from _oracles import plane_map_fiber_count
 from conftest import ScriptedStream, gfp, qq
-from polardeg import foliations, linalg, polar, poly
+from polardeg import foliations, linalg, polar, poly, verify
 from polardeg.errors import DegenerateInputError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
-from polardeg.groebner import groebner, is_reduced_zero_dim
+from polardeg.groebner import common_factor, groebner, is_reduced_zero_dim
 from polardeg.poly import MultiPoly
 from polardeg.polar import (RationalMapRep, WeightedFunction, map_degree,
                             polar_degrees_profile, polar_map, weighted_polar_map)
@@ -51,6 +51,89 @@ def test_weighted_polar_map_degenerate_single_line():
     W = WeightedFunction.of([qq("x0")], [1])
     m = weighted_polar_map(W)
     assert str(m.components[0]) == "1"
+
+
+def _corpus_products(monkeypatch) -> list:
+    """Every weighted product the verification corpus builds."""
+    built, real = [], WeightedFunction.of.__func__
+
+    def record(cls, factors, weights):
+        built.append(real(cls, factors, weights))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightedFunction, "of", classmethod(record))
+        verify.corpus_weighted()
+        verify.corpus_foliations()
+        for k in range(2, 6):
+            verify.resonance_weighted(k, True)
+            verify.resonance_weighted(k, False)
+            verify.resonance_plane_foliation(k)
+        for _, factors, weight_sets in verify.invariance_instances():
+            for weights in weight_sets:
+                WeightedFunction.of(factors, weights)
+    return built
+
+
+def _random_products(seed: int, count: int) -> list:
+    """Seeded products of 2-4 random forms of degree 1-3 on P^2 over QQ."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            d = rng.randint(1, 3)
+            terms = [(e, QQ.from_int(rng.randint(-9, 9)))
+                     for e in product(range(d + 1), repeat=3) if sum(e) == d]
+            factors.append(MultiPoly.from_terms(QQ, 3, terms))
+        weights = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in factors]
+        try:
+            out.append(WeightedFunction.of(factors, weights))
+        except DegenerateInputError:    # a constant or non-squarefree draw
+            continue
+    return out
+
+
+def test_a_weighted_gradient_needs_no_check_after_validation(monkeypatch):
+    # WeightedFunction.of checks only that the product is squarefree; this is
+    # all that weighted_polar_map and logarithmic_form need, so they check
+    # nothing more (the proof is in weighted_polar_map's docstring)
+    three_lines = [WeightedFunction.of([qq(t) for t in texts], [1, 1, -2])
+                   for texts in (("x0", "x1", "x2"), ("x0", "x1", "x0 + x1"))]
+    products = _corpus_products(monkeypatch) + three_lines + _random_products(7, 40)
+    assert len(products) > 60
+    for W in products:
+        comps = polar.weighted_gradient(W)
+        assert any(not c.is_zero() for c in comps), W
+        if W.total_degree != 0:
+            assert common_factor(comps).is_constant(), W
+            assert weighted_polar_map(W).components == tuple(comps)
+    # four planes of P^3, the resonance planes, and the three lines; Euler's
+    # relation proves nothing here, and the concurrent lines' form keeps the
+    # factor x0 - x1, which foliation_from_form divides out
+    zero_total = [W for W in products if W.total_degree == 0]
+    assert len(zero_total) >= 7
+    for W in zero_total:
+        assert any(not c.is_zero() for c in foliations.logarithmic_form(W))
+
+
+@pytest.mark.parametrize("texts, weights, degrees", [
+    (("x0", "x1", "x2"), (SECOND_PRIME, 1, 1), [0, 1]),
+    (("x0^2 + x1^2 + x2^2", "x2"), (SECOND_PRIME, 1), [0, 0]),
+])
+def test_a_weight_divisible_by_p_counts_the_cleared_map(texts, weights, degrees):
+    # mod p the first weight vanishes, and the components keep a common
+    # factor h; h is nonzero on the cone and its zeros are base points, so
+    # the degrees are those of the map with h divided out
+    field = GF(SECOND_PRIME)
+    W = WeightedFunction.of([gfp(t, prime=SECOND_PRIME) for t in texts], weights)
+    m = weighted_polar_map(W)
+    h = common_factor(list(m.components))
+    assert not h.is_constant()
+    cleared = RationalMapRep.of([c if c.is_zero() else poly.exact_divide(c, h)
+                                 for c in m.components])
+    for i, want in enumerate(degrees):
+        got = [map_degree(rep, i, field=field) for rep in (m, cleared)]
+        assert [r.value for r in got] == [want, want] and all(r.stable for r in got)
 
 
 def test_weighted_function_validation():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt, prod
 
 import pytest
 
@@ -49,6 +50,36 @@ def test_field_range_boundaries():
     largest = 4611686018427387847       # the largest prime below 2^62
     assert fields.PrimeField(largest).modulus == largest
     assert fields.PrimeField(fields.MIN_PRIME).modulus == fields.MIN_PRIME
+
+
+# composite moduli in range, as factorizations: 1000005 has a small factor,
+# and the others are strong pseudoprimes to the first 2 to 11 of the 12
+# Miller-Rabin bases, so only a later base refuses them; the last is below 2^62
+COMPOSITE_MODULI = {
+    1000005: (3, 5, 66667),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMPOSITE_MODULI))
+def test_a_composite_modulus_in_range_is_refused(n):
+    assert prod(COMPOSITE_MODULI[n]) == n and fields.MIN_PRIME <= n < fields.MAX_PRIME
+    assert not fields.is_prime(n)
+    with pytest.raises(DegenerateInputError, match=f"^modulus {n} is not prime$"):
+        GF(n)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+    assert all(fields.is_prime(n) == by_trial(n) for n in range(20000))
 
 
 def test_add_cancellation_and_identity():
