@@ -10,7 +10,8 @@ random linear map from the first k + 1 coordinates to the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from functools import cached_property
 from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
@@ -42,14 +43,15 @@ def integrability_defect(coeffs) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LogFoliation:
+class LogFoliation(namedtuple("LogFoliation", "coeffs degree")):
     """A projective foliation: unit-gcd 1-form coefficients plus its degree."""
 
-    coeffs: tuple
-    degree: int
-    # checked reductions modulo primes, by field: each is validated once
-    _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    @cached_property
+    def _reductions(self) -> dict:
+        """Checked reductions modulo primes, by field: each is validated
+        once.  Kept in the instance dict, so equality and the hash see only
+        the coefficients and the degree."""
+        return {}
 
     @property
     def field(self):

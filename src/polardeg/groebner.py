@@ -42,7 +42,7 @@ in ell; their gcd with mu finds the points where all of them vanish.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import cache, cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -103,19 +103,26 @@ class _Packing:
 _packing = cache(_Packing)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    field: object
-    nvars: int
-    lead_exps: tuple
-    packing: _Packing = dc_field(compare=False, repr=False)
-    # monic (leading monomial, tail terms) pairs, packed by `packing`
-    elems: tuple = dc_field(repr=False)
-    # the standard monomials ascending, packed by `packing`, which fits each
-    # of them times a variable; None unless the ideal is zero-dimensional
-    standard: tuple | None = dc_field(compare=False, repr=False)
-    # the packed terms of the polys that the generators combine
-    span: tuple = dc_field(compare=False, repr=False)
+class GroebnerBasis(namedtuple(
+        "GroebnerBasis", "field nvars lead_exps elems packing standard span")):
+    """A reduced basis and what groebner keeps for the quotient queries.
+
+    elems are the monic (leading monomial, tail terms) pairs; standard the
+    standard monomials ascending, None unless the ideal is zero-dimensional;
+    both packed by packing, which fits each standard monomial times a
+    variable.  span holds the packed terms of the polys that the generators
+    combine.  Bases compare by their first four fields and hash by the
+    first three, as elems holds lists.
+    """
+
+    def __eq__(self, other):
+        return isinstance(other, GroebnerBasis) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @cached_property
     def basis(self) -> tuple:
@@ -348,7 +355,7 @@ def groebner(polys, rows=None) -> GroebnerBasis:
             # (the unit ideal's lead 1 is the 0th power of each)
             finite = all(any(e[v] == sum(e) for e in leads) for v in range(nvars))
             standard = _standard_monomials(elems, pk) if finite else None
-            return GroebnerBasis(field, nvars, leads, pk, elems, standard, tuple(packed))
+            return GroebnerBasis(field, nvars, leads, elems, pk, standard, tuple(packed))
         except _Overflow:
             if vbits == _MAX_VALUE_BITS:
                 raise ResourceLimitError(

@@ -11,9 +11,9 @@ stability flags.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import DegenerateInputError, FieldMismatchError
@@ -41,15 +41,13 @@ def _is_squarefree(F: MultiPoly) -> bool:
     return common_factor([F, *gradient(F)]).is_constant()
 
 
-@dataclass(frozen=True)
-class WeightedFunction:
+class WeightedFunction(namedtuple("WeightedFunction", "factors weights")):
     """A formal product of nonconstant homogeneous factors with nonzero
     rational weights whose product F is squarefree.  That one check stands
     for each factor squarefree and every two coprime: an irreducible g with
     g^2 | F divides one factor twice or two factors once each."""
 
-    factors: tuple
-    weights: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, factors, weights) -> "WeightedFunction":
@@ -95,13 +93,15 @@ class WeightedFunction:
         return out
 
 
-@dataclass(frozen=True)
-class RationalMapRep:
+class RationalMapRep(namedtuple("RationalMapRep", "components")):
     """n+1 equal-degree forms representing a rational self-map of P^n."""
 
-    components: tuple
-    # checked reductions modulo primes, by field: each is validated once
-    _reductions: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    @cached_property
+    def _reductions(self) -> dict:
+        """Checked reductions modulo primes, by field: each is validated
+        once.  Kept in the instance dict, so equality and the hash see only
+        the components."""
+        return {}
 
     @classmethod
     def of(cls, components) -> "RationalMapRep":
@@ -159,22 +159,13 @@ class RationalMapRep:
         return RationalMapRep(tuple(polys))
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    seed: int
-    value: int | None
-    zero_dim: bool
-    reduced: bool
+TrialOutcome = namedtuple("TrialOutcome", "seed value zero_dim reduced")
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(namedtuple("DegreeReport", "i value trials stable")):
     """Outcome of one randomized degree computation at one level."""
 
-    i: int
-    value: int | None
-    trials: tuple
-    stable: bool
+    __slots__ = ()
 
     @classmethod
     def from_trials(cls, i: int, trials) -> "DegreeReport":
@@ -212,13 +203,13 @@ def weighted_gradient(W: WeightedFunction) -> list:
     for p in reversed(polys):
         suffix.append(suffix[-1] * p)
     suffix.reverse()
+    hats = [prefix[j] * suffix[j + 1] for j in range(k)]
     mu = [field.from_int(m) for m in W.integer_weights()]
     out = []
     for a in range(nv):
         acc = MultiPoly.zero(field, nv)
         for j in range(k):
-            hat = prefix[j] * suffix[j + 1]
-            acc = acc + (hat * polys[j].diff(a)).scale(mu[j])
+            acc = acc + (hats[j] * polys[j].diff(a)).scale(mu[j])
         out.append(acc)
     return out
 

@@ -10,7 +10,7 @@ the working prime field; outcomes are reproducible bit for bit from
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -37,15 +37,10 @@ def derive_seed(base: int, *parts: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
-    claim: str
-    instance: str
-    left: tuple
-    right: tuple
-    passed: bool
-    reports: tuple = ()
-    label: str = "ok"
+class VerificationOutcome(namedtuple(
+        "VerificationOutcome", "claim instance left right passed reports label",
+        defaults=((), "ok"))):
+    __slots__ = ()
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -57,7 +52,7 @@ def _memo(fn, obj, *args, trials, seed, field, cache):
     """fn(obj, *args, ...) through the memo dict cache; None memoizes nothing.
 
     The key holds fn's name, so map_degree and e_degree entries never meet,
-    and obj itself: a frozen map or foliation hashes and compares by its
+    and obj itself: a map or foliation hashes and compares by its
     polys, not by its cached reductions.
     Callers pass fn as looked up in this module at call time, so a wrapper
     swapped onto the module attribute sees every call that is computed.
@@ -219,9 +214,10 @@ def corpus_weighted() -> dict:
 
 def corpus_foliations() -> dict:
     """Foliations on P^3 and P^4 used by the Gauss-identity suite."""
+    W = corpus_weighted()
     return {
-        "conic-attached": associated_foliation(corpus_weighted()["conic"]),
-        "triangle-attached": associated_foliation(corpus_weighted()["triangle"]),
+        "conic-attached": associated_foliation(W["conic"]),
+        "triangle-attached": associated_foliation(W["triangle"]),
         "four-planes-p3": foliation_from_form(logarithmic_form(WeightedFunction.of(
             [parse_poly(s, 4, QQ) for s in ("x0", "x1", "x2", "x0+x1+x2+x3")],
             [1, 1, 1, -3]))),

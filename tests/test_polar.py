@@ -93,6 +93,24 @@ def _random_products(seed: int, count: int) -> list:
     return out
 
 
+def test_weighted_gradient_forms_each_cofactor_once(monkeypatch):
+    # five planes of P^3: 5 prefix, 5 suffix and 5 cofactor products, then
+    # one product per factor and variable
+    W = WeightedFunction.of([qq(t, 4) for t in ("x0", "x1", "x2", "x3",
+                                                "x0 + 2*x1 + 3*x2 + 4*x3")],
+                            [1, 2, 3, 4, 5])
+    expected = polar.weighted_gradient(W)
+    products, real = [], MultiPoly.__mul__
+
+    def counted(p, q):
+        products.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert polar.weighted_gradient(W) == expected
+    assert len(products) == 5 + 5 + 5 + 5 * 4
+
+
 def test_a_weighted_gradient_needs_no_check_after_validation(monkeypatch):
     # WeightedFunction.of checks only that the product is squarefree; this is
     # all that weighted_polar_map and logarithmic_form need, so they check

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import qq
+from polardeg import verify
 from polardeg.errors import DegenerateInputError
 from polardeg.foliations import associated_foliation
 from polardeg.polar import WeightedFunction
@@ -97,6 +98,17 @@ def test_resonance_example_small():
 def test_resonance_singular_check():
     out = run_resonance_singular_check(2)
     assert out.passed and out.left == (7,)
+
+
+def test_corpus_foliations_builds_the_weighted_corpus_once(monkeypatch):
+    calls, real = [], verify.corpus_weighted
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(verify, "corpus_weighted", counted)
+    assert len(verify.corpus_foliations()) == 4 and len(calls) == 1
 
 
 def test_memo_reuses_every_report_and_keeps_functions_apart():
