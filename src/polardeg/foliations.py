@@ -1,17 +1,15 @@
 """Logarithmic 1-forms, the foliations they induce, and Gauss-map degrees.
 
-A foliation of P^n is stored through the coefficients of a homogeneous
-1-form sum(a_i dx_i) with radial contraction zero and unit coefficient gcd;
-its degree is the common coefficient degree minus one.  The e-invariants are
-degrees of the Gauss map of the foliation restricted to a generic linear
-subspace, with the subspace drawn over a prime field as the graph of a
-random linear map from the first k + 1 coordinates to the others.
+A foliation of P^n is stored as its Gauss map [a_0 : ... : a_n], the
+coefficients of a homogeneous 1-form sum(a_i dx_i) with radial contraction
+zero and unit coefficient gcd; its degree is their degree minus one.  The
+e-invariants are degrees of the Gauss map of the foliation restricted to a
+generic linear subspace, with the subspace drawn over a prime field as the
+graph of a random linear map from the first k + 1 coordinates to the others.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property
 from itertools import combinations
 
 from .errors import DegenerateInputError, FieldMismatchError, GenericityError
@@ -43,36 +41,26 @@ def integrability_defect(coeffs) -> list:
     return out
 
 
-class LogFoliation(namedtuple("LogFoliation", "coeffs degree")):
-    """A projective foliation: unit-gcd 1-form coefficients plus its degree."""
-
-    @cached_property
-    def _reductions(self) -> dict:
-        """Checked reductions modulo primes, by field: each is validated
-        once.  Kept in the instance dict, so equality and the hash see only
-        the coefficients and the degree."""
-        return {}
+class LogFoliation(RationalMapRep):
+    """A projective foliation, stored as its Gauss map: the components are
+    the unit-gcd 1-form coefficients, and the reduction mod p is the map's."""
 
     @property
-    def field(self):
-        return self.coeffs[0].field
+    def coeffs(self) -> tuple:
+        return self.components
+
+    @property
+    def degree(self) -> int:
+        """The common coefficient degree minus one."""
+        return next(p for p in self.components if not p.is_zero()).total_degree() - 1
 
     @property
     def nvars(self) -> int:
-        return self.coeffs[0].nvars
+        return self.components[0].nvars
 
     @property
     def ambient_dim(self) -> int:
         return self.nvars - 1
-
-    def to_field(self, field) -> "LogFoliation":
-        """The reduction mod p, checked as the reduction of the Gauss map."""
-        if field == self.field:
-            return self
-        if field not in self._reductions:
-            self._reductions[field] = LogFoliation(
-                gauss_map(self).to_field(field).components, self.degree)
-        return self._reductions[field]
 
 
 def logarithmic_form(W: WeightedFunction) -> tuple:
@@ -129,37 +117,29 @@ def _clear_form(polys) -> LogFoliation:
     if lead != field.one():
         inv = field.inv(lead)
         polys = [p.scale(inv) for p in polys]
-    return LogFoliation(tuple(polys), first.total_degree() - 1)
+    return LogFoliation(tuple(polys))
 
 
 def associated_foliation(W: WeightedFunction) -> LogFoliation:
     """The foliation on P^{n+1} attached to a weighted product on P^n.
 
     Coefficients are the weighted gradient times the new variable, with last
-    entry minus the scaled total degree times the product of the factors.
-    It is a function times a closed logarithmic form, so integrable, and
-    its contraction x_{n+1} F (sum mu_j d_j - total) is 0: no re-check.
+    entry minus the scaled total degree times the product F of the factors,
+    which by Euler is minus the gradient's radial contraction.  It is a
+    function times a closed logarithmic form, so integrable, and its
+    contraction x_{n+1} F (sum mu_j d_j - total) is 0: no re-check.
     """
     if W.total_degree == 0:
         raise DegenerateInputError(
             "zero total weighted degree: the log derivative already lives on P^n")
     field, nv = W.field, W.nvars
     comps = weighted_gradient(W)
-    mu = W.integer_weights()
-    total = sum(m * f.total_degree() for m, f in zip(mu, W.factors))
     lifted = [MultiPoly(field, nv + 1,
                         {exp + (1,): c for exp, c in p.terms.items()})
               for p in comps]
-    prod = W.product()
-    last = MultiPoly(field, nv + 1,
-                     {exp + (0,): c for exp, c in prod.terms.items()})
-    last = last.scale(field.neg(field.from_int(total)))
+    last = MultiPoly(field, nv + 1, {exp + (0,): field.neg(c) for exp, c
+                                     in euler_contraction(comps).terms.items()})
     return _clear_form(lifted + [last])
-
-
-def gauss_map(fol: LogFoliation) -> RationalMapRep:
-    """The coefficients read as a rational map to the dual projective space."""
-    return RationalMapRep.of(fol.coeffs)
 
 
 def restrict_to_generic_subspace(fol: LogFoliation, k: int, seed: int) -> LogFoliation:
@@ -217,7 +197,7 @@ def e_degree(fol: LogFoliation, k: int, i: int, trials: int = DEFAULT_TRIALS,
     degree_seed = master.child_seed()
     if k < n:
         fol = restrict_to_generic_subspace(fol, k, restrict_seed)
-    return map_degree(gauss_map(fol), i, trials=trials, seed=degree_seed, field=field)
+    return map_degree(fol, i, trials=trials, seed=degree_seed, field=field)
 
 
 def singular_scheme_degree_p2(fol: LogFoliation) -> int:

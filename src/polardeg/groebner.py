@@ -364,11 +364,6 @@ def groebner(polys, rows=None) -> GroebnerBasis:
             vbits = min(2 * vbits, _MAX_VALUE_BITS)
 
 
-def is_zero_dimensional(G: GroebnerBasis) -> bool:
-    """True iff the quotient ring is a finite-dimensional vector space."""
-    return G.standard is not None
-
-
 def quotient_dimension(G: GroebnerBasis) -> int:
     """Vector-space dimension of the quotient ring of a zero-dimensional ideal."""
     if G.standard is None:

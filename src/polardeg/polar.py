@@ -156,7 +156,7 @@ class RationalMapRep(namedtuple("RationalMapRep", "components")):
             raise DegenerateInputError(
                 f"bad reduction: the components gain a common factor {common} "
                 f"modulo {field.modulus}")
-        return RationalMapRep(tuple(polys))
+        return type(self)(tuple(polys))
 
 
 TrialOutcome = namedtuple("TrialOutcome", "seed value zero_dim reduced")

@@ -337,7 +337,7 @@ def euler_contraction(forms) -> MultiPoly:
     """
     polys = list(forms)
     if not polys:
-        raise ValueError("empty coefficient sequence")
+        raise DegenerateInputError("empty coefficient sequence")
     field, nvars = polys[0].field, polys[0].nvars
     if nvars != len(polys):
         raise FieldMismatchError(
@@ -346,7 +346,7 @@ def euler_contraction(forms) -> MultiPoly:
         raise FieldMismatchError("coefficients live in different rings")
     degs = {p.total_degree() for p in polys if not p.is_zero()}
     if len(degs) > 1:
-        raise ValueError(f"coefficient degrees differ: {sorted(degs)}")
+        raise DegenerateInputError(f"coefficient degrees differ: {sorted(degs)}")
     zero, acc = field.zero(), {}
     for i, p in enumerate(polys):
         for exp, c in p.terms.items():

@@ -86,7 +86,7 @@ def verify_gauss_theorem(fol: LogFoliation, k: int, i: int,
                          instance: str = "") -> VerificationOutcome:
     """e_i^k = e_0^{k-i} + e_0^{k-i+1}, both sides computed independently."""
     if not (2 <= k <= fol.ambient_dim and 1 <= i <= k - 1):
-        raise ValueError(f"inadmissible pair (k, i) = ({k}, {i})")
+        raise DegenerateInputError(f"inadmissible pair (k, i) = ({k}, {i})")
     memo = partial(_memo, trials=trials, field=field, cache=cache)
     lhs = memo(e_degree, fol, k, i, seed=derive_seed(seed, 1, k, i))
     r1 = memo(e_degree, fol, k - i, 0, seed=derive_seed(seed, 2, k - i, 0))
@@ -105,7 +105,7 @@ def verify_gauss_corollary(fol: LogFoliation, k: int, i: int, s: int,
     for i = s the two sides genuinely differ whenever e_0^{k-i+1} is nonzero.
     """
     if not (s >= 1 and s + 2 <= k <= fol.ambient_dim and 2 <= i <= k - 1 and i - s >= 1):
-        raise ValueError(f"inadmissible triple (k, i, s) = ({k}, {i}, {s})")
+        raise DegenerateInputError(f"inadmissible triple (k, i, s) = ({k}, {i}, {s})")
     memo = partial(_memo, trials=trials, field=field, cache=cache)
     lhs = memo(e_degree, fol, k, i, seed=derive_seed(seed, 1, k, i))
     rhs = memo(e_degree, fol, k - s, i - s, seed=derive_seed(seed, 1, k - s, i - s))

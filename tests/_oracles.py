@@ -11,7 +11,8 @@ Substitution has a term-by-term reference built on MultiPoly's own sum and
 product, and the radial contraction one built on its shift and sum.  The
 restriction of a poly to a line comes from its values at points of the line,
 interpolated.  A foliation's generic section is pulled back along a random
-full-rank embedding matrix, not a graph, term by term.
+full-rank embedding matrix, not a graph, term by term.  The foliation
+attached to a weighted product has its 1-form from the product formula.
 """
 
 from __future__ import annotations
@@ -541,3 +542,36 @@ def gauss_jordan(rows, p):
         if len(pivots) == len(rows):
             break
     return rows, pivots
+
+
+def associated_form_by_product(W):
+    """The 1-form attached to W on P^{n+1}, uncleared: x_{n+1} times
+    sum_j mu_j Fhat_j dF_j/dx_a for a <= n, then minus the scaled total degree
+    times the product of the factors, mu the weights cleared to integers and
+    Fhat_j the product of the other factors, each formed on its own."""
+    from math import lcm
+
+    from polardeg.poly import MultiPoly
+
+    field, nv, factors = W.field, W.nvars, list(W.factors)
+    scale = lcm(*(w.denominator for w in W.weights))
+    mu = [int(w * scale) for w in W.weights]
+
+    def product(polys):
+        out = MultiPoly.one(field, nv)
+        for f in polys:
+            out = out * f
+        return out
+
+    def lift(p, e):
+        return MultiPoly(field, nv + 1, {exp + (e,): c for exp, c in p.terms.items()})
+
+    form = []
+    for a in range(nv):
+        acc = MultiPoly.zero(field, nv)
+        for j, f in enumerate(factors):
+            hat = product(factors[:j] + factors[j + 1:])
+            acc = acc + (hat * f.diff(a)).scale(field.from_int(mu[j]))
+        form.append(lift(acc, 1))
+    total = sum(m * f.total_degree() for m, f in zip(mu, factors))
+    return form + [lift(product(factors), 0).scale(field.from_int(-total))]

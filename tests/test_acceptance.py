@@ -14,7 +14,7 @@ from _oracles import normal_form, plane_map_fiber_count, plane_map_line_preimage
 from conftest import qq, random_poly
 from polardeg.fields import GF, QQ
 from polardeg.foliations import integrability_defect
-from polardeg.groebner import groebner, is_zero_dimensional, quotient_dimension
+from polardeg.groebner import groebner, quotient_dimension
 from polardeg.parse import parse_poly
 from polardeg.poly import MultiPoly, euler_contraction, gradient
 from polardeg.polar import WeightedFunction, map_degree, polar_map, weighted_polar_map

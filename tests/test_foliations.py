@@ -1,22 +1,24 @@
 """Logarithmic forms, induced foliations, restrictions, e-degrees."""
 
+from fractions import Fraction
+
 import pytest
 
-from _oracles import full_embedding_section
+from _oracles import associated_form_by_product, full_embedding_section
 from conftest import ScriptedStream, gfp, qq
 from polardeg import foliations
 from polardeg.errors import DegenerateInputError, FieldMismatchError, GenericityError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.foliations import (LogFoliation, associated_foliation, e_degree,
                                  expected_plane_singular_degree,
-                                 foliation_from_form, gauss_map,
-                                 integrability_defect, logarithmic_form,
+                                 foliation_from_form, integrability_defect, logarithmic_form,
                                  restrict_to_generic_subspace,
                                  singular_scheme_degree_p2)
 from polardeg.groebner import groebner, ideal_dimension
 from polardeg.poly import euler_contraction, gcd_many
 from polardeg.polar import RationalMapRep, WeightedFunction, map_degree, polar_map
-from polardeg.verify import corpus_foliations, resonance_plane_foliation
+from polardeg.rand import SeedStream
+from polardeg.verify import corpus_foliations, corpus_weighted, resonance_plane_foliation
 
 
 def wf(texts, weights, nvars=3):
@@ -134,6 +136,22 @@ SECTION_SURFACES = (
 )
 
 
+def test_the_attached_form_matches_the_product_formula():
+    # the last coefficient is minus the gradient's radial contraction, which
+    # Euler's identity makes the scaled total degree times the product
+    products = [*corpus_weighted().values(),
+                *(wf(texts, weights, nvars=4) for texts, weights in SECTION_SURFACES),
+                wf(["x0", "x1", "x2", "x3"], [1, 1, 1, 1], nvars=4),
+                wf(["x0", "x1", "x0 + x1 + x2"], [Fraction(1, 2), 3, -1])]
+    for field in (QQ, GF(1000003), GF(DEFAULT_PRIME)):
+        for W in products:
+            W = WeightedFunction.of([f.to_field(field) for f in W.factors], W.weights)
+            got = associated_foliation(W)
+            want = foliations._clear_form(associated_form_by_product(W))
+            assert got == want and got.degree == want.degree
+            assert [str(c) for c in got.coeffs] == [str(c) for c in want.coeffs]
+
+
 def test_integrability_of_constructed_foliations(Fp):
     # associated_foliation and restrict_to_generic_subspace do not re-check
     # integrability or the contraction; both hold by construction
@@ -172,11 +190,26 @@ def test_reduction_is_checked_once_per_prime():
     assert fol.to_field(p).coeffs == tuple(c.to_field(p) for c in fol.coeffs)
 
 
-def test_gauss_map_components():
-    fol = foliation_from_form([qq("x1", 2), qq("0 - x0", 2)])
-    m = gauss_map(fol)
-    assert [str(c) for c in m.components] == ["x1", "-x0"]
-    assert m.source_dim == 1
+def test_a_foliation_is_the_rational_map_of_its_gauss_map():
+    plane = foliation_from_form([qq("x1", 2), qq("0 - x0", 2)])
+    assert [str(c) for c in plane.components] == ["x1", "-x0"]
+    assert plane.source_dim == plane.ambient_dim == 1 and plane.degree == 0
+    assert LogFoliation._fields == ("components",) and plane.coeffs is plane.components
+    fol = associated_foliation(wf(["x0", "x1", "x2"], [1, 1, 1]))
+    p = GF(1000003)
+    reduced = fol.to_field(p)
+    assert type(reduced) is LogFoliation and fol.to_field(p) is reduced
+    assert reduced.degree == fol.degree == 2
+    m = RationalMapRep(fol.components)
+    assert fol == m and hash(fol) == hash(m)
+    # e_degree on the whole space is map_degree at its second child seed
+    master = SeedStream(5)
+    master.child_seed()
+    degree_seed = master.child_seed()
+    n = fol.ambient_dim
+    for i in range(n):
+        assert e_degree(fol, n, i, seed=5, field=p) == \
+            map_degree(fol, i, seed=degree_seed, field=p)
 
 
 def _section_foliations():
@@ -234,7 +267,7 @@ def test_graph_sections_match_full_embeddings(name, prime):
         oracle = full_embedding_section(fol.to_field(field), k, seed=k)
         assert oracle.degree == fol.degree
         for i in range(k):
-            want = map_degree(gauss_map(oracle), i, seed=i, field=field).value
+            want = map_degree(oracle, i, seed=i, field=field).value
             got = e_degree(fol, k, i, seed=i, field=field).value
             assert want is not None and got == want, (k, i)
 
@@ -335,7 +368,7 @@ def test_singular_scheme_degree_rejects_positive_dimensional():
     # gcd clearing strips x2, leaving the pencil: fabricate the degenerate
     # case directly instead
     from polardeg.foliations import LogFoliation
-    bad = LogFoliation((qq("x1*x2"), qq("0 - x0*x2"), qq("0")), 1)
+    bad = LogFoliation((qq("x1*x2"), qq("0 - x0*x2"), qq("0")))
     with pytest.raises(DegenerateInputError):
         singular_scheme_degree_p2(bad)
     assert singular_scheme_degree_p2(fol) == 1
@@ -346,5 +379,6 @@ def test_singular_scheme_degree_past_a_hilbert_plateau():
     # it, x0 times every cubic is): the Hilbert function runs 1, 3, 5, 5, 5,
     # 6, 7, 8, 8, ... and pauses at 5 before it reaches the degree 8
     gens = ["x0^2", "x0*x1^2", "x0*x1*x2", "x0*x2^3", "x1^8 - x2^8"]
-    fol = LogFoliation(tuple(qq(g) for g in gens), 1)
+    fol = LogFoliation(tuple(qq(g) for g in gens))
+    assert fol.degree == 1
     assert singular_scheme_degree_p2(fol) == 8

@@ -13,8 +13,7 @@ from conftest import gfp, qq, random_poly
 from polardeg.errors import DegenerateInputError, FieldMismatchError, ResourceLimitError
 from polardeg.fields import GF, QQ, DEFAULT_PRIME
 from polardeg.groebner import (_line, _restrict_to_line, common_factor, groebner,
-                               ideal_dimension, is_reduced_zero_dim,
-                               is_zero_dimensional, quotient_dimension)
+                               ideal_dimension, is_reduced_zero_dim, quotient_dimension)
 from polardeg.parse import parse_poly
 from polardeg.poly import MultiPoly, gcd_many, gradient, linear_combination, substitute_all
 from polardeg.rand import SeedStream, random_vector
@@ -45,7 +44,7 @@ def test_groebner_coordinate_ideal():
 def test_groebner_two_point_curve_system():
     # x1 = x0^2, x0 = x1^2 -> x0^4 = x0: four solutions over the closure
     G = GB(qq("x0^2 - x1", 2), qq("x1^2 - x0", 2))
-    assert is_zero_dimensional(G)
+    assert G.standard is not None
     assert quotient_dimension(G) == 4
 
 
@@ -294,8 +293,8 @@ def test_normal_form_idempotent_and_linear():
 
 
 def test_is_zero_dimensional_examples():
-    assert is_zero_dimensional(GB(qq("x0", 2), qq("x1", 2)))
-    assert not is_zero_dimensional(GB(qq("x0", 2)))
+    assert GB(qq("x0", 2), qq("x1", 2)).standard is not None
+    assert GB(qq("x0", 2)).standard is None
 
 
 def test_cremona_fiber_system_zero_dimensional():
@@ -313,7 +312,7 @@ def test_cremona_fiber_system_zero_dimensional():
         ((0, 0, 1), rng.below(DEFAULT_PRIME)),
         ((0, 0, 0), F.neg(F.one()))))
     G = groebner([e1, e2, chart])
-    assert is_zero_dimensional(G)
+    assert G.standard is not None
 
 
 def test_quotient_dimension_examples():
@@ -689,7 +688,7 @@ def _random_zero_dim_systems(count):
         if any(g.is_zero() for g in gens):
             continue
         G = groebner(gens)
-        if is_zero_dimensional(G) and 0 < quotient_dimension(G) <= 16:
+        if G.standard is not None and 0 < quotient_dimension(G) <= 16:
             out.append(G)
     return out
 
@@ -734,7 +733,7 @@ def test_fermat_quartic_fiber_reduced(Fp):
             ((0, 0, 1), rng.below(DEFAULT_PRIME)),
             ((0, 0, 0), Fp.neg(Fp.one()))))
         G = groebner([e1, e2, chart])
-        assert is_zero_dimensional(G)
+        assert G.standard is not None
         assert quotient_dimension(G) == 9
         assert is_reduced_zero_dim(G, random_vector(Fp, 3, rng))
 

@@ -4,9 +4,10 @@ import pytest
 
 from conftest import qq
 from polardeg import verify
-from polardeg.errors import DegenerateInputError
+from polardeg.errors import DegenerateInputError, PolardegError
 from polardeg.foliations import associated_foliation
 from polardeg.polar import WeightedFunction
+from polardeg.poly import euler_contraction
 from polardeg.verify import (SUITES, derive_seed, run_dolgachev_suite,
                              run_resonance_example,
                              run_resonance_singular_check, verify_corollary_deg,
@@ -45,6 +46,22 @@ def test_gauss_corollary_shift():
         verify_gauss_corollary(fol, 3, 1, 1)
     with pytest.raises(ValueError):
         verify_gauss_corollary(fol, 3, 2, 2)   # i - s = 0 is outside the identity
+
+
+@pytest.mark.parametrize("bad", [
+    lambda fol: verify_gauss_theorem(fol, 1, 1),
+    lambda fol: verify_gauss_theorem(fol, 3, 3),
+    lambda fol: verify_gauss_corollary(fol, 3, 1, 1),
+    lambda fol: verify_gauss_corollary(fol, 4, 3, 1),
+    lambda fol: euler_contraction([]),
+    lambda fol: euler_contraction([qq("x0", 2), qq("x1^2", 2)]),
+], ids=["theorem-k", "theorem-i", "corollary-i-s", "corollary-k", "contraction-empty",
+        "contraction-degrees"])
+def test_bad_levels_and_forms_end_in_a_polardeg_error(bad):
+    fol = associated_foliation(
+        WeightedFunction.of([qq("x0"), qq("x1"), qq("x2")], [1, 1, 1]))
+    with pytest.raises(PolardegError):
+        bad(fol)
 
 
 def test_polar_relation_conic_and_triangle():
