@@ -30,13 +30,11 @@ need no check, see _reduce); one that does not fit restarts the computation
 with fields twice as wide, and past _MAX_VALUE_BITS raises ResourceLimitError.
 
 Quotient queries: groebner enumerates the standard monomials of a
-zero-dimensional basis in its packing, at most MAX_QUOTIENT of them (a
-reducedness test at that dimension takes seconds, and its cost grows as the
-cube), and keeps them and the packed polys, its span, for quotient_dimension
-and is_reduced_zero_dim.  The latter does all its work in one elimination of
-packed rows (linalg) over those monomials: it finds the minimal polynomial
-mu of a linear form ell, and writes row combinations of the span as polynomials
-in ell; their gcd with mu finds the points where all of them vanish.
+zero-dimensional basis in its packing, at most MAX_QUOTIENT of them, and
+keeps them and the packed polys, its span, for quotient_dimension and
+is_reduced_zero_dim.  The latter walks the border for normal forms, packed
+vectors (linalg) over those monomials, and reduces a linear form's powers as
+they are made; the first dependent one gives its minimal polynomial.
 """
 
 from __future__ import annotations
@@ -51,13 +49,13 @@ from math import prod
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
 from .fields import DEFAULT_PRIME
-from .linalg import pack, row_reduce, slot_width, unpack
+from .linalg import pack, slot_width, unpack
 from .poly import MultiPoly, gcd_many
 from .rand import SeedStream
 
 DEFAULT_MAX_PAIRS = 200000
 DEFAULT_MAX_BASIS = 5000
-# most standard monomials a zero-dimensional basis has
+# most standard monomials a zero-dimensional basis has; a reducedness test there takes seconds
 MAX_QUOTIENT = 1024
 # widest field value (guard bit excluded) before a monomial is refused
 _MAX_VALUE_BITS = 64
@@ -181,8 +179,8 @@ def _reduce(items, basis, guards, prime):
     monomial and adds only smaller ones, so each monomial is popped once.
     Returns the remainder's terms in descending order.  No step overflows:
     every monomial handed in fits (inputs, S-pair terms under a checked lcm,
-    checked border monomials, tails), and a step's new terms tm + (m - lm)
-    have deg tm <= deg lm, so no field passes deg m.
+    tails), and a step's new terms tm + (m - lm) have deg tm <= deg lm, so
+    no field passes deg m.
     """
     acc: dict = {}
     heap: list = []
@@ -471,24 +469,25 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
     empty, 0 for the unit ideal); None when A is not reduced or ell does not
     separate its points.
 
-    coeffs are the coefficients of a linear form ell, one per variable of G,
-    over the prime field (QQ is refused); callers draw them at random.  The
-    test writes 1, ell, ..., ell^dim over the standard monomials, dim =
-    dim A, each power as the product of ell's multiplication matrix
-    (Faugere, Gianni, Lazard & Mora, JSC 1993) with the one before: M's
-    columns are packed with row r in slot r (linalg.pack), so M * v is the
-    sum of v[c] times column c, unpacked mod p.  A is reduced with ell
-    separating its points iff the minimal polynomial mu of ell has degree
-    dim and is squarefree: iff 1, ..., ell^(dim-1) are independent, so that
-    sum a_k ell^k = -ell^dim has one solution, and mu = t^dim + sum a_k t^k
-    is coprime to its derivative.  A non-separating form, the zero form
-    among them once dim > 1, yields a false negative; callers redraw.
+    coeffs are ell's coefficients, one per variable of G, over the prime
+    field (QQ is refused), drawn at random by callers, who redraw a form
+    that does not separate, such as 0 once dim > 1.  A is reduced and ell
+    separates iff ell's minimal polynomial mu has degree dim = dim A and is
+    squarefree (Faugere, Gianni, Lazard & Mora, JSC 1993).
 
-    A is then F[t]/mu with t = ell, and the same elimination writes the
-    normal form of each combination f of `off` as q_f(ell).  At a point P,
-    f(P) = q_f(ell(P)), and the ell(P) are the dim distinct roots of mu; so
-    the common zeros of `off` are the roots of gcd(mu, q_f for every f), and
-    the count is dim minus its degree.
+    Normal forms are packed vectors over the standard monomials (linalg),
+    reduced mod p before they multiply anything, made by a walk of the
+    border in ascending order (Kehrein & Kreuzer, JPAA 2005): a lead's is
+    minus its tail; another non-standard b has a variable x_u with b / x_u
+    non-standard, and NF(b) sums c_t NF(x_u t), x_u t below b, over the
+    terms of NF(b / x_u).  Each power of ell is reduced against the echelon
+    rows of the ones before as it is made; a zero before ell^dim returns
+    None.  Back substitution over the multipliers writes ell^dim, so mu, and
+    each f of `off` over 1, ..., ell^(dim-1), as q_f(ell).  A slot sums
+    nvars products (a column) or at most dim (a power, a border step, a run
+    of f's terms), plus below p^2 per pivot: below 2 max(dim, nvars) p^2.
+    At a point P, f(P) = q_f(ell(P)), and the ell(P) are the dim distinct
+    roots of mu: the count is dim minus the degree of gcd(mu, every q_f).
     """
     p = G.field.modulus
     if p is None:
@@ -499,54 +498,75 @@ def is_reduced_zero_dim(G: GroebnerBasis, coeffs, off=()) -> int | None:
             f"got {len(coeffs)}")
     if any(len(row) > len(G.span) for row in off):
         raise DegenerateInputError(f"a row has more coefficients than the {len(G.span)} polys")
-    pk, std, basis = G.packing, G.standard, G.elems
+    pk, std = G.packing, G.standard
     if std is None:
         raise DegenerateInputError("ideal is not zero-dimensional")
-    dim = len(std)
-    if dim == 0:
+    if not (dim := len(std)):
         return 0
-    index = {m: r for r, m in enumerate(std)}
-    ell = [(u, a) for u, a in zip(pk.units, coeffs) if a]
-    # column c of the matrix is ell * std[c] over the standard monomials; each
-    # border monomial x_v * std[c] is reduced once, and the basis is reduced,
-    # so a lead's normal form is minus its tail
-    width = slot_width(p, dim)
-    cols = []
-    border = {lm: [(t, -c) for t, c in tail] for lm, tail in basis}
-    for s in std:
-        col = [0] * dim
-        for u, a in ell:
-            m = s + u
-            if m in index:
-                col[index[m]] += a
-                continue
-            if m not in border:
-                border[m] = _reduce([(m, 1)], basis, pk.guards, p)
-            for t, b in border[m]:
-                col[index[t]] += a * b
-        cols.append(pack(col, p, width))
-    # ell * v is the sum of v[c] * cols[c]: each slot sums dim products
-    power = [1] + [0] * (dim - 1)   # std[0] is the monomial 1
-    powers = []
+    units, guards, index = pk.units, pk.guards, {m: k for k, m in enumerate(std)}
+    width = slot_width(p, 2 * max(dim, G.nvars))
+    mask = (1 << width) - 1
+
+    def canonical(v):
+        """v with every slot reduced mod p, packed in one pass."""
+        out = 0
+        for k in range(dim - 1, -1, -1):
+            out = out << width | (v >> width * k & mask) % p
+        return out
+
+    nf = {m: 1 << width * k for m, k in index.items()}
+    nf.update((lm, sum(-c % p << width * index[t] for t, c in tail)) for lm, tail in G.elems)
+
+    def normal_form(m):
+        """NF(m), down a chain of divisors m / x_u to a known one."""
+        chain, b = [], m
+        while b not in nf:
+            u = next(u for u in units if not (b - u) & guards and b - u not in index)
+            chain.append((b, u))
+            b -= u
+        for b, u in reversed(chain):
+            nf[b] = canonical(sum(c * nf[s + u] for s, c in
+                                  zip(std, unpack(nf[b - u], dim, p, width)) if c))
+        return nf[m]
+
+    for b in sorted({s + u for s in std for u in units}.difference(nf)):
+        normal_form(b)
+    cols = [canonical(sum(a % p * nf[s + u] for u, a in zip(units, coeffs))) for s in std]
+    echelon = []        # (pivot shift, 1 / pivot, row k, multipliers f by row j < k)
+
+    def eliminate(v):
+        """v minus sum f * row over the echelon, unreduced, and the f."""
+        mults = []
+        for shift, inv, row, _ in echelon:
+            if f := (v >> shift & mask) * inv % p:
+                v += (p - f) * row
+            mults.append(f)
+        return v, mults
+
+    def over_powers(v):
+        """v's coefficients over 1, ..., ell^(dim-1), v in the rows' span."""
+        g = eliminate(v)[1]
+        for k in range(dim - 1, -1, -1):    # row k is ell^k - sum f * row j
+            g[k] = c = g[k] % p
+            for j, f in enumerate(echelon[k][3] if c else ()):
+                g[j] -= c * f
+        return g
+
+    power = 1                               # std[0] is the monomial 1
     for _ in range(dim):
-        powers.append(power)
-        power = unpack(sum(v * col for v, col in zip(power, cols) if v), dim, p, width)
-    forms = [[0] * dim for _ in off]
-    for form, row in zip(forms, off):
-        for t, c in _reduce(_combination(row, G.span, p), basis, pk.guards, p):
-            form[index[t]] = c
-    # columns: ell^0 .. ell^(dim-1), -ell^dim, then the normal forms of off
-    rref, pivots = row_reduce(list(zip(*powers, [-c % p for c in power], *forms)), G.field)
-    if pivots != list(range(dim)):
-        return None
-    mu = [row[dim] for row in rref] + [1]
+        v, mults = eliminate(power)
+        if not (row := canonical(v)):
+            return None
+        shift = ((row & -row).bit_length() - 1) // width * width
+        echelon.append((shift, pow(row >> shift & mask, -1, p), row, mults))
+        power = sum(c * col for c, col in zip(unpack(power, dim, p, width), cols) if c)
+    common = mu = [-c % p for c in over_powers(power)] + [1]
     if len(_uni_gcd(mu, [c * k % p for k, c in enumerate(mu)][1:], p)) != 1:
         return None
-    if not off:
-        return dim
-    common = mu
-    for k in range(len(off)):
-        common = _uni_gcd(common, [row[dim + 1 + k] for row in rref], p)
-        if len(common) == 1:
+    for row in off:
+        terms, v = _combination(row, G.span, p), 0
+        for k in range(0, len(terms), dim):
+            v = canonical(v + sum(c * normal_form(m) for m, c in terms[k:k + dim]))
+        if len(common := _uni_gcd(common, over_powers(v), p)) == 1:
             break
-    return dim + 1 - len(common)
+    return dim + 1 - len(common) if off else dim

@@ -308,7 +308,7 @@ def _trial_fiber_count(sub, n, i, field, stream, plain=True):
         return None
     # generic source plane Lambda as i linear forms, independent in the chart
     source_rows = [random_vector(field, width, stream) for _ in range(i)]
-    if rank([row[:n] for row in source_rows], field) != i:
+    if i and rank([row[:n] for row in source_rows], field) != i:
         return None
     cone, chart, radial = sub
     # Lambda's forms, and a Gauss map's hyperplane c.x = 0 through the fiber

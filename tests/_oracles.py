@@ -18,6 +18,7 @@ attached to a weighted product has its 1-form from the product formula.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 
 # -- univariate polynomials over GF(p) as coefficient lists (low degree first)
@@ -389,9 +390,14 @@ def plane_map_fiber_count(components, p, seed=0) -> int:
 # Polynomials are dicts from exponent tuples to coefficients, under degrevlex,
 # apart from the engine's packed monomials.
 
-def _lead(p):
+@cache
+def _key(exp):
     from polardeg.poly import degrevlex_key
-    return max(p, key=degrevlex_key)
+    return degrevlex_key(exp)
+
+
+def _lead(p):
+    return max(p, key=_key)
 
 
 def _add_multiple(acc, p, shift, c, field):
@@ -409,14 +415,15 @@ def _add_multiple(acc, p, shift, c, field):
 def _remainder(p, divisors, field):
     """The remainder of p on division by monic divisors: every term is
     reduced by the first divisor whose lead divides it, largest term first."""
-    p, out = dict(p), {}
+    p, out, leads = dict(p), {}, [(_lead(g), g) for g in divisors]
     while p:
         e = _lead(p)
-        g = next((g for g in divisors if all(x <= y for x, y in zip(_lead(g), e))), None)
+        lg, g = next(((lg, g) for lg, g in leads if all(x <= y for x, y in zip(lg, e))),
+                     (None, None))
         if g is None:
             out[e] = p.pop(e)
         else:
-            shift = tuple(x - y for x, y in zip(e, _lead(g)))
+            shift = tuple(x - y for x, y in zip(e, lg))
             _add_multiple(p, g, shift, field.neg(p[e]), field)
     return out
 
@@ -479,16 +486,20 @@ def plain_reduced_basis(polys):
 
 # -- reducedness through normal forms of the powers of a random form ----------
 
-def reduced_by_normal_forms(G, coeffs) -> int | None:
-    """The answer of is_reduced_zero_dim with no polys to drop, by plain
-    means on the same form: the quotient dimension, or None.
+def reduced_by_normal_forms(G, coeffs, off=()) -> int | None:
+    """The answer of is_reduced_zero_dim by plain means on the same form:
+    the number of points off the common zeros of the polys that the rows of
+    off combine from G's span (every point when off is empty), or None.
 
     The standard monomials are the exponent vectors in a box that no lead
     divides.  ell has the given coefficients, each power ell^k is the normal
     form of ell * ell^(k-1), and the minimal polynomial comes from
     gauss_jordan on their coordinates: the quotient is reduced with ell
-    separating iff it has degree dim and is coprime to its derivative.
-    Refuses an infinite quotient like the package.
+    separating iff it has degree dim and is coprime to its derivative.  Each
+    row's poly f is summed from the span, unpacked term by term, and the
+    same elimination writes its normal form over the powers 1 ..
+    ell^(dim-1), as q_f(ell); the count is dim minus the degree of
+    gcd(mu, q_f for every f).  Refuses an infinite quotient like the package.
     """
     from itertools import product
 
@@ -513,13 +524,30 @@ def reduced_by_normal_forms(G, coeffs) -> int | None:
         power = normal_form(power, G)
         columns.append([power.terms.get(e, 0) for e in std])
         power = power * ell
-    # solve sum_k a_k ell^k = -ell^dim, k < dim, or find the columns dependent
-    rows = [[col[r] for col in columns[:dim]] + [-columns[dim][r] % p] for r in range(dim)]
+    span = [MultiPoly(field, nvars, {G.packing.unpack(m): c for m, c in terms})
+            for terms in G.span]
+    targets = [[-c % p for c in columns[dim]]]
+    for row in off:
+        f = MultiPoly.zero(field, nvars)
+        for a, poly in zip(row, span):
+            f = f + poly.scale(a)
+        nf = normal_form(f, G)
+        targets.append([nf.terms.get(e, 0) for e in std])
+    # solve sum_k a_k ell^k = -ell^dim, k < dim, or find the columns
+    # dependent, and write each normal form the same way
+    rows = [[col[r] for col in columns[:dim]] + [t[r] for t in targets] for r in range(dim)]
     rref, pivots = gauss_jordan(rows, p)
     if pivots != list(range(dim)):
         return None
     mu = [row[dim] for row in rref] + [1]
-    return dim if len(ugcd(mu, uderiv(mu, p), p)) == 1 else None
+    if len(ugcd(mu, uderiv(mu, p), p)) != 1:
+        return None
+    if not off:
+        return dim
+    common = mu
+    for k in range(len(off)):
+        common = ugcd(common, [row[dim + 1 + k] for row in rref], p)
+    return dim - (len(common) - 1)
 
 
 def gauss_jordan(rows, p):

@@ -674,11 +674,10 @@ REDUCEDNESS_SYSTEMS = {
 }
 
 
-def _random_zero_dim_systems(count):
-    """count random zero-dimensional systems: n dense polys in n variables,
-    one of them squared in every other system."""
+def _random_zero_dim_systems(count, field=GF(DEFAULT_PRIME)):
+    """count random zero-dimensional systems over field: n dense polys in n
+    variables, one of them squared in every other system."""
     rng = random.Random(29)
-    field = GF(DEFAULT_PRIME)
     out = []
     while len(out) < count:
         nvars = rng.choice((2, 3))
@@ -716,6 +715,93 @@ def test_is_reduced_zero_dim_matches_the_normal_form_oracle():
     for check in (reduced_by_normal_forms, is_reduced_zero_dim):
         with pytest.raises(DegenerateInputError):
             check(G, [1, 1])
+
+
+def test_is_reduced_zero_dim_walks_the_border_without_reductions(Fp, monkeypatch):
+    """Every normal form the test reads comes from its border walk and every
+    elimination is its own: with the basis reduction and linalg's row
+    reduction made to raise, it still counts the points off the common
+    zeros of the off rows."""
+    points = [(1, 2, 3), (2, 5, 7), (4, 0, 1), (6, 6, 6)]
+    x0, x1 = (MultiPoly.variable(Fp, 3, v) for v in range(2))
+    one = MultiPoly.one(Fp, 3)
+    off = [(x0 - one.scale(2)) * (x0 - one.scale(6)), x1 * x1 - one.scale(25)]
+    G, rows = with_off(points_ideal(points, Fp), off)
+    want = count_points_off(points, off, DEFAULT_PRIME)
+    assert want == 3
+
+    def refuse(*args):
+        raise AssertionError("the reducedness test reduces nothing by the basis")
+
+    module = importlib.import_module("polardeg.groebner")
+    monkeypatch.setattr(module, "_reduce", refuse)
+    monkeypatch.setattr(module, "row_reduce", refuse, raising=False)
+    monkeypatch.setattr(importlib.import_module("polardeg.linalg"), "row_reduce", refuse)
+    for seed in range(3):
+        assert is_reduced_zero_dim(G, ell(G, seed), rows) == want
+
+
+def _planted_off(points, zeros, field, degree, rng):
+    """Two polys whose common zeros among the points include the points
+    zeros: the vanishing poly of their first coordinates times a sparse
+    random poly, and times a dense one of the given degree, whose many terms
+    sum more products than one slot of a small quotient holds."""
+    nvars, p = len(points[0]), field.modulus
+    x0, one = MultiPoly.variable(field, nvars, 0), MultiPoly.one(field, nvars)
+    vanishing = one
+    for z in zeros:
+        vanishing = vanishing * (x0 - one.scale(z[0] % p))
+    dense = MultiPoly.from_terms(field, nvars, [
+        (e, rng.randrange(1, p)) for e in product(range(degree + 1), repeat=nvars)
+        if sum(e) <= degree])
+    return [vanishing * (random_poly(field, nvars, 2, 3, rng) + one.scale(rng.randrange(1, p))),
+            vanishing * dense]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003])
+def test_is_reduced_zero_dim_with_off_matches_the_normal_form_oracle(p):
+    """Counts off the common zeros of off rows agree with the oracle's: on
+    random systems, half of them not reduced, with random polys joining the
+    span; and on the ideals of 1 to 80 points, past the step of the slot
+    width at 64 rows, with common zeros planted at none, some or all of the
+    points, where the count by evaluation agrees too."""
+    field = GF(p)
+    rng = random.Random(p)
+    answers = []
+    for k, G in enumerate(_random_zero_dim_systems(8, field)):
+        off = [random_poly(field, G.nvars, 3, 4, rng) for _ in range(2)]
+        G, rows = with_off(list(G.basis), off)
+        rows.append([rng.randrange(p) for _ in G.span])     # generators and off mixed
+        coeffs = ell(G, k)
+        want = reduced_by_normal_forms(G, coeffs, rows)
+        assert is_reduced_zero_dim(G, coeffs, rows) == want, k
+        answers.append(want)
+    assert None in answers and any(answers)
+    counts = set()
+    for npts in (1, 2, 5, 13, 30, 80):
+        if npts <= 13:          # random points in space
+            points = [(a, rng.randrange(p), rng.randrange(p)) for a in rng.sample(range(p), npts)]
+        else:                   # points on a plane cubic, whose basis is quick
+            points = [(a, (a ** 3 + 2 * a + 5) % p) for a in rng.sample(range(p), npts)]
+        gens = points_ideal(points, field)
+        for zeros in ([], points[:npts // 3], points):
+            off = _planted_off(points, zeros, field, 6 if npts <= 2 else 1, rng)
+            G, rows = with_off(gens, off)
+            assert quotient_dimension(G) == npts
+            coeffs, want = ell(G, npts), count_points_off(points, off, p)
+            assert reduced_by_normal_forms(G, coeffs, rows) == want, (npts, len(zeros))
+            assert is_reduced_zero_dim(G, coeffs, rows) == want, (npts, len(zeros))
+            counts.add((npts, want))
+    assert {(1, 1), (1, 0), (80, 80), (80, 54), (80, 0)} <= counts
+    # ell = x0 - x1 does not separate (1, 1) and (2, 2), and a double point
+    # is not reduced, whatever off holds
+    x0_plus_x1 = [parse_poly("x0 + x1 + 1", 2, field)]
+    for texts, coeffs in ((["x0^2 - 3*x0 + 2", "x0 - x1"], [1, p - 1]),
+                          (["x0^2 - 2*x0 + 1", "x1 - 2"], [3, 5])):
+        G, rows = with_off([parse_poly(t, 2, field) for t in texts], x0_plus_x1)
+        assert quotient_dimension(G) == 2
+        assert reduced_by_normal_forms(G, coeffs, rows) is None
+        assert is_reduced_zero_dim(G, coeffs, rows) is None
 
 
 def test_fermat_quartic_fiber_reduced(Fp):

@@ -420,6 +420,23 @@ def test_trial_generators_are_the_dehomogenized_combinations(Fp, monkeypatch):
             assert list(ideals[1]) == cone and all(g.nvars == n + 1 for g in cone)
 
 
+def test_a_level_0_count_checks_no_rank(Fp, monkeypatch):
+    # at i = 0 Lambda has no rows, so there is no rank to check; at i = 1
+    # its one row is checked
+    calls, real_rank = [], polar.rank
+
+    def counted(rows, field):
+        calls.append(len(rows))
+        return real_rank(rows, field)
+
+    monkeypatch.setattr(polar, "rank", counted)
+    m = polar_map(qq("x0^3 + x1^3 + x2^3"))
+    assert map_degree(m, 0, trials=2, field=Fp).value == 4
+    assert calls == []
+    assert map_degree(m, 1, trials=2, field=Fp).value == 2
+    assert 1 in calls
+
+
 def test_trial_draws_the_reducedness_form_after_a_positive_count(Fp, monkeypatch):
     passed, streams = [], []
     real_check = polar.is_reduced_zero_dim
