@@ -2,12 +2,17 @@
 
 Every basis is a reduced degrevlex basis, computed by Buchberger's algorithm
 with the Gebauer-Moeller pair update (JSC 1988) and sugar selection (Giovini
-et al., ISSAC 1991).  Three caps turn a runaway computation into a
-ResourceLimitError instead of a hang: the number of S-pairs reduced,
-POLARDEG_MAX_PAIRS when that environment variable is set and
-DEFAULT_MAX_PAIRS otherwise, read by every basis computation; the number
-of elements built, DEFAULT_MAX_BASIS; and the dimension of a
-zero-dimensional quotient, MAX_QUOTIENT.
+et al., ISSAC 1991).  Over GF(p) the pairs of the lowest sugar are reduced
+together, as in F4 (Faugere, JPAA 1999), on packed vectors (linalg) with one
+slot of slot_width(p, comb(2^vbits + n, n) + 2) bits per pair (_reduce);
+the remainders get distinct leads before they join the basis, and the final
+tail reduction is one more batch.  Over QQ, where Fractions do not pack, a
+batch is one pair.  Three caps turn a runaway computation into a
+ResourceLimitError instead of a hang: the number of S-pairs reduced, a
+whole batch counted before it is reduced, POLARDEG_MAX_PAIRS when that
+environment variable is set and DEFAULT_MAX_PAIRS otherwise, read by every
+basis computation; the number of elements built, DEFAULT_MAX_BASIS; and the
+dimension of a zero-dimensional quotient, MAX_QUOTIENT.
 
 Inside the engine a monomial is one int, a packed exponent vector (Monagan &
 Pearce, CASC 2007): 2n equal-width fields, most significant first, holding
@@ -44,7 +49,7 @@ from collections import namedtuple
 from functools import cache, cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 from .errors import (DegenerateInputError, FieldMismatchError, PolardegError,
                      ResourceLimitError)
@@ -170,54 +175,88 @@ def _monic(terms, field):
     return lm, [(m, c * inv) for m, c in terms[1:]]
 
 
-def _reduce(items, basis, guards, prime):
-    """Fully reduced remainder of sum(items) by monic (lm, tail) pairs.
+def _reduce(rows, basis, pk, prime):
+    """Fully reduced remainders of the rows of terms, each summed, by monic
+    (lm, tail) pairs: one per row, in descending order.
 
-    Coefficients accumulate unreduced in a dict, with a max-heap of the
-    packed monomials (stored negated); over GF(p) they are reduced once, when
-    their monomial is popped.  Every step cancels the largest remaining
-    monomial and adds only smaller ones, so each monomial is popped once.
-    Returns the remainder's terms in descending order.  No step overflows:
-    every monomial handed in fits (inputs, S-pair terms under a checked lcm,
-    tails), and a step's new terms tm + (m - lm) have deg tm <= deg lm, so
-    no field passes deg m.
+    Rows are reduced together on packed vectors (linalg), row r's coefficient
+    in slot r, so a reducer multiple is expanded once for all rows, one big-int
+    multiply-add per term; over QQ, where Fractions do not pack, callers pass
+    one row.  Vectors accumulate unreduced in a dict, with a max-heap of the
+    packed monomials (negated); a step cancels the largest and adds only
+    smaller ones, so each monomial is popped once.  Over GF(p) a vector is made
+    canonical, each slot mod p (one slot: v % p), before it multiplies, and a
+    remainder's slots as it is split.  A slot starts below 2p (a row has at
+    most two terms per monomial); a step adds (p - c) * tc < p^2, and fewer
+    than comb(2^vbits + n, n) steps run, one per monomial of n variables and
+    degree below 2^vbits.  No step overflows: monomials handed in fit (inputs,
+    S-pair terms under a checked lcm, tails), and new terms tm + (m - lm) have
+    deg tm <= deg lm, so no field passes deg m.
     """
-    acc: dict = {}
-    heap: list = []
-    for m, c in items:
-        cur = acc.get(m)
-        if cur is None:
-            acc[m] = c
-            heap.append(-m)
-        else:
-            acc[m] = cur + c
+    guards, n, width, neg = pk.guards, len(rows), 0, prime or 0
+    if n > 1:
+        width = slot_width(prime, comb((1 << pk.vbits) + pk.nvars, pk.nvars) + 2)
+        neg = prime * ((1 << width * n) - 1) // ((1 << width) - 1)     # p in every slot
+    acc, heap = {}, []
+    for r, row in enumerate(rows):
+        unit = 1 << width * r
+        for m, c in row:
+            cur = acc.get(m)
+            if cur is None:
+                acc[m] = c * unit
+                heap.append(-m)
+            else:
+                acc[m] = cur + c * unit
     heapify(heap)
-    push, pop = heappush, heappop
+    push, pop, mask = heappush, heappop, (1 << width) - 1
     out = []
     while heap:
         m = -pop(heap)
-        c = acc.pop(m)
-        if prime:
-            c %= prime
-        if not c:
+        v = acc.pop(m)
+        if n == 1 and prime:
+            v %= prime
+        if not v:
             continue
         for lm, tail in basis:
             if not (m - lm) & guards:
                 break
         else:
-            out.append((m, c))
+            out.append((m, v))
             continue
-        shift = m - lm
-        c = -c
+        if n > 1:
+            c = 0
+            for s in range(width * (n - 1), -1, -width):
+                c = c << width | (v >> s & mask) % prime
+            if not c:
+                continue
+            v = c
+        shift, f = m - lm, neg - v
         for tm, tc in tail:
             nm = tm + shift
             cur = acc.get(nm)
             if cur is None:
-                acc[nm] = c * tc
+                acc[nm] = f * tc
                 push(heap, -nm)
             else:
-                acc[nm] = cur + c * tc
-    return out
+                acc[nm] = cur + f * tc
+    return [[(m, c) for m, v in out if (c := (v >> s & mask) % prime)]
+            for s in range(0, width * n, width)] if n > 1 else [out]
+
+
+def _distinct_leads(rows, prime):
+    """The nonzero rows with distinct leads and the same span over GF(p): a
+    row whose lead is a kept row's loses a multiple of it until it is not."""
+    kept: dict = {}             # lead -> row
+    for row in rows:
+        while row and (lm := row[0][0]) in kept:
+            other, acc = kept[lm], dict(row)
+            f = row[0][1] * pow(other[0][1], -1, prime) % prime
+            for m, c in other:
+                acc[m] = (acc.get(m, 0) - f * c) % prime
+            row = sorted(((m, c) for m, c in acc.items() if c), reverse=True)
+        if row:
+            kept[lm] = row
+    return list(kept.values())
 
 
 def _max_pairs() -> int:
@@ -270,20 +309,24 @@ def _buchberger(gens, pk, field):
     for terms in gens:          # sugar: the total degree, which is the lead's
         add(terms, sum(pk.unpack(terms[0][0])))
 
-    processed = 0
+    processed, neg = 0, prime or 0
     while pairs:
-        sugar, lcm, i, j = heappop(pairs)
-        processed += 1
+        # every pair of the lowest sugar, reduced together; over QQ one pair
+        batch = [heappop(pairs)]
+        while prime and pairs and pairs[0][0] == batch[0][0]:
+            batch.append(heappop(pairs))
+        processed += len(batch)
         if processed > max_pairs:
             raise ResourceLimitError(f"S-pair cap exceeded ({max_pairs}); "
                                      "raise POLARDEG_MAX_PAIRS to continue")
-        (li, ti, *_), (lj, tj, *_) = polys[i], polys[j]
-        si, sj = lcm - li, lcm - lj
-        # the leading terms cancel; the S-polynomial is the tails' difference
-        r = _reduce([(m + si, c) for m, c in ti] + [(m + sj, -c) for m, c in tj],
-                    G.values(), guards, prime)
-        if r:
-            add(r, sugar)
+        rows = []
+        for _, lcm, i, j in batch:
+            (li, ti, *_), (lj, tj, *_) = polys[i], polys[j]
+            si, sj = lcm - li, lcm - lj
+            # the leads cancel: the S-polynomial is the tails' difference, -c as p - c >= 0
+            rows.append([(m + si, c) for m, c in ti] + [(m + sj, neg - c) for m, c in tj])
+        for r in _distinct_leads(_reduce(rows, G.values(), pk, prime), prime):
+            add(r, batch[0][0])
             if len(polys) > DEFAULT_MAX_BASIS:
                 raise ResourceLimitError(f"basis size cap exceeded ({DEFAULT_MAX_BASIS})")
 
@@ -292,9 +335,11 @@ def _buchberger(gens, pk, field):
     for lm, tail in sorted(G.values(), key=lambda e: e[0]):
         if all((lm - k) & guards for k, _ in kept):
             kept.append((lm, tail))
-    # tail-reduce each element against the others
-    return [(lm, _reduce(tail, kept[:pos] + kept[pos + 1:], guards, prime))
-            for pos, (lm, tail) in enumerate(kept)]
+    # tail-reduce each element by all of kept, its own lead dividing none of its tail
+    tails = [tail for _, tail in kept]
+    batches = [tails] if prime else [[tail] for tail in tails]
+    reduced = [r for batch in batches for r in _reduce(batch, kept, pk, prime)]
+    return [(lm, r) for (lm, _), r in zip(kept, reduced)]
 
 
 def _generators(polys) -> list:

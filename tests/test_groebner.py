@@ -114,9 +114,19 @@ ORACLE_IDEALS = {
 }
 
 
-@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)],
-                         ids=["degrevlex-qq", "degrevlex-gfp"])
+def _dense(field, nvars, degree, rng):
+    """A poly with every monomial of degree <= degree, random nonzero coefficients."""
+    return MultiPoly.from_terms(field, nvars, [
+        (e, rng.randrange(1, field.modulus)) for e in product(range(degree + 1), repeat=nvars)
+        if sum(e) <= degree])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME), GF(1000003)],
+                         ids=["degrevlex-qq", "degrevlex-gfp", "degrevlex-gf1000003"])
 def test_reduced_basis_equals_plain_buchberger(field):
+    """Over GF(p) a sugar degree's S-pairs are reduced together, in slots
+    narrower at the smaller prime; the dense systems put several pairs in
+    one degree.  Over QQ every batch is one pair."""
     ideals = [[parse_poly(t, 3, field) for t in texts] for texts in ORACLE_IDEALS.values()]
     rng = random.Random(11)
     shapes = [(2, 2, 3, 5), (3, 3, 3, 4), (3, 2, 3, 4), (2, 2, 4, 4), (3, 3, 2, 5)]
@@ -124,6 +134,9 @@ def test_reduced_basis_equals_plain_buchberger(field):
         gens = [random_poly(field, nvars, max_degree, n_terms, rng) for _ in range(ngens)]
         if any(not g.is_zero() for g in gens):
             ideals.append(gens)
+    if field.modulus:           # three dense cubics in 3 variables, four dense quadrics in 4
+        ideals += [[_dense(field, nvars, degree, rng) for _ in range(nvars)]
+                   for nvars, degree in [(3, 3), (4, 2)]]
     for gens in ideals:
         G = groebner(gens)
         assert list(G.basis) == plain_reduced_basis(gens), [str(g) for g in gens]
@@ -235,10 +248,11 @@ def test_golden_ladder_sized_basis():
     assert is_reduced_zero_dim(G, ell(G, 3))
 
 
-# S-pairs each system reduces: the pair update and the selection order must
+# S-pairs each system reduces, counted whole batches at a time (all the
+# pairs of one sugar degree): the pair update and the selection order must
 # keep the count, read through the pair cap
-PAIR_COUNTS = {"ladder-sextic": (_ladder_fiber_system, 95),
-               "acceptance-quartic": (_acceptance_fiber_system, 19)}
+PAIR_COUNTS = {"ladder-sextic": (_ladder_fiber_system, 100),
+               "acceptance-quartic": (_acceptance_fiber_system, 22)}
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
@@ -250,6 +264,24 @@ def test_s_pair_count_is_pinned(name, monkeypatch):
     monkeypatch.setenv("POLARDEG_MAX_PAIRS", str(pairs - 1))
     with pytest.raises(ResourceLimitError, match="S-pair cap"):
         groebner(gens)
+
+
+def test_a_sugar_degree_is_reduced_in_one_call(monkeypatch):
+    """The S-pairs of one sugar degree go through one reduction together,
+    and the tails of the final basis through one more: the ladder-sized
+    system makes fewer reduction calls than it reduces pairs."""
+    module = importlib.import_module("polardeg.groebner")
+    reduce, rows_per_call = module._reduce, []
+
+    def counted(rows, *args):
+        rows_per_call.append(len(rows))
+        return reduce(rows, *args)
+
+    monkeypatch.setattr(module, "_reduce", counted)
+    G = groebner(_ladder_fiber_system())
+    assert _digest(G) == "a3cf810dd32f2c612c60e315da28326a0318a0bffa39f6d11d0af9fa2b02527f"
+    assert len(rows_per_call) < PAIR_COUNTS["ladder-sextic"][1]
+    assert max(rows_per_call) > 1
 
 
 def test_basis_is_reduced_and_monic():
